@@ -3,7 +3,6 @@ and day-to-day compliance learning."""
 
 from .network import (
     DepartureProfile,
-    Junction,
     Link,
     Network,
     ODPair,
@@ -17,11 +16,8 @@ from .network import (
 )
 from .dnl import (
     DnlError,
-    DnlOptions,
     DnlResult,
     JunctionConvergenceError,
-    path_travel_time,
-    partial_traversal_time,
     revise_turning_ratios,
     run_dnl,
 )
@@ -33,15 +29,12 @@ from .compliance import (
     average_saving,
     average_time,
     build_pair_contexts,
-    compliance_model1,
-    compliance_model2,
-    experienced_times,
+    compliance_logit,
     initial_state,
-    saving_profile,
+    mean_partial_times,
     step_compliance,
     time_std,
-    update_perceived_times,
-    update_perception_x,
+    update_perception,
 )
 from .daytoday import (
     DayRecord,

@@ -98,14 +98,9 @@ def build_pair_contexts(network: Network):
 # elementary operations
 
 
-def saving_profile(result, fset, nfset, node, t):
-    """Travel-time saving from following the sign for a departure from `node` at t.
-
-    Mean not-follow traversal minus mean follow traversal; may be negative.
-    """
-    nf = sum(np.asarray(result.partial_traversal_time(node, pid, t)) for pid in nfset) / len(nfset)
-    f = sum(np.asarray(result.partial_traversal_time(node, pid, t)) for pid in fset) / len(fset)
-    return nf - f
+def mean_partial_times(result, pids, node) -> np.ndarray:
+    """Mean traversal time from `node` over the paths, at each bin midpoint."""
+    return sum(result.partial_times(node, pid) for pid in pids) / len(pids)
 
 
 def average_saving(values, grid: TimeGrid, omega) -> float:
@@ -127,34 +122,29 @@ def apply_threshold(s_bar: float, gamma: float) -> float:
     return 0.0 if 0.0 <= s_bar < gamma else s_bar
 
 
-def update_perception_x(x_prev: float, s_bar: float, w: float) -> float:
-    """Exponential smoothing of the perceived saving."""
+def update_perception(prev: float, observed: float, w: float) -> float:
+    """Exponential smoothing of a perceived saving or disutility."""
     if not 0.0 < w < 1.0:
         raise ValueError(f"weight {w} outside (0, 1)")
-    return (1.0 - w) * x_prev + w * s_bar
+    return (1.0 - w) * prev + w * observed
 
 
-def compliance_model1(x: float, beta: float) -> float:
-    """Binary logit on the perceived saving x versus its negation -x.
+def compliance_logit(advantage: float, beta: float) -> float:
+    """Binary logit of following the sign: 1 / (1 + exp(-beta * advantage)).
 
-    Computed as 1 / (1 + exp(-2 beta x)); strictly inside (0, 1).
+    ``advantage`` is the perceived gain from following: 2x for Models I/III
+    (saving x versus its negation -x), y_nf - y_f for Models II/IV.  The result
+    stays strictly inside (0, 1).
     """
     if beta <= 0:
         raise ValueError(f"beta {beta} must be positive")
-    z = 2.0 * beta * x
+    z = beta * advantage
     if z >= 0:
         cr = 1.0 / (1.0 + math.exp(-min(z, 745.0)))
     else:
         ez = math.exp(max(z, -745.0))
         cr = ez / (1.0 + ez)
     return _clamp_open01(cr)
-
-
-def experienced_times(result, fset, nfset, node, t):
-    """Mean follow / not-follow traversal times from the diversion node at t."""
-    f = sum(np.asarray(result.partial_traversal_time(node, pid, t)) for pid in fset) / len(fset)
-    nf = sum(np.asarray(result.partial_traversal_time(node, pid, t)) for pid in nfset) / len(nfset)
-    return f, nf
 
 
 def average_time(values) -> float:
@@ -168,26 +158,6 @@ def time_std(values, mean: float) -> float:
     return float(math.sqrt(np.mean(dev * dev)))
 
 
-def update_perceived_times(y_prev: float, stat: float, w: float) -> float:
-    """Exponential smoothing of a perceived disutility (Models II/IV)."""
-    if not 0.0 < w < 1.0:
-        raise ValueError(f"weight {w} outside (0, 1)")
-    return (1.0 - w) * y_prev + w * stat
-
-
-def compliance_model2(y_f: float, y_nf: float, beta: float) -> float:
-    """Binary logit on the perceived follow / not-follow disutilities."""
-    if beta <= 0:
-        raise ValueError(f"beta {beta} must be positive")
-    z = beta * (y_nf - y_f)
-    if z >= 0:
-        cr = 1.0 / (1.0 + math.exp(-min(z, 745.0)))
-    else:
-        ez = math.exp(max(z, -745.0))
-        cr = ez / (1.0 + ez)
-    return _clamp_open01(cr)
-
-
 # ---------------------------------------------------------------------------
 # daily step
 
@@ -195,12 +165,12 @@ def compliance_model2(y_f: float, y_nf: float, beta: float) -> float:
 def initial_state(params: ComplianceParams, ctx: PairContext, network: Network) -> ComplianceState:
     """Day-1 state: neutral saving or free-flow traversal times by default."""
     if params.model in ("I", "III"):
-        return ComplianceState(cr=compliance_model1(params.x0, params.beta), x=params.x0)
+        return ComplianceState(cr=compliance_logit(2.0 * params.x0, params.beta), x=params.x0)
     ff_f = sum(network.freeflow_partial(pid, ctx.sign.junction) for pid in ctx.fset) / len(ctx.fset)
     ff_nf = sum(network.freeflow_partial(pid, ctx.sign.junction) for pid in ctx.nfset) / len(ctx.nfset)
     y_f = params.y_f0 if params.y_f0 is not None else ff_f
     y_nf = params.y_nf0 if params.y_nf0 is not None else ff_nf
-    return ComplianceState(cr=compliance_model2(y_f, y_nf, params.logit_scale), y_f=y_f, y_nf=y_nf)
+    return ComplianceState(cr=compliance_logit(y_nf - y_f, params.logit_scale), y_f=y_f, y_nf=y_nf)
 
 
 def step_compliance(state: ComplianceState, params: ComplianceParams, result,
@@ -211,17 +181,15 @@ def step_compliance(state: ComplianceState, params: ComplianceParams, result,
     statistics for the CSV output; next_state.cr is the compliance rate the
     *next* day's loading will use.
     """
-    node = ctx.sign.junction
+    mu_f_t = mean_partial_times(result, ctx.fset, ctx.sign.junction)
+    mu_nf_t = mean_partial_times(result, ctx.nfset, ctx.sign.junction)
     if params.model in ("I", "III"):
-        prof = saving_profile(result, ctx.fset, ctx.nfset, node, grid.mids())
-        s_bar = average_saving(prof, grid, ctx.sign.omega)
+        s_bar = average_saving(mu_nf_t - mu_f_t, grid, ctx.sign.omega)
         s_eff = apply_threshold(s_bar, params.gamma) if params.model == "III" else s_bar
-        x = update_perception_x(state.x, s_eff, params.w)
-        nxt = ComplianceState(cr=compliance_model1(x, params.beta), x=x)
+        x = update_perception(state.x, s_eff, params.w)
+        nxt = ComplianceState(cr=compliance_logit(2.0 * x, params.beta), x=x)
         trace = {"s_bar": s_bar, "x": x}
         return nxt, trace
-    mu_f_t = sum(result.partial_times(node, pid) for pid in ctx.fset) / len(ctx.fset)
-    mu_nf_t = sum(result.partial_times(node, pid) for pid in ctx.nfset) / len(ctx.nfset)
     if params.average_over_omega:
         mu_f = average_saving(mu_f_t, grid, ctx.sign.omega)
         mu_nf = average_saving(mu_nf_t, grid, ctx.sign.omega)
@@ -236,8 +204,8 @@ def step_compliance(state: ComplianceState, params: ComplianceParams, result,
         trace.update({"sigma_f": sigma_f, "sigma_nf": sigma_nf})
     else:
         stat_f, stat_nf = mu_f, mu_nf
-    y_f = update_perceived_times(state.y_f, stat_f, params.w)
-    y_nf = update_perceived_times(state.y_nf, stat_nf, params.w)
-    nxt = ComplianceState(cr=compliance_model2(y_f, y_nf, params.logit_scale), y_f=y_f, y_nf=y_nf)
+    y_f = update_perception(state.y_f, stat_f, params.w)
+    y_nf = update_perception(state.y_nf, stat_nf, params.w)
+    nxt = ComplianceState(cr=compliance_logit(y_nf - y_f, params.logit_scale), y_f=y_f, y_nf=y_nf)
     trace.update({"y_f": y_f, "y_nf": y_nf})
     return nxt, trace

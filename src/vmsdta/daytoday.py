@@ -4,8 +4,8 @@ Each day the network is loaded with the current compliance rates, travel
 costs are formed from path travel times plus a schedule-delay penalty, the
 bounded-rationality cost operator caps every used alternative at the O-D
 minimum plus its tolerance band, and the profile moves along a projected step:
-clip(h - lambda * Phi + eta) with the per-O-D dual eta chosen by bisection so
-demand is conserved.  Compliance perception advances from the same loading
+clip(h - lambda * Phi + eta) with the per-O-D dual eta set exactly so demand
+is conserved.  Compliance perception advances from the same loading
 result (simultaneous update).
 """
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compliance import ComplianceParams, build_pair_contexts, initial_state, step_compliance
-from .dnl import DnlError, DnlOptions, run_dnl
+from .dnl import DnlError, DnlResult, run_dnl
 from .network import DepartureProfile, Network, TimeGrid
 
 
@@ -47,18 +47,14 @@ class SolverConfig:
     step_size: float = 0.01  # lambda in the projected update
     max_days: int = 200
     gap_tolerance: float = 1e-3
-    eta_tolerance: float = 1e-8  # relative demand mismatch accepted by the dual search
-    eta_max_expand: int = 80
     residual_warn_fraction: float = 0.005
-    junction_max_iter: int = 200
 
     def check(self):
         errors = []
         if self.step_size <= 0:
             errors.append(f"solver: step size {self.step_size} must be positive")
-        for name in ("gap_tolerance", "eta_tolerance"):
-            if getattr(self, name) <= 0:
-                errors.append(f"solver: {name} must be positive")
+        if self.gap_tolerance <= 0:
+            errors.append("solver: gap_tolerance must be positive")
         if self.max_days < 1:
             errors.append("solver: max_days must be at least 1")
         return errors
@@ -88,6 +84,7 @@ class RunResult:
     grid: TimeGrid
     final_states: dict
     next_profile: DepartureProfile
+    final_dnl: DnlResult | None  # the last day's loading (None if no day ran)
 
 
 # ---------------------------------------------------------------------------
@@ -151,72 +148,37 @@ def phi_table(psi: np.ndarray, network: Network, path_ids) -> tuple:
 @dataclass(frozen=True)
 class EtaSolve:
     eta: float
-    lo: float
-    hi: float
-    iterations: int
+    iterations: int  # size of the active set (rates left positive)
 
 
-def solve_eta(h, phi, lam: float, demand: float, dt: float,
-              rel_tol: float = 1e-8, max_expand: int = 80) -> EtaSolve | None:
-    """Root of sum(clip(h - lam*phi + eta)) * dt = demand, by bisection.
+def solve_eta(h, phi, lam: float, demand: float, dt: float) -> EtaSolve | None:
+    """Exact root of sum(clip(h - lam*phi + eta)) * dt = demand.
 
-    The residual is continuous and nondecreasing in eta, so the bracket is
-    certified (g(lo) <= Q <= g(hi)) before bisection starts.  Returns None for
-    zero demand (all rates map to zero).
+    This is the threshold of the projection onto {x >= 0, sum(x) * dt = demand}
+    (Held, Wolfe & Crowder 1974; Duchi et al. 2008): with the values sorted in
+    decreasing order, the active set is the longest prefix whose shifted
+    values stay positive.  Returns None for zero demand (all rates map to zero).
     """
     if demand < 0:
         raise ValueError("demand must be nonnegative")
     if demand == 0:
         return None
     base = np.asarray(h, dtype=float).ravel() - lam * np.asarray(phi, dtype=float).ravel()
-
-    def g(eta):
-        return float(np.maximum(base + eta, 0.0).sum() * dt)
-
-    lo = -float(lam * np.max(np.abs(phi))) - 1.0
-    hi = float(np.max(h)) + float(lam * np.max(np.abs(phi))) + 1.0
-    span = max(hi - lo, 1.0)
-    for _ in range(max_expand):
-        if g(lo) <= demand:
-            break
-        lo -= span
-        span *= 2
-    else:
-        raise RuntimeError("eta bracket expansion failed (lower end)")
-    span = max(hi - lo, 1.0)
-    for _ in range(max_expand):
-        if g(hi) >= demand:
-            break
-        hi += span
-        span *= 2
-    else:
-        raise RuntimeError("eta bracket expansion failed (upper end)")
-    lo0, hi0 = lo, hi
-    tol = rel_tol * demand
-    it = 0
-    while it < 200:
-        mid = 0.5 * (lo + hi)
-        val = g(mid)
-        if abs(val - demand) <= tol:
-            return EtaSolve(eta=mid, lo=lo0, hi=hi0, iterations=it)
-        if val < demand:
-            lo = mid
-        else:
-            hi = mid
-        it += 1
-    return EtaSolve(eta=0.5 * (lo + hi), lo=lo0, hi=hi0, iterations=it)
+    v = np.sort(base)[::-1]
+    shift = (demand / dt - np.cumsum(v)) / np.arange(1, v.size + 1)
+    n_active = int(np.flatnonzero(v + shift > 0)[-1]) + 1
+    return EtaSolve(eta=float(shift[n_active - 1]), iterations=n_active)
 
 
 def update_departures(profile: DepartureProfile, phi: np.ndarray, lam: float,
-                      network: Network, solver: SolverConfig):
+                      network: Network):
     """One projected step of the departure rates; returns (next profile, etas)."""
     nxt = profile.copy()
     etas = {}
     for od in network.ods:
         rows = [profile.index(pid) for pid in network.od_paths(od)]
         demand = network.ods[od].demand
-        sol = solve_eta(profile.rates[rows], phi[rows], lam, demand, profile.grid.dt,
-                        rel_tol=solver.eta_tolerance, max_expand=solver.eta_max_expand)
+        sol = solve_eta(profile.rates[rows], phi[rows], lam, demand, profile.grid.dt)
         if sol is None:
             etas[od] = None
             nxt.rates[rows] = 0.0
@@ -260,21 +222,21 @@ def run_day_to_day(network: Network, grid: TimeGrid, profile: DepartureProfile,
     contexts = [ctx for ctx in build_pair_contexts(network)
                 if network.ods[ctx.od].demand > 0]
     states = {ctx.key: initial_state(compliance, ctx, network) for ctx in contexts}
-    dnl_opts = DnlOptions(residual_warn_fraction=solver.residual_warn_fraction,
-                          junction_max_iter=solver.junction_max_iter)
     days = []
+    result = None
     converged = False
     prev_profile = None
     prev_cr = None
     for day in range(1, solver.max_days + 1):
         cr_used = {key: st.cr for key, st in states.items()}
         try:
-            result = run_dnl(network, grid, profile, compliance_rates=cr_used, options=dnl_opts)
+            result = run_dnl(network, grid, profile, compliance_rates=cr_used,
+                             residual_warn_fraction=solver.residual_warn_fraction)
         except DnlError as exc:
             raise DayToDayError(f"day {day}: {exc}") from exc
         psi = cost_table(result, network, grid, penalty)
         phi, v = phi_table(psi, network, network.path_ids)
-        next_profile, etas = update_departures(profile, phi, solver.step_size, network, solver)
+        next_profile, etas = update_departures(profile, phi, solver.step_size, network)
 
         traces = []
         next_states = {}
@@ -315,4 +277,4 @@ def run_day_to_day(network: Network, grid: TimeGrid, profile: DepartureProfile,
         states = next_states
 
     return RunResult(days=days, converged=converged, network=network, grid=grid,
-                     final_states=states, next_profile=profile)
+                     final_states=states, next_profile=profile, final_dnl=result)

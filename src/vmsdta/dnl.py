@@ -22,6 +22,8 @@ import numpy as np
 from .network import SINK, Network, TimeGrid, DepartureProfile, affected_ods, in_omega
 
 _TINY = 1e-15
+# refinement rounds after which solve_junction gives up with JunctionConvergenceError
+JUNCTION_MAX_ITER = 200
 
 
 class DnlError(Exception):
@@ -91,7 +93,7 @@ def _waterfill(cap, demands, weights):
     return alloc
 
 
-def solve_junction(sending, receiving, oriented, weights, node="?", bin_index=0, max_iter=200):
+def solve_junction(sending, receiving, oriented, weights, node="?", bin_index=0):
     """Fraction of each incoming leg's sending flow admitted through the junction.
 
     ``oriented[i][e]`` is leg i's demand toward outgoing slot e (sums to
@@ -114,7 +116,7 @@ def solve_junction(sending, receiving, oriented, weights, node="?", bin_index=0,
             if oriented[i][e] > _TINY:
                 theta[i] = min(theta[i], alloc[i] / oriented[i][e])
     # monotone refinement: raise throttled legs into leftover supply
-    for _ in range(max_iter):
+    for _ in range(JUNCTION_MAX_ITER):
         slack = list(receiving)
         for e in range(n_out):
             for i in range(n_in):
@@ -169,7 +171,7 @@ class DnlResult:
     down: dict  # link -> cumulative outflow at edges
     up_by_path: dict  # link -> {path: np.ndarray}
     down_by_path: dict  # link -> {path: np.ndarray}
-    buffers: dict  # (origin, first link) -> dict(arrivals=..., entered=...)
+    buffers: dict  # (origin, first link) -> dict(arr_total=..., entered=...)
     turning_ratios: dict  # node -> {in_link: {out: np.ndarray over bins}}
     arrivals_by_path: dict  # path -> vehicles delivered to the destination
     residual_by_link: dict
@@ -186,7 +188,7 @@ class DnlResult:
 
     @property
     def total_departed(self) -> float:
-        return float(sum(b["arrivals"][-1] for b in self.buffers.values()))
+        return float(sum(b["arr_total"][-1] for b in self.buffers.values()))
 
     @property
     def total_arrived(self) -> float:
@@ -295,34 +297,20 @@ class DnlResult:
         return self._partial_cache[key]
 
 
-def path_travel_time(result: DnlResult, path_id, t):
-    return result.path_travel_time(path_id, t)
-
-
-def partial_traversal_time(result: DnlResult, node, path_id, t):
-    return result.partial_traversal_time(node, path_id, t)
-
-
 # ---------------------------------------------------------------------------
 # the loader
 
 
-@dataclass
-class DnlOptions:
-    residual_warn_fraction: float = 0.005
-    junction_max_iter: int = 200
-
-
 def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
-            compliance_rates=None, signs=None, options: DnlOptions | None = None) -> DnlResult:
+            compliance_rates=None, residual_warn_fraction: float = 0.005) -> DnlResult:
     """Propagate the departure profile through the network for one day.
 
     ``compliance_rates`` maps (od_id, sign_id) to the day's CR in [0, 1];
     missing pairs default to zero diversion.  Returns link cumulative curves,
-    exit times, realized turning ratios and residual-vehicle bookkeeping.
+    exit times, realized turning ratios and residual-vehicle bookkeeping.  A
+    warning is recorded when more than ``residual_warn_fraction`` of the
+    demand is still in the network at tf.
     """
-    opts = options or DnlOptions()
-    signs = network.signs if signs is None else signs
     cr_map = dict(compliance_rates or {})
     for key, cr in cr_map.items():
         if not 0.0 <= cr <= 1.0:
@@ -359,12 +347,8 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
 
     # junction wiring: every node moving flow, with origin buffers as extra legs
     sink_nodes = {od.destination for od in network.ods.values()}
-    nodes = set()
-    for a in links:
-        nodes.add(links[a].to_node)
-        nodes.add(links[a].from_node)
     node_plan = {}
-    for node in sorted(nodes):
+    for node in sorted(network.nodes):
         in_links = [a for a in network.in_links(node) if paths_on[a]]
         bufs = [key for key in buffers if key[0] == node]
         if not in_links and not bufs:
@@ -375,7 +359,7 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
             out_slots.append(SINK)
         out_index = {a: i for i, a in enumerate(out_slots)}
         node_signs = [
-            (sg, affected_ods(network, sg)) for sg in signs if sg.junction == node
+            (sg, affected_ods(network, sg)) for sg in network.signs if sg.junction == node
         ]
         node_signs = [(sg, aff) for sg, aff in node_signs if aff]
         # movement support per incoming leg, for turning-ratio carry-forward
@@ -487,8 +471,6 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
                     slot[pid] = slot.get(pid, 0.0) + amt
                 routed.append(dest)
             for sg, aff in plan["signs"]:
-                if not in_omega(t_mid, sg.omega):
-                    continue
                 for i, (kind, ident, S, batch, _w) in enumerate(legs):
                     if kind != "link" or ident != sg.host_link:
                         continue
@@ -498,14 +480,15 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
                         continue
                     for od, (fset, nfset) in aff.items():
                         cr = cr_map.get((od, sg.id), 0.0)
-                        if cr <= 0.0:
-                            continue
                         for pid in nfset:
                             amt = routed[i].get(e_from, {}).get(pid, 0.0)
                             if amt <= _TINY:
                                 continue
-                            moved = cr * amt
-                            routed[i][e_from][pid] = amt - moved
+                            # a not-follow label sends nothing toward the recommended link
+                            kept, moved = revise_turning_ratios(amt, 0.0, cr, t_mid, sg.omega)
+                            if moved == 0.0:
+                                continue
+                            routed[i][e_from][pid] = kept
                             share = moved / len(fset)
                             slot = routed[i].setdefault(e_to, {})
                             for fp in fset:
@@ -539,8 +522,7 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
 
             sending = [sum(oriented[i]) for i in range(len(legs))]
             weights = [leg[4] for leg in legs]
-            theta = solve_junction(sending, receiving, oriented, weights,
-                                   node=node, bin_index=k, max_iter=opts.junction_max_iter)
+            theta = solve_junction(sending, receiving, oriented, weights, node=node, bin_index=k)
 
             for i, (kind, ident, S, batch, _w) in enumerate(legs):
                 th = theta[i]
@@ -578,7 +560,7 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
     warnings = []
     total_q = float(sum(buf["arr_total"][K] for buf in buffers.values()))
     residual = sum(residual_by_link.values()) + sum(residual_buffers.values())
-    if total_q > 0 and residual > opts.residual_warn_fraction * total_q:
+    if total_q > 0 and residual > residual_warn_fraction * total_q:
         warnings.append(
             f"{residual:.3f} vehicles ({residual / total_q:.2%} of demand) still in the network at tf"
         )
@@ -594,7 +576,6 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
             key: {
                 "arr_total": np.asarray(buf["arr_total"]),
                 "entered": np.asarray(buf["sent"]),
-                "arrivals": np.asarray(buf["arr_total"]),
             }
             for key, buf in buffers.items()
         },

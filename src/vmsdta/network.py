@@ -1,4 +1,4 @@
-"""Road network data model: links, junctions, paths, demands, VMS signs, time grid.
+"""Road network data model: links, paths, demands, VMS signs, time grid.
 
 Loaders validate the whole object graph at once and report every violation,
 each naming the offending entity.  Everything here is immutable after load and
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path as _FsPath
 
@@ -142,7 +143,8 @@ class Link:
     def check(self):
         errors = []
         for name in ("length", "vf", "capacity", "kjam", "w"):
-            _require(getattr(self, name) > 0, errors, f"link {self.id}: {name} must be strictly positive")
+            _require(0 < getattr(self, name) < math.inf, errors,
+                     f"link {self.id}: {name} must be strictly positive and finite")
         if not errors:
             _require(
                 self.capacity <= self.qmax * (1 + 1e-9),
@@ -152,13 +154,6 @@ class Link:
             )
             _require(self.w <= self.vf, errors, f"link {self.id}: backward wave speed must not exceed vf")
         return errors
-
-
-@dataclass(frozen=True)
-class Junction:
-    node: str
-    incoming: tuple
-    outgoing: tuple
 
 
 @dataclass(frozen=True)
@@ -201,7 +196,6 @@ class Network:
     paths: dict
     ods: dict
     signs: list = field(default_factory=list)
-    junctions: dict = field(default_factory=dict)  # node -> Junction, derived if empty
 
     def __post_init__(self):
         self.nodes = set()
@@ -212,12 +206,6 @@ class Network:
             self.nodes.add(lk.to_node)
             self._out_links.setdefault(lk.from_node, []).append(lk.id)
             self._in_links.setdefault(lk.to_node, []).append(lk.id)
-        if not self.junctions:
-            self.junctions = {
-                n: Junction(n, tuple(self._in_links.get(n, ())), tuple(self._out_links.get(n, ())))
-                for n in sorted(self.nodes)
-                if self._in_links.get(n) and self._out_links.get(n)
-            }
         self._od_paths = {}
         for p in self.paths.values():
             self._od_paths.setdefault(p.od, []).append(p.id)
@@ -272,25 +260,15 @@ class Network:
         errors, warnings = [], []
         for lk in self.links.values():
             errors += lk.check()
-        for jn in self.junctions.values():
-            _require(jn.incoming and jn.outgoing, errors,
-                     f"junction {jn.node}: needs at least one incoming and one outgoing link")
-            for a in tuple(jn.incoming) + tuple(jn.outgoing):
-                _require(a in self.links, errors, f"junction {jn.node}: unknown link {a}")
-            for a in jn.incoming:
-                if a in self.links:
-                    _require(self.links[a].to_node == jn.node, errors,
-                             f"junction {jn.node}: link {a} does not end there")
-            for a in jn.outgoing:
-                if a in self.links:
-                    _require(self.links[a].from_node == jn.node, errors,
-                             f"junction {jn.node}: link {a} does not start there")
         for od in self.ods.values():
-            _require(od.demand >= 0, errors, f"O-D {od.id}: demand must be nonnegative")
+            _require(0 <= od.demand < math.inf, errors,
+                     f"O-D {od.id}: demand must be nonnegative and finite")
+            _require(math.isfinite(od.t_arrival), errors, f"O-D {od.id}: desired arrival must be finite")
             _require(bool(self.od_paths(od.id)), errors, f"O-D {od.id} has no paths")
             for pid, eps in od.tolerances.items():
                 _require(pid in self.paths, errors, f"O-D {od.id}: tolerance for unknown path {pid}")
-                _require(eps >= 0, errors, f"O-D {od.id}: tolerance for path {pid} must be nonnegative")
+                _require(0 <= eps < math.inf, errors,
+                         f"O-D {od.id}: tolerance for path {pid} must be nonnegative and finite")
             for pid in self.od_paths(od.id):
                 _require(pid in od.tolerances, errors,
                          f"O-D {od.id}: path {pid} missing from the tolerance map")
@@ -486,12 +464,7 @@ def read_network_json(path):
             w=float(rec["w_mps"]),
         )
         links[lk.id] = lk
-    junctions = {}
-    for rec in obj.get("junctions", []):
-        junctions[str(rec["node"])] = Junction(
-            str(rec["node"]), tuple(map(str, rec["in"])), tuple(map(str, rec["out"]))
-        )
-    return links, junctions
+    return links
 
 
 def read_paths_json(path):
@@ -551,7 +524,7 @@ def load_scenario(network_file, paths_file, demand_file, tolerances_file=None,
     """
     errors = []
     try:
-        links, junctions = read_network_json(network_file)
+        links = read_network_json(network_file)
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         raise ScenarioError([f"network file {network_file}: {exc}"]) from exc
     try:
@@ -584,7 +557,7 @@ def load_scenario(network_file, paths_file, demand_file, tolerances_file=None,
                 eps[p.id] = default_epsilon
         ods_full[od.id] = ODPair(od.id, od.origin, od.destination, od.demand, od.t_arrival, eps)
 
-    network = Network(links=links, paths=paths, ods=ods_full, signs=signs, junctions=junctions)
+    network = Network(links=links, paths=paths, ods=ods_full, signs=signs)
     errs, warnings = network.validate(grid)
     errors += errs
     if errors:
@@ -604,11 +577,6 @@ def write_network_json(network: Network, path):
                 "kjam_vpm": lk.kjam, "w_mps": lk.w,
             }
             for lk in network.links.values()
-        ],
-        "nodes": sorted(network.nodes),
-        "junctions": [
-            {"node": jn.node, "in": list(jn.incoming), "out": list(jn.outgoing)}
-            for jn in network.junctions.values()
         ],
     }
     _FsPath(path).write_text(json.dumps(obj, indent=2) + "\n")

@@ -74,44 +74,69 @@ class RunConfig:
         return warnings
 
 
+SOLVER_KEYS = ("lambda", "max_days", "gap_tolerance", "residual_warn_fraction")
+
+
+def _finite(value, name: str) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return x
+
+
+def _integer(value, name: str) -> int:
+    _finite(value, name)
+    return int(value)
+
+
 def parse_config(obj: dict) -> RunConfig:
     """Build a RunConfig from a parsed config.json dict."""
     try:
         g = obj["grid"]
-        grid = TimeGrid(float(g["t0"]), float(g["tf"]), float(g["dt"]))
+        grid = TimeGrid(_finite(g["t0"], "grid.t0"), _finite(g["tf"], "grid.tf"),
+                        _finite(g["dt"], "grid.dt"))
         comp = obj.get("compliance", {})
+
+        def optional(key):
+            return None if comp.get(key) is None else _finite(comp[key], f"compliance.{key}")
+
         compliance = ComplianceParams(
             model=str(obj.get("model", comp.get("model", "I"))),
-            w=float(comp.get("w", 0.3)),
-            beta=float(comp.get("beta", 0.01)),
-            gamma=float(comp.get("gamma", 0.0)),
-            x0=float(comp.get("x0", 0.0)),
-            y_f0=None if comp.get("y_f0") is None else float(comp["y_f0"]),
-            y_nf0=None if comp.get("y_nf0") is None else float(comp["y_nf0"]),
-            beta_iv=None if comp.get("beta_iv") is None else float(comp["beta_iv"]),
+            w=_finite(comp.get("w", 0.3), "compliance.w"),
+            beta=_finite(comp.get("beta", 0.01), "compliance.beta"),
+            gamma=_finite(comp.get("gamma", 0.0), "compliance.gamma"),
+            x0=_finite(comp.get("x0", 0.0), "compliance.x0"),
+            y_f0=optional("y_f0"),
+            y_nf0=optional("y_nf0"),
+            beta_iv=optional("beta_iv"),
             average_over_omega=bool(comp.get("average_over_omega", False)),
         )
         pen = obj.get("penalty", {})
-        penalty = PenaltyFunction(float(pen.get("early", 0.5)), float(pen.get("late", 1.5)))
+        penalty = PenaltyFunction(_finite(pen.get("early", 0.5), "penalty.early"),
+                                  _finite(pen.get("late", 1.5), "penalty.late"))
         sol = obj.get("solver", {})
+        unknown = sorted(set(sol) - set(SOLVER_KEYS))
+        if unknown:
+            raise ScenarioError([f"config: unknown solver setting {key!r} (known: "
+                                 f"{', '.join(SOLVER_KEYS)})" for key in unknown])
         solver = SolverConfig(
-            step_size=float(sol.get("lambda", 0.01)),
-            max_days=int(sol.get("max_days", 200)),
-            gap_tolerance=float(sol.get("gap_tolerance", 1e-3)),
-            eta_tolerance=float(sol.get("eta_tolerance", 1e-8)),
-            residual_warn_fraction=float(sol.get("residual_warn_fraction", 0.005)),
-            junction_max_iter=int(sol.get("junction_max_iter", 200)),
+            step_size=_finite(sol.get("lambda", 0.01), "solver.lambda"),
+            max_days=_integer(sol.get("max_days", 200), "solver.max_days"),
+            gap_tolerance=_finite(sol.get("gap_tolerance", 1e-3), "solver.gap_tolerance"),
+            residual_warn_fraction=_finite(sol.get("residual_warn_fraction", 0.005),
+                                           "solver.residual_warn_fraction"),
         )
         init_obj = obj.get("init_profile", {})
         window = init_obj.get("window")
         init = InitProfileConfig(
             mode=str(init_obj.get("mode", "uniform")),
-            window=None if window is None else (float(window[0]), float(window[1])),
-            seed=int(obj.get("seed", 0)),
+            window=None if window is None else (_finite(window[0], "init_profile.window"),
+                                                _finite(window[1], "init_profile.window")),
+            seed=_integer(obj.get("seed", 0), "seed"),
         )
         cfg = RunConfig(
             grid=grid, compliance=compliance, penalty=penalty, solver=solver, init=init,
-            default_epsilon=float(obj.get("default_epsilon_s", 0.0)),
+            default_epsilon=_finite(obj.get("default_epsilon_s", 0.0), "default_epsilon_s"),
             dump_curves=bool(obj.get("output", {}).get("dump_curves", False)),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -146,9 +171,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
         "solver": {
             "lambda": cfg.solver.step_size, "max_days": cfg.solver.max_days,
             "gap_tolerance": cfg.solver.gap_tolerance,
-            "eta_tolerance": cfg.solver.eta_tolerance,
             "residual_warn_fraction": cfg.solver.residual_warn_fraction,
-            "junction_max_iter": cfg.solver.junction_max_iter,
         },
         "init_profile": {"mode": cfg.init.mode,
                          "window": None if cfg.init.window is None else list(cfg.init.window)},
@@ -381,8 +404,9 @@ def emit_plot_data(result: RunResult, outdir) -> dict:
     return files
 
 
-def dump_curves(result_day_record, network, grid, outdir, dnl_result) -> dict:
-    """Debug dump of the final day's cumulative curves and turning ratios."""
+def dump_curves(dnl_result, outdir) -> dict:
+    """Debug dump of one loading's cumulative curves and turning ratios."""
+    network, grid = dnl_result.network, dnl_result.grid
     outdir = _FsPath(outdir)
     files = {"curves": outdir / "curves.csv", "turning_ratios": outdir / "turning_ratios.csv"}
     with open(files["curves"], "w", newline="") as fh:
@@ -413,11 +437,7 @@ def run_bundle(bundle: ScenarioBundle, outdir=None) -> RunResult:
     if outdir is not None:
         write_outputs(result, outdir, config=cfg, warnings=bundle.warnings)
         if cfg.dump_curves:
-            from .dnl import run_dnl  # final-day reload for the debug dump
-            last = result.days[-1]
-            dr = run_dnl(bundle.network, cfg.grid, last.profile,
-                         compliance_rates=last.cr_used)
-            dump_curves(last, bundle.network, cfg.grid, outdir, dr)
+            dump_curves(result.final_dnl, outdir)
     return result
 
 

@@ -12,11 +12,11 @@ import numpy as np
 from vmsdta.compliance import (
     ComplianceParams,
     build_pair_contexts,
-    compliance_model1,
+    compliance_logit,
     initial_state,
     step_compliance,
 )
-from vmsdta.daytoday import SolverConfig, run_day_to_day, update_departures
+from vmsdta.daytoday import run_day_to_day, update_departures
 from vmsdta.dnl import revise_turning_ratios, run_dnl
 from vmsdta.network import (
     DepartureProfile,
@@ -135,7 +135,6 @@ def test_criterion_3_conservation_fifo_spillback():
 
 def test_criterion_4_projection_feasibility_and_qp_oracle():
     rng = np.random.default_rng(2718)
-    solver = SolverConfig()
     checked_oracle = 0
     ok = True
     for trial in range(100):
@@ -155,9 +154,9 @@ def test_criterion_4_projection_feasibility_and_qp_oracle():
         prof = DepartureProfile(grid, tuple(paths), rng.uniform(0.0, 2.0, (n_paths, n_bins)))
         lam = 10 ** rng.uniform(-3, -1)
         phi = rng.uniform(0.0, 500.0, prof.rates.shape)
-        nxt, _ = update_departures(prof, phi, lam, net, solver)
+        nxt, _ = update_departures(prof, phi, lam, net)
         ok &= bool(np.all(nxt.rates >= 0.0))
-        ok &= abs(nxt.od_totals(net)["od"] - demand) <= 1e-8 * demand
+        ok &= abs(nxt.od_totals(net)["od"] - demand) <= 1e-12 * demand
         if n_paths * n_bins <= 12:
             v = (prof.rates - lam * phi).ravel()
             expected = qp_projection(v, dt, demand).reshape(prof.rates.shape)
@@ -183,7 +182,7 @@ def test_criterion_5_compliance_identities():
     for res in runs.values():
         for rec in res.days:
             ok &= all(0.0 < cr < 1.0 for cr in rec.cr_used.values())
-    ok &= compliance_model1(0.0, 0.01) == 0.5
+    ok &= compliance_logit(0.0, 0.01) == 0.5
 
     # three-day hand-computed smoothing/logit trace against the engine's step
     light = fig1_network(demand=30.0)

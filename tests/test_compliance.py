@@ -9,15 +9,12 @@ from vmsdta.compliance import (
     average_saving,
     average_time,
     build_pair_contexts,
-    compliance_model1,
-    compliance_model2,
-    experienced_times,
+    compliance_logit,
     initial_state,
-    saving_profile,
+    mean_partial_times,
     step_compliance,
     time_std,
-    update_perceived_times,
-    update_perception_x,
+    update_perception,
 )
 from vmsdta.dnl import run_dnl
 from vmsdta.network import (
@@ -76,24 +73,25 @@ def fig1_freeflow_result():
 
 def test_saving_is_difference_of_mean_tails(two_tail_result):
     net, grid, res = two_tail_result
-    s = saving_profile(res, ("pf",), ("pnf",), "j", 50.0)
-    assert s == pytest.approx(300.0 - 200.0, abs=1e-9)
+    s = mean_partial_times(res, ("pnf",), "j") - mean_partial_times(res, ("pf",), "j")
+    assert np.allclose(s, 300.0 - 200.0, atol=1e-9)  # free flow at every bin midpoint
 
 
 def test_saving_zero_for_identical_tails(two_tail_result):
     net, grid, res = two_tail_result
-    assert saving_profile(res, ("pf",), ("pf",), "j", 50.0) == pytest.approx(0.0, abs=1e-12)
+    s = mean_partial_times(res, ("pf",), "j") - mean_partial_times(res, ("pf",), "j")
+    assert np.all(s == 0.0)
 
 
 def test_fig1_saving_matches_explicit_composition(fig1_freeflow_result):
     # S(t) = mean of the two not-follow compositions minus the follow one,
     # all measured from node b
     net, grid, res = fig1_freeflow_result
-    t = np.array([700.0, 1200.0, 1500.0])
+    t = grid.mids()
     explicit = 0.5 * ((res.compose_exit(("2", "5", "7"), t) - t)
                       + (res.compose_exit(("2", "4", "6", "7"), t) - t)) \
         - (res.compose_exit(("3", "6", "7"), t) - t)
-    got = saving_profile(res, ("p3",), ("p1", "p2"), "b", t)
+    got = mean_partial_times(res, ("p1", "p2"), "b") - mean_partial_times(res, ("p3",), "b")
     assert np.allclose(got, explicit, atol=1e-12)
     assert np.allclose(got, 20.0, atol=1e-9)  # free-flow asymmetry of the diamond
 
@@ -140,15 +138,15 @@ def test_threshold_examples():
 
 
 def test_update_perception_examples():
-    assert update_perception_x(0.0, 100.0, 0.3) == pytest.approx(30.0)
+    assert update_perception(0.0, 100.0, 0.3) == pytest.approx(30.0)
     for w in (0.2, 0.5, 0.9):
-        assert update_perception_x(3.0, 3.0, w) == pytest.approx(3.0)
+        assert update_perception(3.0, 3.0, w) == pytest.approx(3.0)
 
 
 def test_perception_converges_geometrically():
     x, s, w = 0.0, 50.0, 0.3
     for day in range(1, 60):
-        x = update_perception_x(x, s, w)
+        x = update_perception(x, s, w)
         assert abs(x - s) == pytest.approx(abs(0.0 - s) * (1 - w) ** day, rel=1e-9)
     assert x == pytest.approx(s, abs=1e-6)
 
@@ -160,46 +158,47 @@ def test_perception_stays_in_convex_hull():
     for _ in range(200):
         s = float(rng.uniform(-500, 500))
         observed.append(s)
-        x = update_perception_x(x, s, 0.35)
+        x = update_perception(x, s, 0.35)
         assert min(observed) - 1e-9 <= x <= max(observed) + 1e-9
 
 
 # ---------------------------------------------------------------------------
-# logits
+# logits (Models I/III pass the advantage 2x: the saving x against its negation)
 
 
 def test_logit1_symmetric_at_zero():
-    assert compliance_model1(0.0, 0.01) == 0.5
+    assert compliance_logit(0.0, 0.01) == 0.5
 
 
 def test_logit1_closed_form():
     expected = math.exp(2.0) / (1.0 + math.exp(2.0))
-    assert compliance_model1(100.0, 0.01) == pytest.approx(expected, rel=1e-12)
-    assert compliance_model1(100.0, 0.01) == pytest.approx(0.88080, abs=5e-6)
+    assert compliance_logit(2.0 * 100.0, 0.01) == pytest.approx(expected, rel=1e-12)
+    assert compliance_logit(2.0 * 100.0, 0.01) == pytest.approx(0.88080, abs=5e-6)
 
 
 def test_logit1_limits_stay_open():
-    assert 0.0 < compliance_model1(-1e9, 0.1) < 0.5
-    assert 0.5 < compliance_model1(1e9, 0.1) < 1.0
+    assert 0.0 < compliance_logit(2.0 * -1e9, 0.1) < 0.5
+    assert 0.5 < compliance_logit(2.0 * 1e9, 0.1) < 1.0
 
 
 def test_logit1_depends_only_on_product():
     for x, beta in ((120.0, 0.01), (12.0, 0.1), (1.2, 1.0)):
-        assert compliance_model1(x, beta) == pytest.approx(
-            compliance_model1(1.2, 1.0), rel=1e-12)
+        assert compliance_logit(2.0 * x, beta) == pytest.approx(
+            compliance_logit(2.0 * 1.2, 1.0), rel=1e-12)
 
 
 def test_logit1_monotone_in_x():
     xs = np.linspace(-400, 400, 41)
-    crs = [compliance_model1(x, 0.01) for x in xs]
+    crs = [compliance_logit(2.0 * x, 0.01) for x in xs]
     assert all(b > a for a, b in zip(crs, crs[1:]))
 
 
 def test_logit2_examples():
-    assert compliance_model2(300.0, 300.0, 0.01) == 0.5
-    assert compliance_model2(400.0, 600.0, 0.01) == pytest.approx(
+    # Models II/IV: the advantage is y_nf - y_f
+    assert compliance_logit(300.0 - 300.0, 0.01) == 0.5
+    assert compliance_logit(600.0 - 400.0, 0.01) == pytest.approx(
         1.0 / (1.0 + math.exp(-2.0)), rel=1e-12)
-    assert compliance_model2(0.0, 1e8, 0.01) < 1.0  # strictly inside
+    assert compliance_logit(1e8 - 0.0, 0.01) < 1.0  # strictly inside
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +207,8 @@ def test_logit2_examples():
 
 def test_experienced_times_fig1(fig1_freeflow_result):
     net, grid, res = fig1_freeflow_result
-    mu_f, mu_nf = experienced_times(res, ("p3",), ("p1", "p2"), "b", grid.mids())
+    mu_f = mean_partial_times(res, ("p3",), "b")
+    mu_nf = mean_partial_times(res, ("p1", "p2"), "b")
     explicit_f = res.compose_exit(("3", "6", "7"), grid.mids()) - grid.mids()
     assert np.allclose(mu_f, explicit_f, atol=1e-12)
     assert np.allclose(mu_nf - mu_f, 20.0, atol=1e-9)
@@ -247,12 +247,12 @@ def test_time_std_matches_fine_quadrature():
 
 
 def test_update_perceived_times_examples():
-    assert update_perceived_times(0.0, 600.0, 0.3) == pytest.approx(180.0)
-    assert update_perceived_times(77.0, 77.0, 0.4) == pytest.approx(77.0)
+    assert update_perception(0.0, 600.0, 0.3) == pytest.approx(180.0)
+    assert update_perception(77.0, 77.0, 0.4) == pytest.approx(77.0)
     # Model IV with zero variability: the perceived disutility decays to zero
     y = 500.0
     for _ in range(80):
-        y = update_perceived_times(y, 0.0, 0.3)
+        y = update_perception(y, 0.0, 0.3)
     assert y == pytest.approx(500.0 * 0.7 ** 80, rel=1e-9)
 
 
@@ -275,7 +275,7 @@ def test_initial_states():
     p2 = ComplianceParams(model="II", w=0.3, beta=0.01)
     st2 = initial_state(p2, ctx, net)
     assert st2.y_f == pytest.approx(200.0) and st2.y_nf == pytest.approx(300.0)
-    assert st2.cr == pytest.approx(compliance_model2(200.0, 300.0, 0.01))
+    assert st2.cr == pytest.approx(compliance_logit(300.0 - 200.0, 0.01))
 
 
 def test_step_model1_three_day_hand_trace(fig1_freeflow_result):

@@ -278,12 +278,14 @@ def test_bad_compliance_rate_is_a_dnl_error(fig1_loaded):
         run_dnl(net, grid, prof, compliance_rates={("od1", "vms1"): 1.2})
 
 
-def test_exhausted_junction_iterations_name_junction_and_bin(fig1_loaded):
-    from vmsdta.dnl import DnlOptions, JunctionConvergenceError
+def test_exhausted_junction_iterations_name_junction_and_bin(fig1_loaded, monkeypatch):
+    from vmsdta import dnl
+    from vmsdta.dnl import JunctionConvergenceError
 
     net, grid, prof = fig1_loaded
+    monkeypatch.setattr(dnl, "JUNCTION_MAX_ITER", 0)
     with pytest.raises(JunctionConvergenceError) as err:
-        run_dnl(net, grid, prof, options=DnlOptions(junction_max_iter=0))
+        run_dnl(net, grid, prof)
     assert "junction" in str(err.value) and "bin" in str(err.value)
     assert err.value.node is not None and err.value.bin_index >= 0
 

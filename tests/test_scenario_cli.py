@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -147,6 +148,26 @@ def test_invalid_config_exits_one(tmp_path, capsys):
     assert code == 1
     err = json.loads(capsys.readouterr().err)
     assert any("step size" in m for m in err["messages"])
+
+
+@pytest.mark.parametrize("section, key, value", [("solver", "lambda", math.nan),
+                                                  ("compliance", "beta", math.inf)])
+def test_non_finite_config_number_exits_one(tmp_path, capsys, section, key, value):
+    files = _write(tmp_path, **{section: {key: value}})
+    code = cli_run(["run"] + _flags(files) + ["--out", str(tmp_path / "o")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "input"
+    assert any(f"{section}.{key} must be a finite number" in m for m in err["messages"])
+
+
+@pytest.mark.parametrize("key, value", [("eta_tolerance", 1e-8), ("junction_max_iter", 200)])
+def test_removed_solver_setting_exits_one(tmp_path, capsys, key, value):
+    files = _write(tmp_path, solver={key: value})
+    code = cli_run(["run"] + _flags(files) + ["--out", str(tmp_path / "o")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert any(repr(key) in m for m in err["messages"])
 
 
 def test_fixtures_command(tmp_path, capsys):
