@@ -17,7 +17,6 @@ from .network import (
 from .dnl import (
     DnlError,
     DnlResult,
-    JunctionConvergenceError,
     revise_turning_ratios,
     run_dnl,
 )

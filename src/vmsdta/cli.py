@@ -133,7 +133,7 @@ def cli_run(argv=None) -> int:
         return _fail(EXIT_INPUT, "input", exc.errors)
     except FileNotFoundError as exc:
         return _fail(EXIT_INPUT, "input", [str(exc)])
-    except (DnlError, DayToDayError, RuntimeError) as exc:
+    except (DnlError, DayToDayError) as exc:
         return _fail(EXIT_RUNTIME, "runtime", [str(exc)])
     return _fail(EXIT_INPUT, "input", [f"unknown command {args.command!r}"])
 

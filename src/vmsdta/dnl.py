@@ -3,11 +3,14 @@
 Kinematic-wave link dynamics are realized with the link transmission model on
 a triangular fundamental diagram: cumulative curves at both link ends, sending
 flow limited by capacity and the free-flow wave, receiving flow by capacity
-and the backward wave.  Junctions use a FIFO-consistent diverge with
-demand-proportional oriented flows and a capacity-proportional merge.  Flow is
-tracked per path on every link, which yields the base turning ratios; a VMS
-diverts the compliant share of each affected O-D's not-follow flow onto the
-recommended downstream link, relabeling those vehicles to the O-D's follow
+and the backward wave.  Junctions follow the first-order node model of
+Tampere et al. (2011) with capacity-proportional priorities: each incoming leg
+moves as one FIFO column, and congested outgoing links are shared in
+proportion to the legs' capacities (at congested junctions where a leg
+splits, this loads differently from the ad hoc split of earlier versions).
+Flow is tracked per path on every link, which yields the base turning ratios;
+a VMS diverts the compliant share of each affected O-D's not-follow flow onto
+the recommended downstream link, relabeling those vehicles to the O-D's follow
 paths.
 """
 
@@ -22,19 +25,10 @@ import numpy as np
 from .network import SINK, Network, TimeGrid, DepartureProfile, affected_ods, in_omega
 
 _TINY = 1e-15
-# refinement rounds after which solve_junction gives up with JunctionConvergenceError
-JUNCTION_MAX_ITER = 200
 
 
 class DnlError(Exception):
     """Network loading failed."""
-
-
-class JunctionConvergenceError(DnlError):
-    def __init__(self, node, bin_index):
-        self.node = node
-        self.bin_index = bin_index
-        super().__init__(f"junction {node}: flow allocation did not converge at bin {bin_index}")
 
 
 # ---------------------------------------------------------------------------
@@ -70,91 +64,39 @@ def revise_turning_ratios(alpha_from, alpha_to, cr, t, omega):
 # junction flow allocation
 
 
-def _waterfill(cap, demands, weights):
-    """Allocate `cap` among demands proportionally to weights, redistributing slack."""
-    n = len(demands)
-    alloc = [0.0] * n
-    active = [i for i in range(n) if demands[i] > _TINY]
-    rem = cap
-    while active and rem > _TINY:
-        wsum = sum(weights[i] for i in active)
-        share = rem / wsum
-        sat = [i for i in active if demands[i] - alloc[i] <= share * weights[i] + 1e-12 * demands[i]]
-        if sat:
-            for i in sat:
-                rem -= demands[i] - alloc[i]
-                alloc[i] = demands[i]
-            active = [i for i in active if i not in sat]
-        else:
-            for i in active:
-                alloc[i] += share * weights[i]
-            rem = 0.0
-            active = []
-    return alloc
-
-
-def solve_junction(sending, receiving, oriented, weights, node="?", bin_index=0):
+def solve_junction(sending, receiving, oriented, weights):
     """Fraction of each incoming leg's sending flow admitted through the junction.
 
     ``oriented[i][e]`` is leg i's demand toward outgoing slot e (sums to
-    sending[i]).  A leg moves as one FIFO column: its admitted fraction is the
-    minimum over its movements.  Congested outgoing slots are shared
-    proportionally to the legs' capacity weights; freed supply is
-    redistributed monotonically until no leg can advance.
+    sending[i]); ``weights`` are the legs' capacities, which set their
+    priorities.  This is the finite algorithm of Tampere, Corthout, Cattrysse
+    & Immers (2011) for FIFO legs with capacity-proportional priorities: each
+    round finds the open slot that admits the smallest flow per unit priority,
+    then either admits in full every leg whose demand fits under that rate or
+    throttles the legs feeding that slot to it and closes the slot.  Every
+    round fixes at least one leg.
     """
-    n_in = len(sending)
-    n_out = len(receiving)
-    theta = [1.0] * n_in
-    scale = max(max(sending, default=0.0), 1e-9)
-    # initial pass: capacity-proportional split of each congested outgoing slot
-    for e in range(n_out):
-        total = sum(oriented[i][e] for i in range(n_in))
-        if total <= receiving[e] + _TINY:
-            continue
-        alloc = _waterfill(receiving[e], [oriented[i][e] for i in range(n_in)], weights)
-        for i in range(n_in):
-            if oriented[i][e] > _TINY:
-                theta[i] = min(theta[i], alloc[i] / oriented[i][e])
-    # monotone refinement: raise throttled legs into leftover supply
-    for _ in range(JUNCTION_MAX_ITER):
-        slack = list(receiving)
-        for e in range(n_out):
-            for i in range(n_in):
-                slack[e] -= theta[i] * oriented[i][e]
-        best = 0.0
-        raisable = []
-        for i in range(n_in):
-            if theta[i] >= 1.0 or sending[i] <= _TINY:
-                continue
-            room = 1.0 - theta[i]
-            for e in range(n_out):
-                if oriented[i][e] > _TINY:
-                    room = min(room, max(slack[e], 0.0) / oriented[i][e])
-            if room > 1e-12:
-                raisable.append((i, room))
-        if not raisable:
-            return theta
-        # split shared slack by capacity weight to keep the raise feasible
-        for e in range(n_out):
-            contenders = [i for i, _ in raisable if oriented[i][e] > _TINY]
-            if len(contenders) > 1 and slack[e] < sum(
-                r * oriented[i][e] for i, r in raisable if i in contenders
-            ):
-                wsum = sum(weights[i] for i in contenders)
-                raisable = [
-                    (i, min(r, max(slack[e], 0.0) * weights[i] / (wsum * oriented[i][e])))
-                    if i in contenders else (i, r)
-                    for i, r in raisable
-                ]
-        raisable = [(i, r) for i, r in raisable if r > 1e-14]
-        if not raisable:
-            return theta
-        for i, r in raisable:
-            theta[i] = min(1.0, theta[i] + r)
-            best = max(best, r * sending[i])
-        if best <= 1e-12 * scale:
-            return theta
-    raise JunctionConvergenceError(node, bin_index)
+    theta = [1.0] * len(sending)
+    supply = list(receiving)
+    legs = [i for i, s in enumerate(sending) if s > _TINY]
+    slots = [e for e, r in enumerate(receiving) if r < math.inf]
+    while legs:
+        rate, e_min = math.inf, None
+        for e in slots:
+            share = sum(weights[i] * (oriented[i][e] / sending[i]) for i in legs)
+            if share > 0.0 and supply[e] / share < rate:
+                rate, e_min = supply[e] / share, e
+        fixed = [i for i in legs if sending[i] <= rate * weights[i]]
+        if not fixed:
+            fixed = [i for i in legs if oriented[i][e_min] > 0.0]
+            for i in fixed:
+                theta[i] = max(0.0, rate * weights[i] / sending[i])
+            slots.remove(e_min)
+        for i in fixed:
+            for e in slots:
+                supply[e] -= theta[i] * oriented[i][e]
+        legs = [i for i in legs if i not in fixed]
+    return theta
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +112,6 @@ class DnlResult:
     up: dict  # link -> np.ndarray of cumulative inflow at edges
     down: dict  # link -> cumulative outflow at edges
     up_by_path: dict  # link -> {path: np.ndarray}
-    down_by_path: dict  # link -> {path: np.ndarray}
     buffers: dict  # (origin, first link) -> dict(arr_total=..., entered=...)
     turning_ratios: dict  # node -> {in_link: {out: np.ndarray over bins}}
     arrivals_by_path: dict  # path -> vehicles delivered to the destination
@@ -522,7 +463,7 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
 
             sending = [sum(oriented[i]) for i in range(len(legs))]
             weights = [leg[4] for leg in legs]
-            theta = solve_junction(sending, receiving, oriented, weights, node=node, bin_index=k)
+            theta = solve_junction(sending, receiving, oriented, weights)
 
             for i, (kind, ident, S, batch, _w) in enumerate(legs):
                 th = theta[i]
@@ -571,7 +512,6 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
         up={a: np.asarray(v) for a, v in up.items()},
         down={a: np.asarray(v) for a, v in dn.items()},
         up_by_path={a: {pid: np.asarray(v) for pid, v in d.items()} for a, d in up_p.items()},
-        down_by_path={a: {pid: np.asarray(v) for pid, v in d.items()} for a, d in dn_p.items()},
         buffers={
             key: {
                 "arr_total": np.asarray(buf["arr_total"]),

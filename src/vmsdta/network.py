@@ -182,9 +182,6 @@ class VmsSign:
     to_link: str  # recommended downstream link
     omega: tuple  # union of disjoint [start, end) intervals, s
 
-    def active(self, t: float) -> bool:
-        return in_omega(t, self.omega)
-
 
 # ---------------------------------------------------------------------------
 # network container
@@ -267,6 +264,8 @@ class Network:
             _require(bool(self.od_paths(od.id)), errors, f"O-D {od.id} has no paths")
             for pid, eps in od.tolerances.items():
                 _require(pid in self.paths, errors, f"O-D {od.id}: tolerance for unknown path {pid}")
+                _require(pid not in self.paths or self.paths[pid].od == od.id, errors,
+                         f"O-D {od.id}: tolerance for path {pid} of another O-D")
                 _require(0 <= eps < math.inf, errors,
                          f"O-D {od.id}: tolerance for path {pid} must be nonnegative and finite")
             for pid in self.od_paths(od.id):
@@ -293,6 +292,9 @@ class Network:
                          f"path {p.id}: first link does not depart origin {od.origin}")
                 _require(self.links[p.links[-1]].to_node == od.destination, errors,
                          f"path {p.id}: last link does not enter destination {od.destination}")
+        sign_ids = [sg.id for sg in self.signs]
+        for sid in sorted({sid for sid in sign_ids if sign_ids.count(sid) > 1}):
+            errors.append(f"sign {sid}: id used by more than one sign")
         for sg in self.signs:
             for name in ("host_link", "from_link", "to_link"):
                 _require(getattr(sg, name) in self.links, errors, f"sign {sg.id}: unknown {name}")
@@ -448,11 +450,37 @@ class DepartureProfile:
 # ---------------------------------------------------------------------------
 # file I/O
 
+LINK_KEYS = ("id", "from", "to", "length_m", "vf_mps", "cap_vps", "kjam_vpm", "w_mps")
+PATH_KEYS = ("id", "od", "links")
+SIGN_KEYS = ("id", "host_link", "junction", "from_link", "to_link", "omega")
+
+
+def check_keys(record, known, where):
+    """Raise ValueError unless ``record`` is an object with no key outside ``known``.
+
+    The message names ``where``, followed by the record's id if it has one.
+    """
+    if not isinstance(record, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(record).__name__}")
+    unknown = sorted(set(record) - set(known))
+    if unknown:
+        name = f"{where} {record['id']}" if "id" in record else where
+        raise ValueError(f"{name}: unknown key {', '.join(map(repr, unknown))} "
+                         f"(known: {', '.join(known)})")
+
+
+def _add_unique(table, key, value, what):
+    if key in table:
+        raise ValueError(f"duplicate {what} {key}")
+    table[key] = value
+
 
 def read_network_json(path):
     obj = json.loads(_FsPath(path).read_text())
+    check_keys(obj, ("links",), "top level")
     links = {}
     for rec in obj.get("links", []):
+        check_keys(rec, LINK_KEYS, "link")
         lk = Link(
             id=str(rec["id"]),
             from_node=str(rec["from"]),
@@ -463,13 +491,17 @@ def read_network_json(path):
             kjam=float(rec["kjam_vpm"]),
             w=float(rec["w_mps"]),
         )
-        links[lk.id] = lk
+        _add_unique(links, lk.id, lk, "link id")
     return links
 
 
 def read_paths_json(path):
-    obj = json.loads(_FsPath(path).read_text())
-    return {str(r["id"]): Path(str(r["id"]), str(r["od"]), tuple(map(str, r["links"]))) for r in obj}
+    paths = {}
+    for rec in json.loads(_FsPath(path).read_text()):
+        check_keys(rec, PATH_KEYS, "path")
+        p = Path(str(rec["id"]), str(rec["od"]), tuple(map(str, rec["links"])))
+        _add_unique(paths, p.id, p, "path id")
+    return paths
 
 
 def read_demand_csv(path):
@@ -483,7 +515,7 @@ def read_demand_csv(path):
                 demand=float(row["Q"]),
                 t_arrival=float(row["T_A"]),
             )
-            ods[od.id] = od
+            _add_unique(ods, od.id, od, "O-D id")
     return ods
 
 
@@ -491,7 +523,8 @@ def read_tolerances_csv(path):
     tol = {}
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
-            tol.setdefault(str(row["od_id"]), {})[str(row["path_id"])] = float(row["epsilon_s"])
+            _add_unique(tol.setdefault(str(row["od_id"]), {}), str(row["path_id"]),
+                        float(row["epsilon_s"]), f"row for O-D {row['od_id']}, path")
     return tol
 
 
@@ -501,6 +534,7 @@ def read_vms_json(path):
         obj = [obj]
     signs = []
     for rec in obj:
+        check_keys(rec, SIGN_KEYS, "sign")
         signs.append(
             VmsSign(
                 id=str(rec["id"]),
@@ -541,6 +575,8 @@ def load_scenario(network_file, paths_file, demand_file, tolerances_file=None,
             tol = read_tolerances_csv(tolerances_file)
         except (OSError, KeyError, ValueError) as exc:
             raise ScenarioError([f"tolerances file {tolerances_file}: {exc}"]) from exc
+        errors += [f"tolerances file {tolerances_file}: row for unknown O-D {od}"
+                   for od in tol if od not in ods]
     signs = []
     if vms_file is not None:
         try:

@@ -22,6 +22,7 @@ from .network import (
     ScenarioError,
     TimeGrid,
     VmsSign,
+    check_keys,
     load_scenario,
     normalize_intervals,
     save_scenario_files,
@@ -74,7 +75,17 @@ class RunConfig:
         return warnings
 
 
-SOLVER_KEYS = ("lambda", "max_days", "gap_tolerance", "residual_warn_fraction")
+CONFIG_KEYS = ("grid", "model", "compliance", "penalty", "solver", "init_profile", "seed",
+               "default_epsilon_s", "output")
+SECTION_KEYS = {
+    "grid": ("t0", "tf", "dt"),
+    "compliance": ("model", "w", "beta", "gamma", "x0", "y_f0", "y_nf0", "beta_iv",
+                   "average_over_omega"),
+    "penalty": ("early", "late"),
+    "solver": ("lambda", "max_days", "gap_tolerance", "residual_warn_fraction"),
+    "init_profile": ("mode", "window"),
+    "output": ("dump_curves",),
+}
 
 
 def _finite(value, name: str) -> float:
@@ -92,6 +103,9 @@ def _integer(value, name: str) -> int:
 def parse_config(obj: dict) -> RunConfig:
     """Build a RunConfig from a parsed config.json dict."""
     try:
+        check_keys(obj, CONFIG_KEYS, "top level")
+        for section, known in SECTION_KEYS.items():
+            check_keys(obj.get(section, {}), known, section)
         g = obj["grid"]
         grid = TimeGrid(_finite(g["t0"], "grid.t0"), _finite(g["tf"], "grid.tf"),
                         _finite(g["dt"], "grid.dt"))
@@ -115,10 +129,6 @@ def parse_config(obj: dict) -> RunConfig:
         penalty = PenaltyFunction(_finite(pen.get("early", 0.5), "penalty.early"),
                                   _finite(pen.get("late", 1.5), "penalty.late"))
         sol = obj.get("solver", {})
-        unknown = sorted(set(sol) - set(SOLVER_KEYS))
-        if unknown:
-            raise ScenarioError([f"config: unknown solver setting {key!r} (known: "
-                                 f"{', '.join(SOLVER_KEYS)})" for key in unknown])
         solver = SolverConfig(
             step_size=_finite(sol.get("lambda", 0.01), "solver.lambda"),
             max_days=_integer(sol.get("max_days", 200), "solver.max_days"),

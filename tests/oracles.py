@@ -92,3 +92,27 @@ def fine_mean_std(fn, t0, tf, step):
     vals = np.asarray(fn(mids), dtype=float)
     mean = vals.mean()
     return float(mean), float(np.sqrt(np.mean((vals - mean) ** 2)))
+
+
+def slotwise_waterfill(sending, receiving, oriented, weights):
+    """Admitted fractions at a junction where every leg feeds exactly one slot.
+
+    Each slot is shared on its own: legs sorted by demand per unit capacity
+    are admitted in full while their demand fits under an equal capacity-
+    proportional share of what is left; the rest get that share.  Returns the
+    list of admitted fractions.
+    """
+    theta = [1.0] * len(sending)
+    for e, supply in enumerate(receiving):
+        legs = [i for i, row in enumerate(oriented) if row[e] > 0.0]
+        if sum(sending[i] for i in legs) <= supply:
+            continue
+        legs.sort(key=lambda i: sending[i] / weights[i])
+        left, wsum = supply, sum(weights[i] for i in legs)
+        while legs and sending[legs[0]] * wsum <= left * weights[legs[0]]:
+            i = legs.pop(0)
+            left -= sending[i]
+            wsum -= weights[i]
+        for i in legs:
+            theta[i] = left / wsum * weights[i] / sending[i]
+    return theta

@@ -289,12 +289,16 @@ def test_thirty_day_smoke_cr_rises_with_positive_saving(fig1):
 
 
 def test_dnl_failure_aborts_with_day_index(fig1, monkeypatch):
-    from vmsdta import dnl
+    from vmsdta import daytoday
     from vmsdta.daytoday import DayToDayError
+    from vmsdta.dnl import DnlError
+
+    def fail(*args, **kwargs):
+        raise DnlError("loading failed")
 
     net, cfg = fig1
     prof = build_profile(net, cfg)
-    monkeypatch.setattr(dnl, "JUNCTION_MAX_ITER", 0)
+    monkeypatch.setattr(daytoday, "run_dnl", fail)
     solver = SolverConfig(step_size=2e-4, max_days=5)
     with pytest.raises(DayToDayError) as err:
         run_day_to_day(net, cfg.grid, prof, cfg.compliance, cfg.penalty, solver)

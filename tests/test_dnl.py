@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from vmsdta.dnl import (
 from vmsdta.network import DepartureProfile, Link, Network, ODPair, Path, TimeGrid, in_omega
 
 from .conftest import assert_dnl_invariants, make_corridor
-from .oracles import point_queue_corridor
+from .oracles import point_queue_corridor, slotwise_waterfill
 
 OMEGA = ((0.0, 100.0),)
 
@@ -278,16 +280,75 @@ def test_bad_compliance_rate_is_a_dnl_error(fig1_loaded):
         run_dnl(net, grid, prof, compliance_rates={("od1", "vms1"): 1.2})
 
 
-def test_exhausted_junction_iterations_name_junction_and_bin(fig1_loaded, monkeypatch):
-    from vmsdta import dnl
-    from vmsdta.dnl import JunctionConvergenceError
+def _random_junction(rng, split):
+    """2-4 legs (one may be empty) into 2-4 slots; a slot may be a sink or blocked."""
+    n_in, n_out = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+    oriented = []
+    for _ in range(n_in):
+        fed = rng.choice(n_out, size=int(rng.integers(1, n_out + 1)) if split else 1, replace=False)
+        row = [0.0] * n_out
+        demand = 0.0 if rng.random() < 0.05 else float(rng.uniform(0.1, 10.0))
+        for e, share in zip(fed, rng.dirichlet(np.ones(len(fed)))):
+            row[int(e)] = demand * float(share)
+        oriented.append(row)
+    receiving = [math.inf if u < 0.15 else 0.0 if u < 0.25 else float(rng.uniform(0.0, 15.0))
+                 for u in rng.random(n_out)]
+    sending = [sum(row) for row in oriented]
+    weights = [float(w) for w in rng.uniform(0.2, 2.0, n_in)]
+    return sending, receiving, oriented, weights
 
-    net, grid, prof = fig1_loaded
-    monkeypatch.setattr(dnl, "JUNCTION_MAX_ITER", 0)
-    with pytest.raises(JunctionConvergenceError) as err:
-        run_dnl(net, grid, prof)
-    assert "junction" in str(err.value) and "bin" in str(err.value)
-    assert err.value.node is not None and err.value.bin_index >= 0
+
+def _throttled(theta, sending):
+    return [i for i, th in enumerate(theta) if th < 1.0 - 1e-9 and sending[i] > 0.0]
+
+
+def test_junction_properties_on_random_junctions():
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        sending, receiving, oriented, weights = _random_junction(rng, split=True)
+        theta = solve_junction(sending, receiving, oriented, weights)
+        assert all(0.0 <= th <= 1.0 for th in theta)
+        slack = [r - sum(th * row[e] for th, row in zip(theta, oriented))
+                 for e, r in enumerate(receiving)]
+        assert all(s >= -1e-9 for s in slack)
+        share = [th * s / w for th, s, w in zip(theta, sending, weights)]
+        binding = {}
+        for i in _throttled(theta, sending):
+            full = [e for e in range(len(receiving)) if oriented[i][e] > 0.0 and slack[e] <= 1e-9]
+            # maximality: a throttled leg is held back by a slot with no slack left
+            assert full, (sending, receiving, oriented, weights)
+            # it takes the largest capacity-proportional share of such a slot
+            top = [e for e in full
+                   if share[i] >= max(share[k] for k, row in enumerate(oriented) if row[e] > 0.0) - 1e-9]
+            assert top, (sending, receiving, oriented, weights)
+            for e in top:
+                binding.setdefault(e, []).append(share[i])
+        for shares in binding.values():
+            assert max(shares) - min(shares) <= 1e-9
+
+
+def test_junction_invariance_to_demand_of_throttled_legs():
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(2000):
+        sending, receiving, oriented, weights = _random_junction(rng, split=True)
+        theta = solve_junction(sending, receiving, oriented, weights)
+        held = _throttled(theta, sending)
+        if not held:
+            continue
+        more = [[2.0 * x for x in row] if i in held else row for i, row in enumerate(oriented)]
+        theta2 = solve_junction([sum(row) for row in more], receiving, more, weights)
+        for i, row in enumerate(more):
+            assert theta2[i] * sum(row) == pytest.approx(theta[i] * sending[i], abs=1e-9)
+        checked += 1
+    assert checked > 1000
+
+
+def test_junction_matches_slotwise_waterfill_when_legs_do_not_split():
+    rng = np.random.default_rng(13)
+    for _ in range(1000):
+        args = _random_junction(rng, split=False)
+        assert solve_junction(*args) == pytest.approx(slotwise_waterfill(*args), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

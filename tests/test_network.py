@@ -126,6 +126,13 @@ def test_non_finite_scenario_numbers_are_rejected_by_name(tmp_path):
         assert any(name in e and "finite" in e for e in err.value.errors), name
 
 
+def test_tolerance_for_another_ods_path_is_rejected(fig1):
+    net, cfg = fig1
+    ods = dict(net.ods, od2=ODPair("od2", "a", "f", 10.0, 2100.0, {"p1": 5.0}))
+    errors, _ = Network(net.links, net.paths, ods, net.signs).validate(cfg.grid)
+    assert "O-D od2: tolerance for path p1 of another O-D" in errors
+
+
 def test_link_capacity_above_diagram_max_is_rejected():
     lk = Link("x", "a", "b", 500.0, 12.5, 0.6, 0.15, 5.0)  # qmax ~ 0.536
     errors = lk.check()

@@ -182,3 +182,74 @@ def test_run_reports_summary_line(tmp_path, capsys):
     code = cli_run(["run"] + _flags(files) + ["--out", str(tmp_path / "o")])
     assert code == 0
     assert "days" in capsys.readouterr().out
+
+
+def _edit_json(path, edit):
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+
+
+def _append_row(path, row):
+    with open(path, "a", newline="") as fh:
+        fh.write(row + "\n")
+
+
+def _validate_errors(files, capsys):
+    code = cli_run(["validate"] + _flags(files))
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "input"
+    return err["messages"]
+
+
+@pytest.mark.parametrize("case, edit, expected", [
+    ("link", lambda f: _edit_json(f["network"], lambda o: o["links"].append(
+        dict(o["links"][0], cap_vps=0.01))), ("network.json", "duplicate link id 1")),
+    ("od", lambda f: _append_row(f["demand"], "od1,a,f,10,2100"),
+     ("demand.csv", "duplicate O-D id od1")),
+    ("path", lambda f: _edit_json(f["paths"], lambda o: o.append(dict(o[0]))),
+     ("paths.json", "duplicate path id p1")),
+    ("tolerance", lambda f: _append_row(f["tolerances"], "od1,p1,5"),
+     ("tolerances.csv", "duplicate row for O-D od1, path p1")),
+    ("orphan tolerance", lambda f: _append_row(f["tolerances"], "od9,p1,5"),
+     ("tolerances.csv", "unknown O-D od9")),
+    ("sign", lambda f: _edit_json(f["vms"], lambda o: o.append(dict(o[0]))),
+     ("sign vms1", "more than one sign")),
+])
+def test_duplicate_or_orphan_rows_exit_one(tmp_path, capsys, case, edit, expected):
+    files = _write(tmp_path)
+    edit(files)
+    messages = _validate_errors(files, capsys)
+    assert any(all(part in m for part in expected) for m in messages), messages
+
+
+@pytest.mark.parametrize("name, edit, key", [
+    ("network", lambda o: o.update(nodes=[]), "'nodes'"),
+    ("network", lambda o: o["links"][0].update(lanes=2), "link 1: unknown key 'lanes'"),
+    ("paths", lambda o: o[0].update(cost=1.0), "path p1: unknown key 'cost'"),
+    ("vms", lambda o: o[0].update(active=True), "sign vms1: unknown key 'active'"),
+    ("config", lambda o: o.update(modle="IV"), "top level: unknown key 'modle'"),
+    ("config", lambda o: o["compliance"].update(bta=5), "compliance: unknown key 'bta'"),
+    ("config", lambda o: o["grid"].update(t1=0), "grid: unknown key 't1'"),
+    ("config", lambda o: o["penalty"].update(erly=0.5), "penalty: unknown key 'erly'"),
+    ("config", lambda o: o["init_profile"].update(seed=3), "init_profile: unknown key 'seed'"),
+    ("config", lambda o: o["output"].update(dump=True), "output: unknown key 'dump'"),
+])
+def test_unknown_json_key_exits_one(tmp_path, capsys, name, edit, key):
+    files = _write(tmp_path)
+    _edit_json(files[name], edit)
+    messages = _validate_errors(files, capsys)
+    assert any(key in m and (name == "config" or files[name].name in m) for m in messages), messages
+
+
+@pytest.mark.parametrize("name, content, where", [
+    ("network", [], "top level"),
+    ("paths", ["p1"], "path"),
+    ("config", {"grid": {"t0": 0, "tf": 3600, "dt": 10}, "compliance": None}, "compliance"),
+])
+def test_json_value_that_is_not_an_object_exits_one(tmp_path, capsys, name, content, where):
+    files = _write(tmp_path)
+    files[name].write_text(json.dumps(content))
+    messages = _validate_errors(files, capsys)
+    assert any(f"{where}: expected a JSON object" in m for m in messages), messages
