@@ -16,7 +16,6 @@ from .dnl import DnlError
 from .network import ScenarioError, load_scenario
 from .scenario import (
     load_bundle,
-    read_config,
     run_bundle,
     run_sweep,
     write_fig1_fixture,
@@ -99,13 +98,14 @@ def cli_run(argv=None) -> int:
             return EXIT_OK
 
         if args.command == "validate":
-            grid = None
             if args.config is not None:
-                grid = read_config(args.config).grid
-            network, warnings = load_scenario(
-                args.network, args.paths, args.demand,
-                tolerances_file=args.tolerances, vms_file=args.vms, grid=grid,
-            )
+                bundle = load_bundle(**_scenario_files(args))
+                network, warnings = bundle.network, bundle.warnings
+            else:
+                network, warnings = load_scenario(
+                    args.network, args.paths, args.demand,
+                    tolerances_file=args.tolerances, vms_file=args.vms,
+                )
             print(json.dumps({
                 "ok": True,
                 "links": len(network.links),
@@ -122,7 +122,10 @@ def cli_run(argv=None) -> int:
             return EXIT_OK
 
         if args.command == "sweep":
-            values = [float(v) for v in args.values.split(",") if v.strip()]
+            try:
+                values = [float(v) for v in args.values.split(",") if v.strip()]
+            except ValueError as exc:
+                raise ScenarioError([f"sweep: --values: {exc}"]) from exc
             if not values:
                 return _fail(EXIT_INPUT, "input", ["sweep: no values given"])
             rows = run_sweep(_scenario_files(args), args.param, values,

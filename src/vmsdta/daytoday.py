@@ -52,7 +52,7 @@ class SolverConfig:
     def check(self):
         errors = []
         if self.step_size <= 0:
-            errors.append(f"solver: step size {self.step_size} must be positive")
+            errors.append(f"solver: lambda (step size) {self.step_size} must be positive")
         if self.gap_tolerance <= 0:
             errors.append("solver: gap_tolerance must be positive")
         if self.max_days < 1:
@@ -82,8 +82,6 @@ class RunResult:
     converged: bool
     network: Network
     grid: TimeGrid
-    final_states: dict
-    next_profile: DepartureProfile
     final_dnl: DnlResult | None  # the last day's loading (None if no day ran)
 
 
@@ -277,4 +275,4 @@ def run_day_to_day(network: Network, grid: TimeGrid, profile: DepartureProfile,
         states = next_states
 
     return RunResult(days=days, converged=converged, network=network, grid=grid,
-                     final_states=states, next_profile=profile, final_dnl=result)
+                     final_dnl=result)

@@ -8,7 +8,11 @@ Tampere et al. (2011) with capacity-proportional priorities: each incoming leg
 moves as one FIFO column, and congested outgoing links are shared in
 proportion to the legs' capacities (at congested junctions where a leg
 splits, this loads differently from the ad hoc split of earlier versions).
-Flow is tracked per path on every link, which yields the base turning ratios;
+Every incoming leg is a pair of cumulative curves: a link, or the unbounded
+origin queue in front of a first link, whose inflow is the departures and
+which has no traversal time, so origin queueing counts toward path travel
+times through the same exit-time function as a link.
+Flow is tracked per path on every leg, which yields the base turning ratios;
 a VMS diverts the compliant share of each affected O-D's not-follow flow onto
 the recommended downstream link, relabeling those vehicles to the O-D's follow
 paths.
@@ -105,23 +109,32 @@ def solve_junction(sending, receiving, oriented, weights):
 
 @dataclass
 class DnlResult:
-    """Cumulative curves, exit-time functions and realized turning ratios."""
+    """Cumulative curves, exit-time functions and realized turning ratios.
+
+    ``up``, ``down`` and ``up_by_path`` are keyed by leg: a link id, or
+    ``(origin, first link)`` for the origin queue feeding that first link.  A
+    queue's ``up`` is the cumulative departures and its ``down`` the vehicles
+    that have entered the first link.  ``turning_ratios`` covers links only.
+    """
 
     network: Network
     grid: TimeGrid
-    up: dict  # link -> np.ndarray of cumulative inflow at edges
-    down: dict  # link -> cumulative outflow at edges
-    up_by_path: dict  # link -> {path: np.ndarray}
-    buffers: dict  # (origin, first link) -> dict(arr_total=..., entered=...)
+    up: dict  # leg -> np.ndarray of cumulative inflow at edges
+    down: dict  # leg -> cumulative outflow at edges
+    up_by_path: dict  # leg -> {path: np.ndarray}
     turning_ratios: dict  # node -> {in_link: {out: np.ndarray over bins}}
-    arrivals_by_path: dict  # path -> vehicles delivered to the destination
-    residual_by_link: dict
-    residual_buffers: dict
+    total_arrived: float  # vehicles delivered to their destinations
     warnings: list = field(default_factory=list)
     extrapolated_queries: int = 0
 
     def __post_init__(self):
         self._edges = self.grid.edges()
+        links = self.network.links
+        self._queues = [leg for leg in self.up if leg not in links]
+        # free-flow time and capacity per leg; a queue takes no time to cross
+        # and drains at most at its first link's capacity
+        self._fft_cap = {a: (lk.fft, lk.capacity) for a, lk in links.items()}
+        self._fft_cap.update({q: (0.0, links[q[1]].capacity) for q in self._queues})
         self._partial_cache = {}
         self._path_time_cache = None
 
@@ -129,15 +142,14 @@ class DnlResult:
 
     @property
     def total_departed(self) -> float:
-        return float(sum(b["arr_total"][-1] for b in self.buffers.values()))
-
-    @property
-    def total_arrived(self) -> float:
-        return float(sum(self.arrivals_by_path.values()))
+        return float(sum(self.up[q][-1] for q in self._queues))
 
     @property
     def total_residual(self) -> float:
-        return float(sum(self.residual_by_link.values()) + sum(self.residual_buffers.values()))
+        def left(legs):
+            return sum(self.up[a][-1] - self.down[a][-1] for a in legs)
+
+        return float(left(self.network.links) + left(self._queues))
 
     def link_inflow(self, link_id) -> np.ndarray:
         """Vehicles entering the link per bin."""
@@ -145,22 +157,22 @@ class DnlResult:
 
     # -- exit-time functions ----------------------------------------------------
 
-    def mu(self, link_id, t):
-        """Link exit time for entry at t (vectorized, linear interpolation).
+    def mu(self, leg, t):
+        """Leg exit time for entry at t (vectorized, linear interpolation).
 
         Entries whose exit level lies beyond the horizon drain at capacity
         past tf; entries after tf traverse at free flow.  Both are flagged via
         ``extrapolated_queries``.
         """
-        lk = self.network.links[link_id]
+        fft, cap = self._fft_cap[leg]
         t_arr = np.asarray(t, dtype=float)
-        x = np.interp(t_arr, self._edges, self.up[link_id])
-        exit_t = self._invert(self.down[link_id], x, lk.capacity)
+        x = np.interp(t_arr, self._edges, self.up[leg])
+        exit_t = self._invert(self.down[leg], x, cap)
         late = t_arr > self.grid.tf
         if np.any(late):
             self.extrapolated_queries += int(np.count_nonzero(late))
-            exit_t = np.where(late, t_arr + lk.fft, exit_t)
-        out = np.maximum(exit_t, t_arr + lk.fft)
+            exit_t = np.where(late, t_arr + fft, exit_t)
+        out = np.maximum(exit_t, t_arr + fft)
         return out if out.ndim else float(out)
 
     def _invert(self, curve, x, cap):
@@ -185,32 +197,18 @@ class DnlResult:
             res[over] = self.grid.tf + (x_arr[over] - curve[-1]) / cap
         return res if np.asarray(x).ndim else res[0]
 
-    def entry_time(self, origin, first_link, t):
-        """When a vehicle arriving at the origin at t enters the first link."""
-        buf = self.buffers.get((origin, first_link))
-        if buf is None:
-            return np.asarray(t, dtype=float) if np.asarray(t).ndim else float(t)
-        t_arr = np.asarray(t, dtype=float)
-        x = np.interp(t_arr, self._edges, buf["arr_total"])
-        cap = self.network.links[first_link].capacity
-        entered = self._invert(buf["entered"], x, cap)
-        out = np.maximum(entered, t_arr)
-        return out if out.ndim else float(out)
-
-    def compose_exit(self, link_ids, t):
-        """Successive composition of the links' exit-time functions."""
+    def compose_exit(self, legs, t):
+        """Successive composition of the legs' exit-time functions."""
         cur = np.asarray(t, dtype=float)
-        for a in link_ids:
+        for a in legs:
             cur = self.mu(a, cur)
         return cur
 
     def path_travel_time(self, path_id, t):
         """Door-to-door travel time from departure at t, origin queueing included."""
         p = self.network.paths[path_id]
-        origin = self.network.links[p.links[0]].from_node
-        start = self.entry_time(origin, p.links[0], t)
-        done = self.compose_exit(p.links, start)
-        return done - np.asarray(t, dtype=float)
+        queue = (self.network.links[p.links[0]].from_node, p.links[0])
+        return self.compose_exit((queue,) + p.links, t) - np.asarray(t, dtype=float)
 
     def partial_traversal_time(self, node, path_id, t):
         """Traversal time from `node` to the path's destination, departing node at t."""
@@ -247,10 +245,10 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
     """Propagate the departure profile through the network for one day.
 
     ``compliance_rates`` maps (od_id, sign_id) to the day's CR in [0, 1];
-    missing pairs default to zero diversion.  Returns link cumulative curves,
-    exit times, realized turning ratios and residual-vehicle bookkeeping.  A
-    warning is recorded when more than ``residual_warn_fraction`` of the
-    demand is still in the network at tf.
+    missing pairs default to zero diversion.  Returns the legs' cumulative
+    curves, exit times and realized turning ratios.  A warning is recorded
+    when more than ``residual_warn_fraction`` of the demand is still in the
+    network at tf.
     """
     cr_map = dict(compliance_rates or {})
     for key, cr in cr_map.items():
@@ -261,73 +259,80 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
     dt = grid.dt
     links = network.links
 
-    # per-link state: cumulative curves as plain lists for fast scalar access
-    up = {a: [0.0] * (K + 1) for a in links}
-    dn = {a: [0.0] * (K + 1) for a in links}
+    # legs: every link, then one origin queue (origin, first link) per first
+    # link.  A queue is a curve pair like a link whose inflow is the
+    # departures; it has no traversal time and no capacity of its own.
     paths_on = {a: [] for a in links}
     for p in network.paths.values():
         for a in p.links:
             paths_on[a].append(p.id)
-    up_p = {a: {pid: [0.0] * (K + 1) for pid in paths_on[a]} for a in links}
-    dn_p = {a: {pid: [0.0] * (K + 1) for pid in paths_on[a]} for a in links}
-    lag_f = {a: links[a].fft / dt for a in links}
-    lag_w = {a: (links[a].length / links[a].w) / dt for a in links}
+        paths_on.setdefault((links[p.links[0]].from_node, p.links[0]), []).append(p.id)
+    queues = list(paths_on)[len(links):]
 
-    # origin buffers: unbounded FIFO queues feeding each first link
-    buffers = {}
-    for p in network.paths.values():
-        first = p.links[0]
-        key = (links[first].from_node, first)
-        buf = buffers.setdefault(key, {"paths": [], "arr_p": {}, "sent": [0.0] * (K + 1),
-                                       "sent_p": {}})
-        buf["paths"].append(p.id)
-        buf["arr_p"][p.id] = np.concatenate(([0.0], np.cumsum(profile.rate(p.id)) * dt))
-        buf["sent_p"][p.id] = [0.0] * (K + 1)
-    for buf in buffers.values():
-        buf["arr_total"] = sum(buf["arr_p"].values())
+    # cumulative curves as plain lists for fast scalar access
+    up = {leg: [0.0] * (K + 1) for leg in paths_on}
+    dn = {leg: [0.0] * (K + 1) for leg in paths_on}
+    up_p = {leg: {pid: [0.0] * (K + 1) for pid in pids} for leg, pids in paths_on.items()}
+    dn_p = {leg: {pid: [0.0] * (K + 1) for pid in pids} for leg, pids in paths_on.items()}
+    for q in queues:
+        departed = {pid: np.concatenate(([0.0], np.cumsum(profile.rate(pid)) * dt))
+                    for pid in paths_on[q]}
+        up[q] = sum(departed.values()).tolist()
+        up_p[q] = {pid: arr.tolist() for pid, arr in departed.items()}
 
-    # junction wiring: every node moving flow, with origin buffers as extra legs
+    # per-leg tables; lags are >= one bin by validation, the floor absorbs float spill
+    lag = {a: max(1.0, lk.fft / dt) for a, lk in links.items()}
+    lag_w = {a: max(1.0, (lk.length / lk.w) / dt) for a, lk in links.items()}
+    cap_flow = {a: lk.capacity * dt for a, lk in links.items()}
+    weight = {a: lk.capacity for a, lk in links.items()}
+    for q in queues:
+        lag[q], cap_flow[q], weight[q] = 0.0, math.inf, links[q[1]].capacity
+
+    # junction wiring: every node moving flow; incoming links first, then queues
     sink_nodes = {od.destination for od in network.ods.values()}
     node_plan = {}
+    step = {}  # leg -> {path: index of its next slot at the leg's downstream node}
+    ratio_store = {}  # node -> {in_link: {out: ratio per bin}}
+    last_ratio = {}  # (node, in_link) -> {slot index: ratio}, carried through idle bins
     for node in sorted(network.nodes):
         in_links = [a for a in network.in_links(node) if paths_on[a]]
-        bufs = [key for key in buffers if key[0] == node]
-        if not in_links and not bufs:
+        legs = in_links + [q for q in queues if q[0] == node]
+        if not legs:
             continue
         out_slots = list(network.out_links(node))
-        has_sink = node in sink_nodes
-        if has_sink:
+        if node in sink_nodes:
             out_slots.append(SINK)
         out_index = {a: i for i, a in enumerate(out_slots)}
-        node_signs = [
-            (sg, affected_ods(network, sg)) for sg in network.signs if sg.junction == node
-        ]
-        node_signs = [(sg, aff) for sg, aff in node_signs if aff]
-        # movement support per incoming leg, for turning-ratio carry-forward
-        support = {}
+        for leg in legs:
+            step[leg] = {pid: out_index[network.next_link(pid, leg) if leg in links else leg[1]]
+                         for pid in paths_on[leg]}
+        ratio_store[node] = {a: {out: np.zeros(K) for out in out_slots} for a in in_links}
         for a in in_links:
-            tgt = {out_index[network.next_link(pid, a)] if network.next_link(pid, a) != SINK
-                   else out_index[SINK] for pid in paths_on[a]}
-            support[a] = sorted(tgt)
+            support = sorted(set(step[a].values()))
+            last_ratio[(node, a)] = {e: 1.0 / len(support) for e in support}
+        signs = []
+        for sg in network.signs:
+            aff = affected_ods(network, sg) if sg.junction == node else {}
+            if aff:
+                crs = [(cr_map.get((od, sg.id), 0.0), fset, nfset) for od, (fset, nfset) in aff.items()]
+                signs.append((legs.index(sg.host_link), out_index[sg.from_link],
+                              out_index[sg.to_link], sg.omega, crs))
         node_plan[node] = {
             "in_links": in_links,
-            "buffers": bufs,
+            "legs": legs,
+            "weights": [weight[leg] for leg in legs],
             "out_slots": out_slots,
-            "out_index": out_index,
-            "signs": node_signs,
-            "support": support,
+            "signs": signs,
         }
 
-    ratio_store = {
-        node: {a: {out: np.zeros(K) for out in plan["out_slots"]} for a in plan["in_links"]}
-        for node, plan in node_plan.items()
-    }
-    last_ratio = {}
-    for node, plan in node_plan.items():
-        for a in plan["in_links"]:
-            sup = plan["support"][a] or list(range(len(plan["out_slots"])))
-            last_ratio[(node, a)] = {e: 1.0 / len(sup) for e in sup}
-
+    # the curves each bin carries one edge forward: queues' inflows are filled
+    # already, and links no path uses stay zero
+    carry = []
+    for leg, pids in paths_on.items():
+        if pids:
+            carry += [dn[leg], *dn_p[leg].values()]
+            if leg in links:
+                carry += [up[leg], *up_p[leg].values()]
     arrivals_by_path = {pid: 0.0 for pid in network.paths}
 
     def curve_at(arr, pos):
@@ -340,10 +345,12 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
         return arr[i] + (arr[i + 1] - arr[i]) * (pos - i)
 
     def invert_pos(arr, level, hi):
-        """Fractional edge position where the list curve first reaches `level`."""
+        """Fractional edge position (at most hi) where the list curve first reaches `level`."""
         i = bisect.bisect_left(arr, level, 0, hi + 1)
         if i == 0:
             return 0.0
+        if i > hi:
+            return float(hi)
         denom = arr[i] - arr[i - 1]
         if denom <= 0:
             return float(i)
@@ -351,52 +358,26 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
 
     for k in range(K):
         t_mid = grid.t0 + (k + 0.5) * dt
-        # carry all cumulative curves forward one edge
-        for a in links:
-            up[a][k + 1] = up[a][k]
-            dn[a][k + 1] = dn[a][k]
-            for arr in up_p[a].values():
-                arr[k + 1] = arr[k]
-            for arr in dn_p[a].values():
-                arr[k + 1] = arr[k]
-        for buf in buffers.values():
-            buf["sent"][k + 1] = buf["sent"][k]
-            for arr in buf["sent_p"].values():
-                arr[k + 1] = arr[k]
+        for arr in carry:
+            arr[k + 1] = arr[k]
 
         for node, plan in node_plan.items():
             out_slots = plan["out_slots"]
-            out_index = plan["out_index"]
             n_out = len(out_slots)
 
-            legs = []  # (kind, id, S, batch {path: amount}, weight)
-            for a in plan["in_links"]:
-                cap_flow = links[a].capacity * dt
-                # lags are >= one bin by validation; the min() guards float spill
-                avail = curve_at(up[a], min((k + 1) - lag_f[a], k)) - dn[a][k]
-                S = min(cap_flow, avail)
-                if S < _TINY:
-                    legs.append(("link", a, 0.0, {}, links[a].capacity))
-                    continue
-                pos = invert_pos(up[a], dn[a][k] + S, k + 1)
+            batches = []  # per leg: {path: amount} it could send
+            for leg in plan["legs"]:
+                S = min(cap_flow[leg], curve_at(up[leg], (k + 1) - lag[leg]) - dn[leg][k])
                 batch = {}
-                for pid in paths_on[a]:
-                    amt = curve_at(up_p[a][pid], pos) - dn_p[a][pid][k]
-                    if amt > _TINY:
-                        batch[pid] = amt
-                legs.append(("link", a, S, batch, links[a].capacity))
-            for key in plan["buffers"]:
-                buf = buffers[key]
-                batch = {}
-                S = 0.0
-                for pid in buf["paths"]:
-                    amt = buf["arr_p"][pid][k + 1] - buf["sent_p"][pid][k]
-                    if amt > _TINY:
-                        batch[pid] = amt
-                        S += amt
-                legs.append(("buffer", key, S, batch, links[key[1]].capacity))
+                if S >= _TINY:
+                    pos = invert_pos(up[leg], dn[leg][k] + S, k + 1)
+                    for pid in paths_on[leg]:
+                        amt = curve_at(up_p[leg][pid], pos) - dn_p[leg][pid][k]
+                        if amt > _TINY:
+                            batch[pid] = amt
+                batches.append(batch)
 
-            if all(leg[2] <= _TINY for leg in legs):
+            if not any(batches):
                 for a in plan["in_links"]:
                     for e, r in last_ratio[(node, a)].items():
                         ratio_store[node][a][out_slots[e]][k] = r
@@ -404,85 +385,64 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
 
             # route each leg's batch to outgoing slots, applying VMS diversion
             routed = []  # per leg: {out slot index: {label: amount}}
-            for kind, ident, S, batch, _w in legs:
+            for leg, batch in zip(plan["legs"], batches):
                 dest = {}
                 for pid, amt in batch.items():
-                    nxt = network.next_link(pid, ident) if kind == "link" else ident[1]
-                    slot = dest.setdefault(out_index[nxt], {})
+                    slot = dest.setdefault(step[leg][pid], {})
                     slot[pid] = slot.get(pid, 0.0) + amt
                 routed.append(dest)
-            for sg, aff in plan["signs"]:
-                for i, (kind, ident, S, batch, _w) in enumerate(legs):
-                    if kind != "link" or ident != sg.host_link:
-                        continue
-                    e_from = out_index.get(sg.from_link)
-                    e_to = out_index.get(sg.to_link)
-                    if e_from is None or e_to is None:
-                        continue
-                    for od, (fset, nfset) in aff.items():
-                        cr = cr_map.get((od, sg.id), 0.0)
-                        for pid in nfset:
-                            amt = routed[i].get(e_from, {}).get(pid, 0.0)
-                            if amt <= _TINY:
-                                continue
-                            # a not-follow label sends nothing toward the recommended link
-                            kept, moved = revise_turning_ratios(amt, 0.0, cr, t_mid, sg.omega)
-                            if moved == 0.0:
-                                continue
-                            routed[i][e_from][pid] = kept
-                            share = moved / len(fset)
-                            slot = routed[i].setdefault(e_to, {})
-                            for fp in fset:
-                                slot[fp] = slot.get(fp, 0.0) + share
+            for i, e_from, e_to, omega, crs in plan["signs"]:
+                for cr, fset, nfset in crs:
+                    for pid in nfset:
+                        amt = routed[i].get(e_from, {}).get(pid, 0.0)
+                        if amt <= _TINY:
+                            continue
+                        # a not-follow label sends nothing toward the recommended link
+                        kept, moved = revise_turning_ratios(amt, 0.0, cr, t_mid, omega)
+                        if moved == 0.0:
+                            continue
+                        routed[i][e_from][pid] = kept
+                        share = moved / len(fset)
+                        slot = routed[i].setdefault(e_to, {})
+                        for fp in fset:
+                            slot[fp] = slot.get(fp, 0.0) + share
 
             # revised turning ratios (demand shares before any throttling)
             oriented = []
-            for i, dest in enumerate(routed):
+            for dest in routed:
                 row = [0.0] * n_out
                 for e, labels in dest.items():
                     row[e] = sum(labels.values())
                 oriented.append(row)
-            for i, (kind, ident, S, batch, _w) in enumerate(legs):
-                if kind != "link":
-                    continue
+            for i, a in enumerate(plan["in_links"]):
                 total = sum(oriented[i])
                 if total > _TINY:
-                    ratios = {e: oriented[i][e] / total for e in range(n_out) if oriented[i][e] > 0}
-                    last_ratio[(node, ident)] = ratios
-                for e, r in last_ratio[(node, ident)].items():
-                    ratio_store[node][ident][out_slots[e]][k] = r
+                    last_ratio[(node, a)] = {e: oriented[i][e] / total
+                                             for e in range(n_out) if oriented[i][e] > 0}
+                for e, r in last_ratio[(node, a)].items():
+                    ratio_store[node][a][out_slots[e]][k] = r
 
             receiving = []
             for out in out_slots:
                 if out == SINK:
                     receiving.append(math.inf)
                 else:
-                    lk = links[out]
-                    space = curve_at(dn[out], min((k + 1) - lag_w[out], k)) + lk.storage - up[out][k]
-                    receiving.append(max(0.0, min(lk.capacity * dt, space)))
+                    space = curve_at(dn[out], (k + 1) - lag_w[out]) + links[out].storage - up[out][k]
+                    receiving.append(max(0.0, min(cap_flow[out], space)))
 
-            sending = [sum(oriented[i]) for i in range(len(legs))]
-            weights = [leg[4] for leg in legs]
-            theta = solve_junction(sending, receiving, oriented, weights)
+            sending = [sum(row) for row in oriented]
+            theta = solve_junction(sending, receiving, oriented, plan["weights"])
 
-            for i, (kind, ident, S, batch, _w) in enumerate(legs):
+            for i, (leg, batch) in enumerate(zip(plan["legs"], batches)):
                 th = theta[i]
                 if th <= 0.0 or sending[i] <= _TINY:
                     continue
                 moved_total = 0.0
-                if kind == "link":
-                    for pid, amt in batch.items():
-                        mv = th * amt
-                        dn_p[ident][pid][k + 1] += mv
-                        moved_total += mv
-                    dn[ident][k + 1] += moved_total
-                else:
-                    buf = buffers[ident]
-                    for pid, amt in batch.items():
-                        mv = th * amt
-                        buf["sent_p"][pid][k + 1] += mv
-                        moved_total += mv
-                    buf["sent"][k + 1] += moved_total
+                for pid, amt in batch.items():
+                    mv = th * amt
+                    dn_p[leg][pid][k + 1] += mv
+                    moved_total += mv
+                dn[leg][k + 1] += moved_total
                 for e, labels in routed[i].items():
                     out = out_slots[e]
                     if out == SINK:
@@ -496,33 +456,18 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
                             tot += mv
                         up[out][k + 1] += tot
 
-    residual_by_link = {a: up[a][K] - dn[a][K] for a in links}
-    residual_buffers = {key: buf["arr_total"][K] - buf["sent"][K] for key, buf in buffers.items()}
-    warnings = []
-    total_q = float(sum(buf["arr_total"][K] for buf in buffers.values()))
-    residual = sum(residual_by_link.values()) + sum(residual_buffers.values())
-    if total_q > 0 and residual > residual_warn_fraction * total_q:
-        warnings.append(
-            f"{residual:.3f} vehicles ({residual / total_q:.2%} of demand) still in the network at tf"
-        )
-
     result = DnlResult(
         network=network,
         grid=grid,
-        up={a: np.asarray(v) for a, v in up.items()},
-        down={a: np.asarray(v) for a, v in dn.items()},
-        up_by_path={a: {pid: np.asarray(v) for pid, v in d.items()} for a, d in up_p.items()},
-        buffers={
-            key: {
-                "arr_total": np.asarray(buf["arr_total"]),
-                "entered": np.asarray(buf["sent"]),
-            }
-            for key, buf in buffers.items()
-        },
+        up={leg: np.asarray(v) for leg, v in up.items()},
+        down={leg: np.asarray(v) for leg, v in dn.items()},
+        up_by_path={leg: {pid: np.asarray(v) for pid, v in d.items()} for leg, d in up_p.items()},
         turning_ratios=ratio_store,
-        arrivals_by_path=arrivals_by_path,
-        residual_by_link=residual_by_link,
-        residual_buffers=residual_buffers,
-        warnings=warnings,
+        total_arrived=float(sum(arrivals_by_path.values())),
     )
+    departed, residual = result.total_departed, result.total_residual
+    if departed > 0 and residual > residual_warn_fraction * departed:
+        result.warnings.append(
+            f"{residual:.3f} vehicles ({residual / departed:.2%} of demand) still in the network at tf"
+        )
     return result

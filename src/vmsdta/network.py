@@ -548,6 +548,14 @@ def read_vms_json(path):
     return signs
 
 
+def _read(what, path, reader):
+    """``reader(path)``, with any failure to read or convert it as an input error."""
+    try:
+        return reader(path)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ScenarioError([f"{what} file {path}: {exc}"]) from exc
+
+
 def load_scenario(network_file, paths_file, demand_file, tolerances_file=None,
                   vms_file=None, grid: TimeGrid | None = None, default_epsilon: float = 0.0):
     """Load and validate all scenario inputs into a single Network.
@@ -557,32 +565,15 @@ def load_scenario(network_file, paths_file, demand_file, tolerances_file=None,
     ``default_epsilon``.
     """
     errors = []
-    try:
-        links = read_network_json(network_file)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        raise ScenarioError([f"network file {network_file}: {exc}"]) from exc
-    try:
-        paths = read_paths_json(paths_file)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        raise ScenarioError([f"paths file {paths_file}: {exc}"]) from exc
-    try:
-        ods = read_demand_csv(demand_file)
-    except (OSError, KeyError, ValueError) as exc:
-        raise ScenarioError([f"demand file {demand_file}: {exc}"]) from exc
+    links = _read("network", network_file, read_network_json)
+    paths = _read("paths", paths_file, read_paths_json)
+    ods = _read("demand", demand_file, read_demand_csv)
     tol = {}
     if tolerances_file is not None:
-        try:
-            tol = read_tolerances_csv(tolerances_file)
-        except (OSError, KeyError, ValueError) as exc:
-            raise ScenarioError([f"tolerances file {tolerances_file}: {exc}"]) from exc
+        tol = _read("tolerances", tolerances_file, read_tolerances_csv)
         errors += [f"tolerances file {tolerances_file}: row for unknown O-D {od}"
                    for od in tol if od not in ods]
-    signs = []
-    if vms_file is not None:
-        try:
-            signs = read_vms_json(vms_file)
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-            raise ScenarioError([f"vms file {vms_file}: {exc}"]) from exc
+    signs = [] if vms_file is None else _read("vms", vms_file, read_vms_json)
 
     # attach tolerances, filling gaps with the configured default
     ods_full = {}

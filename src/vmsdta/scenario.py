@@ -6,7 +6,7 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path as _FsPath
 
 import numpy as np
@@ -360,7 +360,7 @@ def write_outputs(result: RunResult, outdir, config: RunConfig | None = None,
         "final_total_cost": last.total_cost,
         "final_cr": {f"{od}|{sign}": cr for (od, sign), cr in last.cr_used.items()},
         "residual_final_day": last.residual,
-        "warnings": list(warnings or []),
+        "warnings": list(warnings or []) + [f"day {last.day}: {w}" for w in last.warnings],
     }
     if config is not None:
         summary["config"] = config_to_dict(config)
@@ -453,31 +453,32 @@ def run_bundle(bundle: ScenarioBundle, outdir=None) -> RunResult:
 
 # -- parameter sweeps ---------------------------------------------------------
 
-SWEEP_PARAMS = ("beta", "w", "gamma", "x0", "y0", "lambda")
+# the config.json fields each sweep parameter sets
+SWEEP_FIELDS = {
+    "beta": (("compliance", "beta"),),
+    "w": (("compliance", "w"),),
+    "gamma": (("compliance", "gamma"),),
+    "x0": (("compliance", "x0"),),
+    "y0": (("compliance", "y_f0"), ("compliance", "y_nf0")),
+    "lambda": (("solver", "lambda"),),
+}
+SWEEP_PARAMS = tuple(SWEEP_FIELDS)
 
 
 def _apply_sweep_value(cfg: RunConfig, param: str, value: float) -> RunConfig:
-    c = cfg.compliance
-    if param == "beta":
-        return replace(cfg, compliance=replace(c, beta=value))
-    if param == "w":
-        return replace(cfg, compliance=replace(c, w=value))
-    if param == "gamma":
-        return replace(cfg, compliance=replace(c, gamma=value))
-    if param == "x0":
-        return replace(cfg, compliance=replace(c, x0=value))
-    if param == "y0":
-        return replace(cfg, compliance=replace(c, y_f0=value, y_nf0=value))
-    if param == "lambda":
-        return replace(cfg, solver=replace(cfg.solver, step_size=value))
-    raise ScenarioError([f"sweep: unknown parameter {param!r} (choose from {SWEEP_PARAMS})"])
+    """The config with the sweep value written in, checked like config.json."""
+    if param not in SWEEP_FIELDS:
+        raise ScenarioError([f"sweep: unknown parameter {param!r} (choose from {SWEEP_PARAMS})"])
+    obj = config_to_dict(cfg)
+    for section, key in SWEEP_FIELDS[param]:
+        obj[section][key] = value
+    return parse_config(obj)
 
 
 def _sweep_worker(args):
-    files, param, value, outdir = args
+    files, cfg, param, value, outdir = args
     bundle = load_bundle(**files)
-    bundle = ScenarioBundle(network=bundle.network,
-                            config=_apply_sweep_value(bundle.config, param, value),
+    bundle = ScenarioBundle(network=bundle.network, config=cfg,
                             profile=bundle.profile, warnings=bundle.warnings)
     run_dir = None if outdir is None else _FsPath(outdir) / f"{param}_{value:g}"
     result = run_bundle(bundle, run_dir)
@@ -492,8 +493,13 @@ def _sweep_worker(args):
 
 
 def run_sweep(files: dict, param: str, values, outdir=None, workers: int = 1) -> list:
-    """Independent replicates over one parameter; returns one row per value."""
-    jobs = [(files, param, float(v), outdir) for v in values]
+    """Independent replicates over one parameter; returns one row per value.
+
+    Every value is checked before any run starts.
+    """
+    base = read_config(files["config_file"])
+    jobs = [(files, _apply_sweep_value(base, param, float(v)), param, float(v), outdir)
+            for v in values]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_worker, jobs))

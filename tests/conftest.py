@@ -44,6 +44,11 @@ def assert_dnl_invariants(result, conservation_tol=1e-9):
         assert np.all(np.diff(mu) >= -1e-9), f"link {a}: exit times decrease"
         flow_bins = np.diff(up) > 1e-12
         assert np.all(np.diff(mu)[flow_bins] > 0), f"link {a}: FIFO violated under flow"
+    for q in set(result.up) - set(net.links):
+        up, down = result.up[q], result.down[q]
+        assert np.all(np.diff(up) >= -1e-12), f"origin queue {q}: departures decrease"
+        assert np.all(np.diff(down) >= -1e-12), f"origin queue {q}: entries decrease"
+        assert np.all(up - down >= -1e-10), f"origin queue {q}: entries ahead of departures"
     for node, per_in in result.turning_ratios.items():
         for a, per_out in per_in.items():
             stack = np.vstack([arr for arr in per_out.values()])

@@ -1,0 +1,73 @@
+"""Record one-day loadings as golden copies for ``tests/test_golden.py``.
+
+    PYTHONPATH=src python3 -m tests.golden.record
+
+Writes one compressed ``.npz`` per case next to this file.  Each holds, per
+link, the cumulative curves ``up|<link>`` and ``down|<link>``; per path the
+travel time at bin midpoints ``path_time|<path>``; for every affected
+(O-D, sign) pair the partial traversal times from the sign's junction
+``partial|<node>|<path>``; the turning ratios ``ratio|<node>|<in>|<out>``; and
+``totals`` = (departed, arrived, residual).  Every compliance rate is 0.5.
+Re-record only for an intended change to the loading.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path as FsPath
+
+import numpy as np
+
+from vmsdta.dnl import run_dnl
+from vmsdta.network import affected_ods
+from vmsdta.scenario import build_profile, fig1_config, fig1_network
+
+from ..randnet import GRID, random_network
+
+HERE = FsPath(__file__).parent
+CR = 0.5
+
+
+def fig1_case():
+    network, cfg = fig1_network(), fig1_config()
+    return network, cfg.grid, build_profile(network, cfg)
+
+
+def jammed_case():
+    """The random network of ``test_jammed_random_network_throttles``."""
+    network, profile, _ = random_network(np.random.default_rng(100), n_ods=4,
+                                         demand=(400.0, 600.0), capacity=(0.1, 0.2))
+    return network, GRID, profile
+
+
+CASES = {"fig1": fig1_case, "jammed": jammed_case}
+
+
+def loading_arrays(network, grid, profile) -> dict:
+    """Run one loading at CR 0.5 and flatten what it exposes to named arrays."""
+    rates = {(od, sg.id): CR for sg in network.signs for od in affected_ods(network, sg)}
+    res = run_dnl(network, grid, profile, compliance_rates=rates)
+    out = {}
+    for a in network.links:
+        out[f"up|{a}"] = res.up[a]
+        out[f"down|{a}"] = res.down[a]
+    for pid, times in res.path_times().items():
+        out[f"path_time|{pid}"] = times
+    for sg in network.signs:
+        for fset, nfset in affected_ods(network, sg).values():
+            for pid in fset + nfset:
+                out[f"partial|{sg.junction}|{pid}"] = res.partial_times(sg.junction, pid)
+    for node, per_in in res.turning_ratios.items():
+        for a, per_out in per_in.items():
+            for b, arr in per_out.items():
+                out[f"ratio|{node}|{a}|{b}"] = arr
+    out["totals"] = np.array([res.total_departed, res.total_arrived, res.total_residual])
+    return out
+
+
+def main():
+    for name, build in CASES.items():
+        np.savez_compressed(HERE / f"{name}.npz", **loading_arrays(*build()))
+
+
+if __name__ == "__main__":
+    main()

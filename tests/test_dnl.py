@@ -113,6 +113,36 @@ def test_bottleneck_against_point_queue_oracle():
     assert engine[9] > engine[0]
 
 
+def test_origin_queue_is_a_curve_pair_between_departures_and_first_link():
+    # departures at twice the first link's capacity queue at the origin
+    grid = TimeGrid(0.0, 400.0, 1.0)
+    net, prof = make_corridor(
+        [{"length": 200.0, "vf": 20.0, "cap": 0.25, "kjam": 0.5, "w": 5.0}],
+        grid, demand=25.0, window=(0.0, 50.0))
+    res = run_dnl(net, grid, prof)
+    assert_dnl_invariants(res)
+    queue = ("n0", "L1")
+    departed = np.concatenate(([0.0], np.cumsum(prof.rate("p")) * grid.dt))
+    assert np.array_equal(res.up[queue], departed)
+    assert np.array_equal(res.up_by_path[queue]["p"], departed)
+    assert np.array_equal(res.down[queue], res.up["L1"])
+    assert np.max(res.up[queue] - res.down[queue]) > 5.0, "no origin queue formed"
+    assert res.total_departed == pytest.approx(25.0, rel=1e-12)
+
+
+def test_origin_queue_still_long_at_tf_loads_the_last_bin():
+    # the last bin's backlog exceeds half the departures, where
+    # entered + (departed - entered) can round one ulp above departed
+    grid = TimeGrid(0.0, 50.0, 1.0)
+    net, prof = make_corridor(
+        [{"length": 20.0, "vf": 10.0, "cap": 0.3, "kjam": 0.5, "w": 5.0}],
+        grid, demand=47.0, window=(0.0, 50.0), t_arrival=49.0)
+    res = run_dnl(net, grid, prof)
+    assert_dnl_invariants(res)
+    assert res.down[("n0", "L1")][-1] == pytest.approx(0.3 * 50.0, rel=1e-12)
+    assert res.warnings
+
+
 def test_three_link_corridor_against_oracle():
     grid = TimeGrid(0.0, 900.0, 1.0)
     specs = [

@@ -132,6 +132,27 @@ def test_sweep_writes_one_row_per_value(tmp_path, capsys):
     assert all((out / f"beta_{v:g}" / "summary.json").exists() for v in (0.001, 0.01, 0.1))
 
 
+@pytest.mark.parametrize("param, values, field", [
+    ("lambda", "-1", "lambda"),
+    ("gamma", "-5", "gamma"),
+    ("w", "1.5", "w=1.5"),
+    ("beta", "-0.01", "beta"),
+    ("beta", "a,b", "--values"),
+    ("beta", "nan", "compliance.beta"),
+    ("beta", "0.01,-0.01", "beta"),
+])
+def test_bad_sweep_value_exits_one_before_any_run(tmp_path, capsys, param, values, field):
+    files = _write(tmp_path, demand=120.0, solver={"max_days": 2})
+    out = tmp_path / "sweep_out"
+    code = cli_run(["sweep"] + _flags(files) + ["--param", param, "--values", values,
+                                                "--out", str(out)])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "input"
+    assert any(field in m for m in err["messages"]), err["messages"]
+    assert not out.exists()
+
+
 def test_missing_file_exits_one(tmp_path, capsys):
     files = _write(tmp_path)
     code = cli_run(["run", "--network", str(tmp_path / "absent.json"),
@@ -253,3 +274,35 @@ def test_json_value_that_is_not_an_object_exits_one(tmp_path, capsys, name, cont
     files[name].write_text(json.dumps(content))
     messages = _validate_errors(files, capsys)
     assert any(f"{where}: expected a JSON object" in m for m in messages), messages
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("paths", lambda o: o[0].update(links=5)),
+    ("vms", lambda o: o[0].update(omega=5)),
+    ("network", lambda o: o["links"][0].update(cap_vps=[1])),
+])
+def test_json_field_of_the_wrong_type_exits_one(tmp_path, capsys, name, edit):
+    files = _write(tmp_path)
+    _edit_json(files[name], edit)
+    messages = _validate_errors(files, capsys)
+    assert any(f"{name} file {files[name]}" in m for m in messages), messages
+
+
+def test_validate_with_config_applies_its_default_tolerance(tmp_path, capsys):
+    files = _write(tmp_path, default_epsilon_s=-5.0)
+    files["tolerances"].write_text("od_id,path_id,epsilon_s\n")
+    messages = _validate_errors(files, capsys)
+    assert any("tolerance for path p1 must be nonnegative" in m for m in messages), messages
+    code = cli_run(["run"] + _flags(files) + ["--out", str(tmp_path / "o")])
+    assert code == 1
+
+
+def test_final_day_loader_warnings_reach_the_summary(tmp_path):
+    # 2,000 vehicles in 900 s through a 0.5 veh/s entry link cannot clear by tf
+    files = _write(tmp_path, demand=2000.0, solver={"max_days": 2})
+    out = tmp_path / "o"
+    assert cli_run(["run"] + _flags(files) + ["--out", str(out), "--quiet"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    stranded = [w for w in summary["warnings"] if w.startswith("day 2: ")]
+    assert len(stranded) == 1 and "still in the network at tf" in stranded[0], summary["warnings"]
+    assert summary["residual_final_day"] > 0.005 * 2000.0
