@@ -16,11 +16,16 @@ Flow is tracked per path on every leg, which yields the base turning ratios;
 a VMS diverts the compliant share of each affected O-D's not-follow flow onto
 the recommended downstream link, relabeling those vehicles to the O-D's follow
 paths.
+
+Curves are arrays, one row per leg and per (leg, path); every lag is at least
+one bin, so each bin is one array step over all junctions, with one
+``solve_junction`` call when flow is offered.  Bins before the first
+departure, and after a quiet spell longer than every lag once the last
+departure has passed, would move nothing and are skipped.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -68,18 +73,8 @@ def revise_turning_ratios(alpha_from, alpha_to, cr, t, omega):
 # junction flow allocation
 
 
-def solve_junction(sending, receiving, oriented, weights):
-    """Fraction of each incoming leg's sending flow admitted through the junction.
-
-    ``oriented[i][e]`` is leg i's demand toward outgoing slot e (sums to
-    sending[i]); ``weights`` are the legs' capacities, which set their
-    priorities.  This is the finite algorithm of Tampere, Corthout, Cattrysse
-    & Immers (2011) for FIFO legs with capacity-proportional priorities: each
-    round finds the open slot that admits the smallest flow per unit priority,
-    then either admits in full every leg whose demand fits under that rate or
-    throttles the legs feeding that slot to it and closes the slot.  Every
-    round fixes at least one leg.
-    """
+def _finite_rounds(sending, receiving, oriented, weights):
+    """Tampere et al.'s rounds on one block of legs and slots (plain lists)."""
     theta = [1.0] * len(sending)
     supply = list(receiving)
     legs = [i for i, s in enumerate(sending) if s > _TINY]
@@ -100,6 +95,59 @@ def solve_junction(sending, receiving, oriented, weights):
             for e in slots:
                 supply[e] -= theta[i] * oriented[i][e]
         legs = [i for i in legs if i not in fixed]
+    return theta
+
+
+def solve_junction(sending, receiving, oriented, weights):
+    """Fraction of each incoming leg's sending flow admitted through its junction.
+
+    ``oriented[i][e]`` is leg i's demand toward outgoing slot e (sums to
+    sending[i]); ``weights`` are the legs' capacities, which set their
+    priorities.  The legs and slots may span several junctions at once.
+    Where no slot is asked for more than it receives, every leg moves in
+    full.  Otherwise each connected block of legs and slots that holds an
+    over-subscribed slot is solved on its own, in the given leg and slot
+    order, by the finite algorithm of Tampere, Corthout, Cattrysse & Immers
+    (2011) for FIFO legs with capacity-proportional priorities: each round
+    finds the open slot that admits the smallest flow per unit priority, then
+    either admits in full every leg whose demand fits under that rate or
+    throttles the legs feeding that slot to it and closes the slot.  Every
+    round fixes at least one leg.  Returns an array.
+    """
+    sending = np.asarray(sending, dtype=float)
+    receiving = np.asarray(receiving, dtype=float)
+    oriented = np.asarray(oriented, dtype=float).reshape(len(sending), len(receiving))
+    theta = np.ones(len(sending))
+    over = oriented.sum(axis=0) > receiving
+    if not over.any():
+        return theta
+    # each over-subscribed slot's block: the legs feeding it, every finite
+    # slot those legs feed, the legs feeding those, and so on
+    at_leg, at_slot = np.nonzero(oriented > 0.0)
+    demand = oriented[at_leg, at_slot].tolist()
+    sending, receiving = sending.tolist(), receiving.tolist()
+    weights = np.asarray(weights, dtype=float).tolist()
+    leg_slots, slot_legs = {}, {}
+    for i, e, x in zip(at_leg.tolist(), at_slot.tolist(), demand):
+        if sending[i] > _TINY and receiving[e] < math.inf:
+            leg_slots.setdefault(i, {})[e] = x
+            slot_legs.setdefault(e, []).append(i)
+    solved = set()
+    for e in np.flatnonzero(over).tolist():
+        if e in solved or e not in slot_legs:
+            continue
+        block_legs, block_slots, todo = set(), {e}, [e]
+        while todo:
+            for i in slot_legs[todo.pop()]:
+                if i not in block_legs:
+                    block_legs.add(i)
+                    todo += [f for f in leg_slots[i] if f not in block_slots]
+                    block_slots.update(leg_slots[i])
+        solved |= block_slots
+        li, si = sorted(block_legs), sorted(block_slots)
+        theta[li] = _finite_rounds([sending[i] for i in li], [receiving[f] for f in si],
+                                   [[leg_slots[i].get(f, 0.0) for f in si] for i in li],
+                                   [weights[i] for i in li])
     return theta
 
 
@@ -150,10 +198,6 @@ class DnlResult:
             return sum(self.up[a][-1] - self.down[a][-1] for a in legs)
 
         return float(left(self.network.links) + left(self._queues))
-
-    def link_inflow(self, link_id) -> np.ndarray:
-        """Vehicles entering the link per bin."""
-        return np.diff(self.up[link_id])
 
     # -- exit-time functions ----------------------------------------------------
 
@@ -240,6 +284,16 @@ class DnlResult:
 # the loader
 
 
+def _lag_table(bases, lags, K):
+    """Per bin, flat indices of the edge pair around ``(k+1) - lag`` and its weight,
+    read as ``a + (b - a) * frac``; positions outside (0, K) read edge 0 or K."""
+    pos = np.arange(1, K + 1, dtype=float)[:, None] - lags[None, :]
+    edge = np.clip(np.floor(pos), 0, K)
+    frac = np.where((pos > 0) & (pos < K), pos - edge, 0.0)
+    idx = bases[None, :] + edge.astype(np.intp)
+    return np.stack([idx, idx + 1], axis=-1), frac
+
+
 def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
             compliance_rates=None, residual_warn_fraction: float = 0.005) -> DnlResult:
     """Propagate the departure profile through the network for one day.
@@ -255,8 +309,8 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
         if not 0.0 <= cr <= 1.0:
             raise DnlError(f"compliance rate {cr} for {key} outside [0, 1]")
 
-    K = grid.n_bins
-    dt = grid.dt
+    K, dt = grid.n_bins, grid.dt
+    W = K + 2  # a curve row: edges 0..K, then one pad edge read with weight 0
     links = network.links
 
     # legs: every link, then one origin queue (origin, first link) per first
@@ -269,201 +323,207 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
         paths_on.setdefault((links[p.links[0]].from_node, p.links[0]), []).append(p.id)
     queues = list(paths_on)[len(links):]
 
-    # cumulative curves as plain lists for fast scalar access
-    up = {leg: [0.0] * (K + 1) for leg in paths_on}
-    dn = {leg: [0.0] * (K + 1) for leg in paths_on}
-    up_p = {leg: {pid: [0.0] * (K + 1) for pid in pids} for leg, pids in paths_on.items()}
-    dn_p = {leg: {pid: [0.0] * (K + 1) for pid in pids} for leg, pids in paths_on.items()}
-    for q in queues:
-        departed = {pid: np.concatenate(([0.0], np.cumsum(profile.rate(pid)) * dt))
-                    for pid in paths_on[q]}
-        up[q] = sum(departed.values()).tolist()
-        up_p[q] = {pid: arr.tolist() for pid, arr in departed.items()}
-
-    # per-leg tables; lags are >= one bin by validation, the floor absorbs float spill
-    lag = {a: max(1.0, lk.fft / dt) for a, lk in links.items()}
-    lag_w = {a: max(1.0, (lk.length / lk.w) / dt) for a, lk in links.items()}
-    cap_flow = {a: lk.capacity * dt for a, lk in links.items()}
-    weight = {a: lk.capacity for a, lk in links.items()}
-    for q in queues:
-        lag[q], cap_flow[q], weight[q] = 0.0, math.inf, links[q[1]].capacity
-
-    # junction wiring: every node moving flow; incoming links first, then queues
+    # junction order: nodes sorted; at each, its used in-links, then its
+    # queues, and its out-links, then SINK at a destination.  Rows hold the
+    # used links first, then the queues, then the links no path uses.
     sink_nodes = {od.destination for od in network.ods.values()}
-    node_plan = {}
-    step = {}  # leg -> {path: index of its next slot at the leg's downstream node}
-    ratio_store = {}  # node -> {in_link: {out: ratio per bin}}
-    last_ratio = {}  # (node, in_link) -> {slot index: ratio}, carried through idle bins
+    in_legs, q_legs, slots, node_legs = [], [], [], {}
     for node in sorted(network.nodes):
         in_links = [a for a in network.in_links(node) if paths_on[a]]
-        legs = in_links + [q for q in queues if q[0] == node]
-        if not legs:
-            continue
-        out_slots = list(network.out_links(node))
-        if node in sink_nodes:
-            out_slots.append(SINK)
-        out_index = {a: i for i, a in enumerate(out_slots)}
-        for leg in legs:
-            step[leg] = {pid: out_index[network.next_link(pid, leg) if leg in links else leg[1]]
-                         for pid in paths_on[leg]}
-        ratio_store[node] = {a: {out: np.zeros(K) for out in out_slots} for a in in_links}
-        for a in in_links:
-            support = sorted(set(step[a].values()))
-            last_ratio[(node, a)] = {e: 1.0 / len(support) for e in support}
-        signs = []
-        for sg in network.signs:
-            aff = affected_ods(network, sg) if sg.junction == node else {}
-            if aff:
-                crs = [(cr_map.get((od, sg.id), 0.0), fset, nfset) for od, (fset, nfset) in aff.items()]
-                signs.append((legs.index(sg.host_link), out_index[sg.from_link],
-                              out_index[sg.to_link], sg.omega, crs))
-        node_plan[node] = {
-            "in_links": in_links,
-            "legs": legs,
-            "weights": [weight[leg] for leg in legs],
-            "out_slots": out_slots,
-            "signs": signs,
-        }
+        node_q = [q for q in queues if q[0] == node]
+        if in_links or node_q:
+            node_legs[node] = in_links
+            in_legs += in_links
+            q_legs += node_q
+            slots += [(node, out) for out in network.out_links(node)]
+            if node in sink_nodes:
+                slots.append((node, SINK))
+    n_in, legs = len(in_legs), in_legs + q_legs
+    n_legs, n_slots = len(legs), len(slots)
+    leg_ix = {leg: i for i, leg in enumerate(legs + [a for a in links if not paths_on[a]])}
+    slot_ix = {s: j for j, s in enumerate(slots)}
 
-    # the curves each bin carries one edge forward: queues' inflows are filled
-    # already, and links no path uses stay zero
-    carry = []
-    for leg, pids in paths_on.items():
-        if pids:
-            carry += [dn[leg], *dn_p[leg].values()]
-            if leg in links:
-                carry += [up[leg], *up_p[leg].values()]
-    arrivals_by_path = {pid: 0.0 for pid in network.paths}
+    # (leg, path) rows and the (leg, slot) pairs their flow takes
+    rows = [(leg, pid) for leg in legs for pid in paths_on[leg]]
+    row_ix = {r: i for i, r in enumerate(rows)}
+    n_in_rows = sum(len(paths_on[a]) for a in in_legs)
+    row_slot = [slot_ix[(links[leg].to_node, network.next_link(pid, leg)) if leg in links else leg]
+                for leg, pid in rows]
+    pairs = sorted({(leg_ix[leg], e) for (leg, _), e in zip(rows, row_slot)})
+    pair_ix = {pe: j for j, pe in enumerate(pairs)}
+    n_in_pairs = sum(1 for i, _ in pairs if i < n_in)
+    leg_of_row = np.array([leg_ix[leg] for leg, _ in rows], dtype=np.intp)
+    pair_of_row = np.array([pair_ix[(leg_ix[leg], e)] for (leg, _), e in zip(rows, row_slot)],
+                           dtype=np.intp)
+    leg_of_pair = np.array([i for i, _ in pairs], dtype=np.intp)
+    dense_of_pair = np.array([i * n_slots + e for i, e in pairs], dtype=np.intp)
+    to_link = [j for j, (_, e) in enumerate(pairs) if slots[e][1] != SINK]
+    into = np.array([leg_ix[slots[pairs[j][1]][1]] for j in to_link], dtype=np.intp)
+    src, dst = np.array([(r, row_ix[(slots[e][1], pid)]) for r, ((_, pid), e)
+                         in enumerate(zip(rows, row_slot)) if slots[e][1] != SINK],
+                        dtype=np.intp).reshape(-1, 2).T
 
-    def curve_at(arr, pos):
-        if pos <= 0.0:
-            return arr[0]
-        n = len(arr) - 1
-        if pos >= n:
-            return arr[n]
-        i = int(pos)
-        return arr[i] + (arr[i + 1] - arr[i]) * (pos - i)
+    # cumulative curves, leg-major; a queue's inflow is the departures
+    U, D = np.zeros((2, len(leg_ix), W))
+    UP, DP = np.zeros((2, len(rows), W))
+    for q in q_legs:
+        departed = {pid: np.concatenate(([0.0], np.cumsum(profile.rate(pid)) * dt))
+                    for pid in paths_on[q]}
+        U[leg_ix[q], :K + 1] = sum(departed.values())
+        for pid, arr in departed.items():
+            UP[row_ix[(q, pid)], :K + 1] = arr
+    Uf, Df, UPf = U.ravel(), D.ravel(), UP.ravel()
 
-    def invert_pos(arr, level, hi):
-        """Fractional edge position (at most hi) where the list curve first reaches `level`."""
-        i = bisect.bisect_left(arr, level, 0, hi + 1)
-        if i == 0:
-            return 0.0
-        if i > hi:
-            return float(hi)
-        denom = arr[i] - arr[i - 1]
-        if denom <= 0:
-            return float(i)
-        return (i - 1) + (level - arr[i - 1]) / denom
+    # per-leg tables; lags are >= one bin by validation, the floor absorbs float spill
+    lag = np.array([max(1.0, links[a].fft / dt) for a in in_legs] + [0.0] * len(q_legs))
+    cap = np.array([links[a].capacity * dt for a in in_legs] + [math.inf] * len(q_legs))
+    weight = np.array([links[a].capacity for a in in_legs] + [links[q[1]].capacity for q in q_legs])
+    base = np.arange(n_legs) * W
+    row_base = np.arange(len(rows)) * W
+    s_idx, s_frac = _lag_table(base, lag, K)
+    out_slots = [j for j, (_, out) in enumerate(slots) if out != SINK]
+    outs = [links[slots[j][1]] for j in out_slots]
+    out_base = np.array([leg_ix[lk.id] * W for lk in outs], dtype=np.intp)
+    lag_w = np.array([max(1.0, (lk.length / lk.w) / dt) for lk in outs])
+    r_idx, r_frac = _lag_table(out_base, lag_w, K)
+    storage = np.array([lk.storage for lk in outs])
+    out_cap = np.array([lk.capacity * dt for lk in outs])
+    receiving = np.full(n_slots, math.inf)
 
-    for k in range(K):
-        t_mid = grid.t0 + (k + 0.5) * dt
-        for arr in carry:
-            arr[k + 1] = arr[k]
+    # diversion: (cr, active set, not-follow rows, follow rows) at each host leg
+    diversions = []
+    for sg in network.signs:
+        for od, (fset, nfset) in affected_ods(network, sg).items():
+            cr = cr_map.get((od, sg.id), 0.0)
+            if cr > 0.0:
+                diversions.append((cr, sg.omega, [row_ix[(sg.host_link, p)] for p in nfset],
+                                   [row_ix[(sg.host_link, p)] for p in fset]))
 
-        for node, plan in node_plan.items():
-            out_slots = plan["out_slots"]
-            n_out = len(out_slots)
+    # nothing moves before the first departure; after the last one, a quiet
+    # spell longer than every lag leaves each later bin the same inputs
+    departing = np.flatnonzero(profile.rates.any(axis=0))
+    first, last = (int(departing[0]), int(departing[-1])) if departing.size else (K, K)
+    settle = math.ceil(max(lag.max(initial=1.0), lag_w.max(initial=1.0))) + 1
+    quiet = 0
+    ptr = np.ones(n_legs, dtype=np.intp)  # per leg: last bin's answer to the level search
+    around, both = np.array([-1, 0, 1]), np.array([0, 1])  # edge offsets
+    seen_o = np.zeros((K, n_in_pairs))  # oriented demand of in-link pairs per bin
+    seen_s = np.zeros((K, n_in))
 
-            batches = []  # per leg: {path: amount} it could send
-            for leg in plan["legs"]:
-                S = min(cap_flow[leg], curve_at(up[leg], (k + 1) - lag[leg]) - dn[leg][k])
-                batch = {}
-                if S >= _TINY:
-                    pos = invert_pos(up[leg], dn[leg][k] + S, k + 1)
-                    for pid in paths_on[leg]:
-                        amt = curve_at(up_p[leg][pid], pos) - dn_p[leg][pid][k]
-                        if amt > _TINY:
-                            batch[pid] = amt
-                batches.append(batch)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(first, K):
+            hi = k + 1
+            U[:n_in, hi] = U[:n_in, k]
+            UP[:n_in_rows, hi] = UP[:n_in_rows, k]
+            dn_k = D[:n_legs, k]
 
-            if not any(batches):
-                for a in plan["in_links"]:
-                    for e, r in last_ratio[(node, a)].items():
-                        ratio_store[node][a][out_slots[e]][k] = r
+            # sending flows, and the edge up to which each leg's batch entered
+            g = Uf[s_idx[k]]
+            S = np.minimum(cap, (g[:, 0] + (g[:, 1] - g[:, 0]) * s_frac[k]) - dn_k)
+            active = S >= _TINY
+            take = None
+            if active.any():
+                level = dn_k + S
+                # first edge at or above the level, stepping from last bin's answer
+                w = Uf[(base + ptr)[:, None] + around]
+                below = w < level[:, None]
+                n_below = below.sum(axis=1)
+                at = ptr - 1 + n_below
+                lost = active & ~(below[:, 0] & (n_below < 3))
+                if lost.any():
+                    at[lost] = (U[:n_legs][lost, :hi + 1] < level[lost, None]).sum(axis=1)
+                ptr = np.where(active, at, ptr)
+                a = Uf[(base + at - 1)[:, None] + both]
+                pos = np.where(active & (at <= hi),
+                               (at - 1) + (level - a[:, 0]) / (a[:, 1] - a[:, 0]), hi)
+                # each path's part of its leg's batch
+                pr = pos[leg_of_row]
+                edge = pr.astype(np.intp)
+                b = UPf[(row_base + edge)[:, None] + both]
+                amt = (b[:, 0] + (b[:, 1] - b[:, 0]) * (pr - edge)) - DP[:, k]
+                take = (amt > _TINY) & active[leg_of_row]
+                if not take.any():
+                    take = None
+
+            if take is None:
+                D[:n_legs, hi] = dn_k
+                DP[:, hi] = DP[:, k]
+                quiet += 1
+                if k >= last and quiet >= settle:
+                    U[:n_in, hi + 1:K + 1] = U[:n_in, hi, None]
+                    UP[:n_in_rows, hi + 1:K + 1] = UP[:n_in_rows, hi, None]
+                    D[:n_legs, hi + 1:K + 1] = D[:n_legs, hi, None]
+                    DP[:, hi + 1:K + 1] = DP[:, hi, None]
+                    break
                 continue
+            quiet = 0
+            amt = np.where(take, amt, 0.0)
 
-            # route each leg's batch to outgoing slots, applying VMS diversion
-            routed = []  # per leg: {out slot index: {label: amount}}
-            for leg, batch in zip(plan["legs"], batches):
-                dest = {}
-                for pid, amt in batch.items():
-                    slot = dest.setdefault(step[leg][pid], {})
-                    slot[pid] = slot.get(pid, 0.0) + amt
-                routed.append(dest)
-            for i, e_from, e_to, omega, crs in plan["signs"]:
-                for cr, fset, nfset in crs:
-                    for pid in nfset:
-                        amt = routed[i].get(e_from, {}).get(pid, 0.0)
-                        if amt <= _TINY:
-                            continue
-                        # a not-follow label sends nothing toward the recommended link
-                        kept, moved = revise_turning_ratios(amt, 0.0, cr, t_mid, omega)
-                        if moved == 0.0:
-                            continue
-                        routed[i][e_from][pid] = kept
-                        share = moved / len(fset)
-                        slot = routed[i].setdefault(e_to, {})
-                        for fp in fset:
-                            slot[fp] = slot.get(fp, 0.0) + share
+            # VMS diversion relabels not-follow flow to the follow paths
+            routed = amt
+            t_mid = grid.t0 + (k + 0.5) * dt
+            for cr, omega, nf_rows, f_rows in diversions:
+                if not in_omega(t_mid, omega):
+                    continue
+                for r in nf_rows:
+                    if routed[r] <= _TINY:
+                        continue
+                    # a not-follow label sends nothing toward the recommended link
+                    kept, moved = revise_turning_ratios(routed[r], 0.0, cr, t_mid, omega)
+                    if moved == 0.0:
+                        continue
+                    if routed is amt:
+                        routed = amt.copy()
+                    routed[r] = kept
+                    routed[f_rows] += moved / len(f_rows)
 
             # revised turning ratios (demand shares before any throttling)
-            oriented = []
-            for dest in routed:
-                row = [0.0] * n_out
-                for e, labels in dest.items():
-                    row[e] = sum(labels.values())
-                oriented.append(row)
-            for i, a in enumerate(plan["in_links"]):
-                total = sum(oriented[i])
-                if total > _TINY:
-                    last_ratio[(node, a)] = {e: oriented[i][e] / total
-                                             for e in range(n_out) if oriented[i][e] > 0}
-                for e, r in last_ratio[(node, a)].items():
-                    ratio_store[node][a][out_slots[e]][k] = r
+            oriented = np.bincount(pair_of_row, routed, minlength=len(pairs))
+            sending = np.bincount(leg_of_pair, oriented, minlength=n_legs)
+            seen_o[k] = oriented[:n_in_pairs]
+            seen_s[k] = sending[:n_in]
 
-            receiving = []
-            for out in out_slots:
-                if out == SINK:
-                    receiving.append(math.inf)
-                else:
-                    space = curve_at(dn[out], (k + 1) - lag_w[out]) + links[out].storage - up[out][k]
-                    receiving.append(max(0.0, min(cap_flow[out], space)))
+            g = Df[r_idx[k]]
+            space = (g[:, 0] + (g[:, 1] - g[:, 0]) * r_frac[k]) + storage - Uf[out_base + k]
+            receiving[out_slots] = np.maximum(0.0, np.minimum(out_cap, space))
+            dense = np.zeros(n_legs * n_slots)
+            dense[dense_of_pair] = oriented
+            theta = solve_junction(sending, receiving, dense.reshape(n_legs, n_slots), weight)
 
-            sending = [sum(row) for row in oriented]
-            theta = solve_junction(sending, receiving, oriented, plan["weights"])
+            th = theta[leg_of_row]
+            mv = th * amt
+            DP[:, hi] = DP[:, k] + mv
+            D[:n_legs, hi] = dn_k + np.bincount(leg_of_row, mv, minlength=n_legs)
+            to_mv = mv if routed is amt else th * routed
+            UP[dst, hi] = UP[dst, hi] + to_mv[src]
+            total = np.bincount(pair_of_row, to_mv, minlength=len(pairs))
+            # a link fed by several legs adds their flows in junction order
+            np.add.at(U[:, hi], into, total[to_link])
 
-            for i, (leg, batch) in enumerate(zip(plan["legs"], batches)):
-                th = theta[i]
-                if th <= 0.0 or sending[i] <= _TINY:
-                    continue
-                moved_total = 0.0
-                for pid, amt in batch.items():
-                    mv = th * amt
-                    dn_p[leg][pid][k + 1] += mv
-                    moved_total += mv
-                dn[leg][k + 1] += moved_total
-                for e, labels in routed[i].items():
-                    out = out_slots[e]
-                    if out == SINK:
-                        for pid, amt in labels.items():
-                            arrivals_by_path[pid] += th * amt
-                    else:
-                        tot = 0.0
-                        for pid, amt in labels.items():
-                            mv = th * amt
-                            up_p[out][pid][k + 1] += mv
-                            tot += mv
-                        up[out][k + 1] += tot
+        # turning ratios: each bin's demand shares, or the last ones (at first
+        # an even split over the link's next slots) through bins without demand
+        of_leg = leg_of_pair[:n_in_pairs]
+        with_flow = seen_s[:, of_leg] > _TINY
+        share = np.where(with_flow & (seen_o > 0), seen_o / seen_s[:, of_leg], 0.0)
+    from_bin = np.maximum.accumulate(np.where(with_flow, np.arange(K)[:, None], -1), axis=0)
+    held = np.take_along_axis(share, np.maximum(from_bin, 0), axis=0)
+    spread = 1.0 / np.bincount(of_leg, minlength=n_in)[of_leg]
+    # one row per in-link pair, and a last row of zeros for slots a link never feeds
+    ratios = np.vstack([np.where(from_bin >= 0, held, spread).T, np.zeros((1, K))])
+    turning_ratios = {node: {a: {out: ratios[pair_ix.get((leg_ix[a], slot_ix[(node, out)]), -1)]
+                                 for n, out in slots if n == node} for a in in_links}
+                      for node, in_links in node_legs.items()}
 
     result = DnlResult(
         network=network,
         grid=grid,
-        up={leg: np.asarray(v) for leg, v in up.items()},
-        down={leg: np.asarray(v) for leg, v in dn.items()},
-        up_by_path={leg: {pid: np.asarray(v) for pid, v in d.items()} for leg, d in up_p.items()},
-        turning_ratios=ratio_store,
-        total_arrived=float(sum(arrivals_by_path.values())),
+        up={leg: U[leg_ix[leg], :K + 1] for leg in paths_on},
+        down={leg: D[leg_ix[leg], :K + 1] for leg in paths_on},
+        up_by_path={leg: {pid: UP[row_ix[(leg, pid)], :K + 1] for pid in pids}
+                    for leg, pids in paths_on.items()},
+        turning_ratios=turning_ratios,
+        total_arrived=float(sum(DP[row_ix[(p.links[-1], p.id)], K]
+                                for p in network.paths.values())),
     )
     departed, residual = result.total_departed, result.total_residual
     if departed > 0 and residual > residual_warn_fraction * departed:

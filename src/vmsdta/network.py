@@ -394,16 +394,6 @@ class DepartureProfile:
             for od in network.ods
         }
 
-    def check_feasible(self, network: Network, rel_tol: float = 1e-6):
-        errors = []
-        if np.any(self.rates < 0):
-            errors.append("departure profile: negative rates")
-        for od, total in self.od_totals(network).items():
-            q = network.ods[od].demand
-            if abs(total - q) > rel_tol * max(q, 1.0):
-                errors.append(f"departure profile: O-D {od} integral {total:g} != demand {q:g}")
-        return errors
-
     @classmethod
     def zeros(cls, network: Network, grid: TimeGrid):
         return cls(grid, network.path_ids, np.zeros((len(network.path_ids), grid.n_bins)))

@@ -211,9 +211,9 @@ def build_profile(network: Network, cfg: RunConfig) -> DepartureProfile:
 
 
 def load_bundle(network_file, paths_file, demand_file, config_file,
-                tolerances_file=None, vms_file=None) -> ScenarioBundle:
-    """Load all scenario files into a validated, runnable bundle."""
-    cfg = read_config(config_file)
+                tolerances_file=None, vms_file=None, config=None) -> ScenarioBundle:
+    """Load all scenario files into a validated, runnable bundle; a ``config`` replaces the file's."""
+    cfg = read_config(config_file) if config is None else config
     network, warnings = load_scenario(
         network_file, paths_file, demand_file,
         tolerances_file=tolerances_file, vms_file=vms_file,
@@ -440,8 +440,18 @@ def dump_curves(dnl_result, outdir) -> dict:
 # orchestration
 
 
+def make_outdir(outdir):
+    """Make the output directory before any day runs; failing is an input error."""
+    try:
+        _FsPath(outdir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError([f"--out {outdir}: {exc.strerror or exc}"]) from exc
+
+
 def run_bundle(bundle: ScenarioBundle, outdir=None) -> RunResult:
     cfg = bundle.config
+    if outdir is not None:
+        make_outdir(outdir)
     result = run_day_to_day(bundle.network, cfg.grid, bundle.profile,
                             cfg.compliance, cfg.penalty, cfg.solver)
     if outdir is not None:
@@ -477,9 +487,7 @@ def _apply_sweep_value(cfg: RunConfig, param: str, value: float) -> RunConfig:
 
 def _sweep_worker(args):
     files, cfg, param, value, outdir = args
-    bundle = load_bundle(**files)
-    bundle = ScenarioBundle(network=bundle.network, config=cfg,
-                            profile=bundle.profile, warnings=bundle.warnings)
+    bundle = load_bundle(**files, config=cfg)
     run_dir = None if outdir is None else _FsPath(outdir) / f"{param}_{value:g}"
     result = run_bundle(bundle, run_dir)
     last = result.days[-1]
@@ -500,6 +508,8 @@ def run_sweep(files: dict, param: str, values, outdir=None, workers: int = 1) ->
     base = read_config(files["config_file"])
     jobs = [(files, _apply_sweep_value(base, param, float(v)), param, float(v), outdir)
             for v in values]
+    if outdir is not None:
+        make_outdir(outdir)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_worker, jobs))
@@ -507,7 +517,6 @@ def run_sweep(files: dict, param: str, values, outdir=None, workers: int = 1) ->
         rows = [_sweep_worker(job) for job in jobs]
     if outdir is not None:
         path = _FsPath(outdir) / "sweep.csv"
-        path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["param", "value", "days", "converged", "final_gap",

@@ -27,6 +27,23 @@ def make_corridor(specs, grid, demand, window, t_arrival=None):
     return net, prof
 
 
+def link_inflow(result, link_id):
+    """Vehicles entering the link per bin."""
+    return np.diff(result.up[link_id])
+
+
+def check_feasible(profile, network, rel_tol=1e-6):
+    """Errors of a departure profile: negative rates, or an O-D whose integral misses its demand."""
+    errors = []
+    if np.any(profile.rates < 0):
+        errors.append("departure profile: negative rates")
+    for od, total in profile.od_totals(network).items():
+        q = network.ods[od].demand
+        if abs(total - q) > rel_tol * max(q, 1.0):
+            errors.append(f"departure profile: O-D {od} integral {total:g} != demand {q:g}")
+    return errors
+
+
 def assert_dnl_invariants(result, conservation_tol=1e-9):
     """Conservation, curve ordering, FIFO, causality, storage cap, ratio algebra."""
     net, grid = result.network, result.grid

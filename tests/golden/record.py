@@ -13,6 +13,7 @@ Re-record only for an intended change to the loading.
 
 from __future__ import annotations
 
+import importlib.util
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -25,6 +26,8 @@ from ..randnet import GRID, random_network
 
 HERE = FsPath(__file__).parent
 CR = 0.5
+GRID_LAYOUT = 1
+GRID_DEMAND = 300.0  # veh per O-D, as the benchmark's grid-jam workload
 
 
 def fig1_case():
@@ -39,7 +42,17 @@ def jammed_case():
     return network, GRID, profile
 
 
-CASES = {"fig1": fig1_case, "jammed": jammed_case}
+def grid_case():
+    """Layout 1 of the benchmark's generated 8 x 8 grid at 300 veh per O-D."""
+    spec = importlib.util.spec_from_file_location(
+        "gridgen", HERE.parents[1] / "bench" / "gridgen.py")
+    gridgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gridgen)
+    network, cfg = gridgen.grid_network(GRID_LAYOUT, GRID_DEMAND), gridgen.grid_config(1)
+    return network, cfg.grid, build_profile(network, cfg)
+
+
+CASES = {"fig1": fig1_case, "jammed": jammed_case, "grid": grid_case}
 
 
 def loading_arrays(network, grid, profile) -> dict:

@@ -5,6 +5,7 @@ scalar point-queue recursion on a refined grid, and the projection oracle
 enumerates active sets of the constrained least-squares problem.
 """
 
+import bisect
 import math
 
 import numpy as np
@@ -116,3 +117,161 @@ def slotwise_waterfill(sending, receiving, oriented, weights):
         for i in legs:
             theta[i] = left / wsum * weights[i] / sending[i]
     return theta
+
+
+def list_loader(network, grid, profile, compliance_rates):
+    """The loader written as scalar loops over per-path lists, node by node.
+
+    This is the loader the array version replaced, kept as its reference:
+    each bin copies every curve one edge forward, then each node in sorted
+    order inverts its legs' inflow curves, routes and diverts per path, and
+    solves its own junction.  Returns (up, down, up_by_path, turning_ratios,
+    total_arrived), keyed like ``DnlResult``.
+    """
+    from vmsdta.dnl import revise_turning_ratios, solve_junction
+    from vmsdta.network import SINK, affected_ods
+
+    tiny = 1e-15
+    K, dt, links = grid.n_bins, grid.dt, network.links
+    paths_on = {a: [] for a in links}
+    for p in network.paths.values():
+        for a in p.links:
+            paths_on[a].append(p.id)
+        paths_on.setdefault((links[p.links[0]].from_node, p.links[0]), []).append(p.id)
+    queues = list(paths_on)[len(links):]
+    up = {leg: [0.0] * (K + 1) for leg in paths_on}
+    dn = {leg: [0.0] * (K + 1) for leg in paths_on}
+    up_p = {leg: {pid: [0.0] * (K + 1) for pid in pids} for leg, pids in paths_on.items()}
+    dn_p = {leg: {pid: [0.0] * (K + 1) for pid in pids} for leg, pids in paths_on.items()}
+    for q in queues:
+        departed = {pid: np.concatenate(([0.0], np.cumsum(profile.rate(pid)) * dt))
+                    for pid in paths_on[q]}
+        up[q] = sum(departed.values()).tolist()
+        up_p[q] = {pid: arr.tolist() for pid, arr in departed.items()}
+    lag = {a: max(1.0, lk.fft / dt) for a, lk in links.items()}
+    lag_w = {a: max(1.0, (lk.length / lk.w) / dt) for a, lk in links.items()}
+    cap_flow = {a: lk.capacity * dt for a, lk in links.items()}
+    weight = {a: lk.capacity for a, lk in links.items()}
+    for q in queues:
+        lag[q], cap_flow[q], weight[q] = 0.0, math.inf, links[q[1]].capacity
+
+    sink_nodes = {od.destination for od in network.ods.values()}
+    plans, step, ratio_store, last_ratio = {}, {}, {}, {}
+    for node in sorted(network.nodes):
+        in_links = [a for a in network.in_links(node) if paths_on[a]]
+        legs = in_links + [q for q in queues if q[0] == node]
+        if not legs:
+            continue
+        out_slots = list(network.out_links(node)) + ([SINK] if node in sink_nodes else [])
+        out_index = {a: i for i, a in enumerate(out_slots)}
+        for leg in legs:
+            step[leg] = {pid: out_index[network.next_link(pid, leg) if leg in links else leg[1]]
+                         for pid in paths_on[leg]}
+        ratio_store[node] = {a: {out: np.zeros(K) for out in out_slots} for a in in_links}
+        for a in in_links:
+            support = sorted(set(step[a].values()))
+            last_ratio[(node, a)] = {e: 1.0 / len(support) for e in support}
+        signs = [(legs.index(sg.host_link), out_index[sg.from_link], out_index[sg.to_link],
+                  sg.omega, [(compliance_rates.get((od, sg.id), 0.0), f, nf)
+                             for od, (f, nf) in affected_ods(network, sg).items()])
+                 for sg in network.signs if sg.junction == node]
+        plans[node] = (in_links, legs, out_slots, signs)
+    carry = []
+    for leg, pids in paths_on.items():
+        if pids:
+            carry += [dn[leg], *dn_p[leg].values()]
+            if leg in links:
+                carry += [up[leg], *up_p[leg].values()]
+    arrived = {pid: 0.0 for pid in network.paths}
+
+    def curve_at(arr, pos):
+        if pos <= 0.0:
+            return arr[0]
+        if pos >= len(arr) - 1:
+            return arr[-1]
+        i = int(pos)
+        return arr[i] + (arr[i + 1] - arr[i]) * (pos - i)
+
+    def invert_pos(arr, level, hi):
+        i = bisect.bisect_left(arr, level, 0, hi + 1)
+        if i == 0:
+            return 0.0
+        if i > hi:
+            return float(hi)
+        denom = arr[i] - arr[i - 1]
+        return float(i) if denom <= 0 else (i - 1) + (level - arr[i - 1]) / denom
+
+    for k in range(K):
+        t_mid = grid.t0 + (k + 0.5) * dt
+        for arr in carry:
+            arr[k + 1] = arr[k]
+        for node, (in_links, legs, out_slots, signs) in plans.items():
+            batches = []
+            for leg in legs:
+                S = min(cap_flow[leg], curve_at(up[leg], (k + 1) - lag[leg]) - dn[leg][k])
+                batch = {}
+                if S >= tiny:
+                    pos = invert_pos(up[leg], dn[leg][k] + S, k + 1)
+                    for pid in paths_on[leg]:
+                        amt = curve_at(up_p[leg][pid], pos) - dn_p[leg][pid][k]
+                        if amt > tiny:
+                            batch[pid] = amt
+                batches.append(batch)
+            if not any(batches):
+                for a in in_links:
+                    for e, r in last_ratio[(node, a)].items():
+                        ratio_store[node][a][out_slots[e]][k] = r
+                continue
+            routed = []
+            for leg, batch in zip(legs, batches):
+                dest = {}
+                for pid, amt in batch.items():
+                    dest.setdefault(step[leg][pid], {})[pid] = amt
+                routed.append(dest)
+            for i, e_from, e_to, omega, crs in signs:
+                for cr, fset, nfset in crs:
+                    for pid in nfset:
+                        amt = routed[i].get(e_from, {}).get(pid, 0.0)
+                        if amt <= tiny:
+                            continue
+                        kept, moved = revise_turning_ratios(amt, 0.0, cr, t_mid, omega)
+                        if moved == 0.0:
+                            continue
+                        routed[i][e_from][pid] = kept
+                        slot = routed[i].setdefault(e_to, {})
+                        for fp in fset:
+                            slot[fp] = slot.get(fp, 0.0) + moved / len(fset)
+            oriented = [[sum(dest.get(e, {}).values()) for e in range(len(out_slots))]
+                        for dest in routed]
+            for i, a in enumerate(in_links):
+                total = sum(oriented[i])
+                if total > tiny:
+                    last_ratio[(node, a)] = {e: x / total for e, x in enumerate(oriented[i]) if x > 0}
+                for e, r in last_ratio[(node, a)].items():
+                    ratio_store[node][a][out_slots[e]][k] = r
+            receiving = [math.inf if out == SINK else max(0.0, min(
+                cap_flow[out], curve_at(dn[out], (k + 1) - lag_w[out]) + links[out].storage
+                - up[out][k])) for out in out_slots]
+            sending = [sum(row) for row in oriented]
+            theta = solve_junction(sending, receiving, oriented, [weight[leg] for leg in legs])
+            for i, (leg, batch) in enumerate(zip(legs, batches)):
+                th = theta[i]
+                if th <= 0.0 or sending[i] <= tiny:
+                    continue
+                moved_total = 0.0
+                for pid, amt in batch.items():
+                    dn_p[leg][pid][k + 1] += th * amt
+                    moved_total += th * amt
+                dn[leg][k + 1] += moved_total
+                for e, labels in routed[i].items():
+                    out = out_slots[e]
+                    tot = 0.0
+                    for pid, amt in labels.items():
+                        if out == SINK:
+                            arrived[pid] += th * amt
+                        else:
+                            up_p[out][pid][k + 1] += th * amt
+                            tot += th * amt
+                    if out != SINK:
+                        up[out][k + 1] += tot
+    return up, dn, up_p, ratio_store, float(sum(arrived.values()))

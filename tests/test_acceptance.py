@@ -29,7 +29,7 @@ from vmsdta.network import (
 )
 from vmsdta.scenario import build_profile, fig1_config, fig1_network
 
-from .conftest import assert_dnl_invariants, make_corridor
+from .conftest import assert_dnl_invariants, link_inflow, make_corridor
 from .oracles import point_queue_corridor, qp_projection
 
 
@@ -127,7 +127,7 @@ def test_criterion_3_conservation_fifo_spillback():
     runs += 1
     gap = res2.up["B"] - res2.down["B"]
     blocked = np.flatnonzero(gap[:-1] == net2.links["B"].storage)
-    inflow = res2.link_inflow("B")
+    inflow = link_inflow(res2, "B")
     ok = blocked.size > 0 and bool(np.all(inflow[blocked] == 0.0))
     _report(3, "conservation to 1e-9, strict FIFO, jam-full link admits zero inflow",
             ok, f"{runs} loadings checked, {blocked.size} fully blocked bins")

@@ -5,14 +5,15 @@ import pytest
 
 from vmsdta.dnl import (
     DnlError,
+    _finite_rounds,
     revise_turning_ratios,
     run_dnl,
     solve_junction,
 )
 from vmsdta.network import DepartureProfile, Link, Network, ODPair, Path, TimeGrid, in_omega
 
-from .conftest import assert_dnl_invariants, make_corridor
-from .oracles import point_queue_corridor, slotwise_waterfill
+from .conftest import assert_dnl_invariants, link_inflow, make_corridor
+from .oracles import list_loader, point_queue_corridor, slotwise_waterfill
 
 OMEGA = ((0.0, 100.0),)
 
@@ -143,6 +144,23 @@ def test_origin_queue_still_long_at_tf_loads_the_last_bin():
     assert res.warnings
 
 
+def test_quiet_spell_between_departure_waves_does_not_end_the_day():
+    # the corridor empties between two waves of departures: idle bins may be
+    # skipped only after the last departure
+    grid = TimeGrid(0.0, 3600.0, 10.0)
+    spec = {"length": 500.0, "vf": 12.5, "cap": 0.5, "kjam": 0.15, "w": 5.0}
+    net, prof = make_corridor([spec, spec], grid, demand=100.0, window=(0.0, 100.0))
+    prof.rates[0] = 0.0
+    prof.rates[0, 10:15] = prof.rates[0, 200:205] = 1.0
+    res = run_dnl(net, grid, prof)
+    assert_dnl_invariants(res)
+    assert res.total_arrived == pytest.approx(100.0, rel=1e-12)
+    up, down, *_ = list_loader(net, grid, prof, {})
+    for leg in up:
+        np.testing.assert_array_equal(res.up[leg], up[leg])
+        np.testing.assert_array_equal(res.down[leg], down[leg])
+
+
 def test_three_link_corridor_against_oracle():
     grid = TimeGrid(0.0, 900.0, 1.0)
     specs = [
@@ -189,7 +207,7 @@ def test_spillback_jam_full_link_admits_exactly_zero():
     storage = net.links["B"].storage
     full = np.flatnonzero(gap[:-1] == storage)
     assert full.size > 0, "link B never reached jam storage exactly"
-    inflow = res.link_inflow("B")
+    inflow = link_inflow(res, "B")
     assert np.all(inflow[full] == 0.0)
     assert res.warnings, "residual vehicles should be reported"
 
@@ -203,7 +221,7 @@ def test_spillback_blocked_inflow_causal_with_drainage():
     assert_dnl_invariants(res)
     lk = net.links["B"]
     gap = res.up["B"] - res.down["B"]
-    inflow = res.link_inflow("B")
+    inflow = link_inflow(res, "B")
     wave_bins = int(round(lk.length / lk.w / grid.dt))
     drained_per_wave = 0.05 * lk.length / lk.w  # tail capacity x wave lag
     assert gap.max() == pytest.approx(lk.storage - drained_per_wave, abs=1.0)
@@ -270,7 +288,7 @@ def test_full_compliance_blocks_discouraged_link_during_omega(fig1_loaded):
     net, grid, prof = fig1_loaded
     res = run_dnl(net, grid, prof, compliance_rates={("od1", "vms1"): 1.0})
     assert_dnl_invariants(res)
-    inflow2 = res.link_inflow("2")
+    inflow2 = link_inflow(res, "2")
     omega = net.signs[0].omega[0]
     active = (grid.edges()[:-1] >= omega[0]) & (grid.edges()[1:] <= omega[1])
     assert np.all(inflow2[active] == 0.0)
@@ -297,7 +315,7 @@ def test_revised_ratios_reflect_diversion(fig1_loaded):
     ratios = res.turning_ratios["b"]["1"]
     mids = grid.mids()
     active = np.array([in_omega(t, net.signs[0].omega) for t in mids])
-    flowing = res.link_inflow("2") + res.link_inflow("3") > 1e-9
+    flowing = link_inflow(res, "2") + link_inflow(res, "3") > 1e-9
     # base split is 2/3 toward link 2; half of it diverts while the sign is on
     sel = active & flowing
     assert np.allclose(ratios["2"][sel], 1.0 / 3.0, atol=1e-9)
@@ -379,6 +397,31 @@ def test_junction_matches_slotwise_waterfill_when_legs_do_not_split():
     for _ in range(1000):
         args = _random_junction(rng, split=False)
         assert solve_junction(*args) == pytest.approx(slotwise_waterfill(*args), abs=1e-12)
+
+
+def test_junction_union_solves_each_junction_on_its_own():
+    # the loader passes every junction of a bin in one call: a block-diagonal
+    # union must give each junction its own flows, exactly, and those of the
+    # finite rounds run over the whole junction to rounding
+    rng = np.random.default_rng(17)
+    throttled = 0
+    for _ in range(1000):
+        parts = [_random_junction(rng, split=True) for _ in range(int(rng.integers(2, 5)))]
+        sending, receiving, weights, blocks = [], [], [], []
+        for s, r, o, w in parts:
+            blocks.append(np.asarray(o))
+            sending, receiving, weights = sending + s, receiving + r, weights + w
+        oriented = np.zeros((len(sending), len(receiving)))
+        i = e = 0
+        for o in blocks:
+            oriented[i:i + o.shape[0], e:e + o.shape[1]] = o
+            i, e = i + o.shape[0], e + o.shape[1]
+        theta = solve_junction(sending, receiving, oriented, weights)
+        assert list(theta) == list(np.concatenate([solve_junction(*p) for p in parts]))
+        rounds = np.concatenate([_finite_rounds(*p) for p in parts])
+        np.testing.assert_allclose(theta, rounds, rtol=0.0, atol=1e-12)
+        throttled += bool(np.any(theta < 1.0))
+    assert throttled > 500
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ from vmsdta.network import (
 )
 from vmsdta.scenario import fig1_network
 
+from .conftest import check_feasible
+
 
 def test_time_grid_rejects_bad_bounds():
     with pytest.raises(ScenarioError):
@@ -183,7 +185,7 @@ def test_multi_sign_path_is_flagged(fig1):
 def test_uniform_profile_meets_demand(fig1):
     net, cfg = fig1
     prof = DepartureProfile.uniform(net, cfg.grid, window=(900.0, 1800.0))
-    assert prof.check_feasible(net) == []
+    assert check_feasible(prof, net) == []
     totals = prof.od_totals(net)
     assert totals["od1"] == pytest.approx(360.0, rel=1e-12)
     assert np.all(prof.rates >= 0)
@@ -201,4 +203,4 @@ def test_random_profile_is_seeded_and_feasible(fig1):
     a = DepartureProfile.random(net, cfg.grid, np.random.default_rng(7), window=(900.0, 1800.0))
     b = DepartureProfile.random(net, cfg.grid, np.random.default_rng(7), window=(900.0, 1800.0))
     assert np.array_equal(a.rates, b.rates)
-    assert a.check_feasible(net) == []
+    assert check_feasible(a, net) == []

@@ -7,6 +7,7 @@ from vmsdta import dnl
 from vmsdta.dnl import run_dnl
 
 from .conftest import assert_dnl_invariants
+from .oracles import list_loader
 from .randnet import GRID, random_network
 
 
@@ -47,3 +48,26 @@ def test_jammed_random_network_throttles(monkeypatch):
     assert_dnl_invariants(res)
     demand = sum(od.demand for od in network.ods.values())
     assert res.total_departed == pytest.approx(demand, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed, jammed", [(s, False) for s in range(6)] + [(100, True), (101, True)])
+def test_array_loader_matches_the_list_loader(seed, jammed):
+    # same arithmetic in the same order, so the curves agree to the bit
+    kw = dict(n_ods=4, demand=(400.0, 600.0), capacity=(0.1, 0.2)) if jammed else {}
+    network, profile, rates = random_network(np.random.default_rng(seed), **kw)
+    res = run_dnl(network, GRID, profile, compliance_rates=rates)
+    up, down, up_by_path, ratios, arrived = list_loader(network, GRID, profile, rates)
+    assert list(res.up) == list(up)
+    for leg in up:
+        np.testing.assert_array_equal(res.up[leg], up[leg], err_msg=f"up {leg}")
+        np.testing.assert_array_equal(res.down[leg], down[leg], err_msg=f"down {leg}")
+        for pid, curve in up_by_path[leg].items():
+            np.testing.assert_array_equal(res.up_by_path[leg][pid], curve, err_msg=f"{leg} {pid}")
+    assert res.turning_ratios.keys() == ratios.keys()
+    for node, per_in in ratios.items():
+        assert res.turning_ratios[node].keys() == per_in.keys()
+        for a, per_out in per_in.items():
+            assert list(res.turning_ratios[node][a]) == list(per_out)
+            for b, arr in per_out.items():
+                np.testing.assert_array_equal(res.turning_ratios[node][a][b], arr)
+    assert res.total_arrived == arrived

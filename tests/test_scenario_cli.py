@@ -13,6 +13,8 @@ from vmsdta.scenario import (
     write_fig1_fixture,
 )
 
+from .conftest import check_feasible
+
 
 def _write(tmp_path, demand=360.0, **config_overrides):
     files = write_fig1_fixture(tmp_path, demand=demand)
@@ -54,7 +56,7 @@ def test_fixture_files_validate_and_load(tmp_path, capsys):
         "demand_file": files["demand"], "config_file": files["config"],
         "tolerances_file": files["tolerances"], "vms_file": files["vms"]})
     assert bundle.network.ods["od1"].demand == 360.0
-    assert bundle.profile.check_feasible(bundle.network) == []
+    assert check_feasible(bundle.profile, bundle.network) == []
 
 
 def test_zero_demand_run_writes_outputs(tmp_path, capsys):
@@ -306,3 +308,33 @@ def test_final_day_loader_warnings_reach_the_summary(tmp_path):
     stranded = [w for w in summary["warnings"] if w.startswith("day 2: ")]
     assert len(stranded) == 1 and "still in the network at tf" in stranded[0], summary["warnings"]
     assert summary["residual_final_day"] > 0.005 * 2000.0
+
+
+@pytest.mark.parametrize("base, swept, expect", [
+    (0.01, "0.5", ["config: beta=0.5 outside the tested range [0.001, 0.1]"]),
+    (0.5, "0.01", []),
+])
+def test_sweep_run_reports_its_own_range_warnings(tmp_path, capsys, base, swept, expect):
+    files = _write(tmp_path, demand=120.0, solver={"max_days": 2}, compliance={"beta": base})
+    out = tmp_path / "sweep_out"
+    assert cli_run(["sweep"] + _flags(files) + ["--param", "beta", "--values", swept,
+                                                "--out", str(out)]) == 0
+    summary = json.loads((out / f"beta_{float(swept):g}" / "summary.json").read_text())
+    assert summary["warnings"] == expect
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "beta", "--values", "0.01"]])
+def test_unusable_out_exits_one_before_any_day(tmp_path, capsys, monkeypatch, command):
+    files = _write(tmp_path, demand=120.0, solver={"max_days": 2})
+    (tmp_path / "afile").write_text("")
+
+    def no_day(*_args, **_kwargs):
+        raise AssertionError("the day loop ran before the output directory was checked")
+
+    monkeypatch.setattr("vmsdta.scenario.run_day_to_day", no_day)
+    code = cli_run([command[0]] + _flags(files) + command[1:]
+                   + ["--out", str(tmp_path / "afile" / "sub")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "input"
+    assert any("--out" in m and "afile" in m for m in err["messages"]), err["messages"]
