@@ -15,6 +15,7 @@ from .daytoday import DayToDayError
 from .dnl import DnlError
 from .network import ScenarioError, load_scenario
 from .scenario import (
+    OutputError,
     load_bundle,
     run_bundle,
     run_sweep,
@@ -130,13 +131,15 @@ def cli_run(argv=None) -> int:
                 return _fail(EXIT_INPUT, "input", ["sweep: no values given"])
             rows = run_sweep(_scenario_files(args), args.param, values,
                              outdir=args.out, workers=args.workers)
-            print(json.dumps({"rows": rows}))
+            # strict JSON: a final gap or compliance rate that does not exist (NaN) is null
+            nulled = [{k: None if v != v else v for k, v in row.items()} for row in rows]
+            print(json.dumps({"rows": nulled}))
             return EXIT_OK
     except ScenarioError as exc:
         return _fail(EXIT_INPUT, "input", exc.errors)
     except FileNotFoundError as exc:
         return _fail(EXIT_INPUT, "input", [str(exc)])
-    except (DnlError, DayToDayError) as exc:
+    except (DnlError, DayToDayError, OutputError) as exc:
         return _fail(EXIT_RUNTIME, "runtime", [str(exc)])
     return _fail(EXIT_INPUT, "input", [f"unknown command {args.command!r}"])
 

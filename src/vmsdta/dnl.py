@@ -183,6 +183,9 @@ class DnlResult:
         # and drains at most at its first link's capacity
         self._fft_cap = {a: (lk.fft, lk.capacity) for a, lk in links.items()}
         self._fft_cap.update({q: (0.0, links[q[1]].capacity) for q in self._queues})
+        # each path's legs: its origin queue, then its links
+        self._legs = {pid: ((links[p.links[0]].from_node, p.links[0]),) + p.links
+                      for pid, p in self.network.paths.items()}
         self._partial_cache = {}
         self._path_time_cache = None
 
@@ -250,9 +253,7 @@ class DnlResult:
 
     def path_travel_time(self, path_id, t):
         """Door-to-door travel time from departure at t, origin queueing included."""
-        p = self.network.paths[path_id]
-        queue = (self.network.links[p.links[0]].from_node, p.links[0])
-        return self.compose_exit((queue,) + p.links, t) - np.asarray(t, dtype=float)
+        return self.compose_exit(self._legs[path_id], t) - np.asarray(t, dtype=float)
 
     def partial_traversal_time(self, node, path_id, t):
         """Traversal time from `node` to the path's destination, departing node at t."""
@@ -265,18 +266,23 @@ class DnlResult:
         """Travel time per path at each departure-bin midpoint."""
         if self._path_time_cache is None:
             mids = self.grid.mids()
-            self._path_time_cache = {
-                pid: np.asarray(self.path_travel_time(pid, mids)) for pid in self.network.paths
-            }
+            times, todo = dict.fromkeys(self._legs, mids), self._legs
+            while todo:  # one mu call per distinct next leg, on all its paths' times
+                at = {}
+                for pid, legs in todo.items():
+                    at.setdefault(legs[0], []).append(pid)
+                for leg, pids in at.items():
+                    out = self.mu(leg, np.concatenate([times[pid] for pid in pids]))
+                    times.update(zip(pids, out.reshape(len(pids), -1)))
+                todo = {pid: legs[1:] for pid, legs in todo.items() if len(legs) > 1}
+            self._path_time_cache = {pid: t - mids for pid, t in times.items()}
         return self._path_time_cache
 
     def partial_times(self, node, path_id) -> np.ndarray:
         """Partial traversal time from `node` at each bin midpoint."""
         key = (node, path_id)
         if key not in self._partial_cache:
-            self._partial_cache[key] = np.asarray(
-                self.partial_traversal_time(node, path_id, self.grid.mids())
-            )
+            self._partial_cache[key] = self.partial_traversal_time(node, path_id, self.grid.mids())
         return self._partial_cache[key]
 
 

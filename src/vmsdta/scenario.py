@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -296,9 +297,26 @@ def write_fig1_fixture(outdir, demand: float = 360.0) -> dict:
 def _fmt(x):
     if x is None:
         return ""
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
     return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
+
+
+def _float_text(values) -> list:
+    """``repr`` of each float in ``values``, as nested lists; each distinct value
+    (told apart by its bits, so ``-0.0`` keeps its sign) is formatted once."""
+    arr = np.ascontiguousarray(values, dtype=float)
+    bits, where = np.unique(arr.view(np.int64), return_inverse=True)
+    text = np.array([repr(x) for x in bits.view(float).tolist()], dtype=object)
+    return text[where.reshape(arr.shape)].tolist()
+
+
+def _write_bins(fh, fields, *columns):
+    """Write, in one call, a CSV row per bin k: ``fields`` (quoted once, as
+    ``csv.writer`` quotes them), k, then each column's k-th string."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(fields + ("",))
+    bins = map(str, range(len(columns[0])))
+    prefix, rows = buf.getvalue()[:-2], list(map(",".join, zip(bins, *columns)))
+    fh.write(prefix + ("\r\n" + prefix).join(rows) + "\r\n" if rows else "")
 
 
 def write_outputs(result: RunResult, outdir, config: RunConfig | None = None,
@@ -306,7 +324,7 @@ def write_outputs(result: RunResult, outdir, config: RunConfig | None = None,
     """Write days/flows/costs/compliance CSVs plus summary.json and plot data."""
     outdir = _FsPath(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    network, grid = result.network, result.grid
+    network = result.network
     files = {}
 
     files["days"] = outdir / "days.csv"
@@ -319,21 +337,19 @@ def write_outputs(result: RunResult, outdir, config: RunConfig | None = None,
 
     files["flows"] = outdir / "flows.csv"
     with open(files["flows"], "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["day", "path", "bin", "rate"])
+        csv.writer(fh).writerow(["day", "path", "bin", "rate"])
         for rec in result.days:
-            for pid in network.path_ids:
-                for k, r in enumerate(rec.profile.rate(pid)):
-                    wr.writerow([rec.day, pid, k, _fmt(r)])
+            order = [rec.profile.index(pid) for pid in network.path_ids]
+            for pid, rates in zip(network.path_ids, _float_text(rec.profile.rates[order])):
+                _write_bins(fh, (rec.day, pid), rates)
 
     files["costs"] = outdir / "costs.csv"
     with open(files["costs"], "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["day", "path", "bin", "psi", "phi"])
+        csv.writer(fh).writerow(["day", "path", "bin", "psi", "phi"])
         for rec in result.days:
-            for i, pid in enumerate(network.path_ids):
-                for k in range(grid.n_bins):
-                    wr.writerow([rec.day, pid, k, _fmt(rec.psi[i, k]), _fmt(rec.phi[i, k])])
+            psi, phi = _float_text(np.stack((rec.psi, rec.phi)))
+            for pid, psi_row, phi_row in zip(network.path_ids, psi, phi):
+                _write_bins(fh, (rec.day, pid), psi_row, phi_row)
 
     files["compliance"] = outdir / "compliance.csv"
     comp_cols = ["day", "od_id", "sign_id", "model", "s_bar", "mu_f", "mu_nf",
@@ -343,12 +359,8 @@ def write_outputs(result: RunResult, outdir, config: RunConfig | None = None,
         wr.writerow(comp_cols)
         for rec in result.days:
             for row in rec.compliance_trace:
-                wr.writerow([rec.day, row["od"], row["sign"], row["model"],
-                             _fmt(row.get("s_bar")), _fmt(row.get("mu_f")),
-                             _fmt(row.get("mu_nf")), _fmt(row.get("sigma_f")),
-                             _fmt(row.get("sigma_nf")), _fmt(row.get("x")),
-                             _fmt(row.get("y_f")), _fmt(row.get("y_nf")),
-                             _fmt(row["cr"]), _fmt(row.get("fset_share"))])
+                wr.writerow([rec.day, row["od"], row["sign"], row["model"]]
+                            + [_fmt(row.get(col)) for col in comp_cols[4:]])
 
     files.update(emit_plot_data(result, outdir))
 
@@ -376,9 +388,6 @@ def emit_plot_data(result: RunResult, outdir) -> dict:
     network, grid = result.network, result.grid
     files = {}
 
-    files["plot_savings"] = outdir / "plot_savings.csv"
-    files["plot_perception"] = outdir / "plot_perception.csv"
-    files["plot_compliance"] = outdir / "plot_compliance.csv"
     savings, perception, compliance = [], [], []
     for rec in result.days:
         for row in rec.compliance_trace:
@@ -393,6 +402,7 @@ def emit_plot_data(result: RunResult, outdir) -> dict:
     for fname, rows, col in (("plot_savings", savings, "saving_s"),
                              ("plot_perception", perception, "perception"),
                              ("plot_compliance", compliance, "cr")):
+        files[fname] = outdir / f"{fname}.csv"
         with open(files[fname], "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["day", "od_id", "sign_id", col])
@@ -416,28 +426,29 @@ def emit_plot_data(result: RunResult, outdir) -> dict:
 
 def dump_curves(dnl_result, outdir) -> dict:
     """Debug dump of one loading's cumulative curves and turning ratios."""
-    network, grid = dnl_result.network, dnl_result.grid
+    network = dnl_result.network
     outdir = _FsPath(outdir)
     files = {"curves": outdir / "curves.csv", "turning_ratios": outdir / "turning_ratios.csv"}
     with open(files["curves"], "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["link_id", "bin", "N_up", "N_down"])
-        for a in network.links:
-            for k in range(grid.n_bins + 1):
-                wr.writerow([a, k, _fmt(dnl_result.up[a][k]), _fmt(dnl_result.down[a][k])])
+        csv.writer(fh).writerow(["link_id", "bin", "N_up", "N_down"])
+        curves = _float_text([(dnl_result.up[a], dnl_result.down[a]) for a in network.links])
+        for a, (up, down) in zip(network.links, curves):
+            _write_bins(fh, (a,), up, down)
     with open(files["turning_ratios"], "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["node", "in_link", "out", "bin", "ratio"])
+        csv.writer(fh).writerow(["node", "in_link", "out", "bin", "ratio"])
         for node, per_in in dnl_result.turning_ratios.items():
             for a, per_out in per_in.items():
-                for out, arr in per_out.items():
-                    for k, r in enumerate(arr):
-                        wr.writerow([node, a, out, k, _fmt(r)])
+                for out, ratios in zip(per_out, _float_text(list(per_out.values()))):
+                    _write_bins(fh, (node, a, out), ratios)
     return files
 
 
 # ---------------------------------------------------------------------------
 # orchestration
+
+
+class OutputError(Exception):
+    """An output file could not be written after the day loop ran."""
 
 
 def make_outdir(outdir):
@@ -455,9 +466,12 @@ def run_bundle(bundle: ScenarioBundle, outdir=None) -> RunResult:
     result = run_day_to_day(bundle.network, cfg.grid, bundle.profile,
                             cfg.compliance, cfg.penalty, cfg.solver)
     if outdir is not None:
-        write_outputs(result, outdir, config=cfg, warnings=bundle.warnings)
-        if cfg.dump_curves:
-            dump_curves(result.final_dnl, outdir)
+        try:
+            write_outputs(result, outdir, config=cfg, warnings=bundle.warnings)
+            if cfg.dump_curves:
+                dump_curves(result.final_dnl, outdir)
+        except OSError as exc:
+            raise OutputError(f"writing outputs in {outdir}: {exc}") from exc
     return result
 
 
@@ -505,11 +519,14 @@ def run_sweep(files: dict, param: str, values, outdir=None, workers: int = 1) ->
 
     Every value is checked before any run starts.
     """
+    if workers < 1:
+        raise ScenarioError([f"sweep: --workers must be at least 1, got {workers}"])
     base = read_config(files["config_file"])
     jobs = [(files, _apply_sweep_value(base, param, float(v)), param, float(v), outdir)
             for v in values]
     if outdir is not None:
         make_outdir(outdir)
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_worker, jobs))

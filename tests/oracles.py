@@ -6,6 +6,7 @@ enumerates active sets of the constrained least-squares problem.
 """
 
 import bisect
+import csv
 import math
 
 import numpy as np
@@ -275,3 +276,52 @@ def list_loader(network, grid, profile, compliance_rates):
                     if out != SINK:
                         up[out][k + 1] += tot
     return up, dn, up_p, ratio_store, float(sum(arrived.values()))
+
+
+def _fmt(x):
+    if x is None:
+        return ""
+    if isinstance(x, float) and math.isnan(x):
+        return "nan"
+    return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
+
+
+def row_writer(outdir, result=None, dnl_result=None):
+    """The per-row CSV writer: one ``csv.writer`` row and one ``_fmt`` call per value.
+
+    This is the writer the block writer replaced, kept as its reference.  It
+    writes flows.csv and costs.csv for a ``RunResult``, and curves.csv and
+    turning_ratios.csv for a ``DnlResult``, into ``outdir``.
+    """
+    if result is not None:
+        network, grid = result.network, result.grid
+        with open(outdir / "flows.csv", "w", newline="") as fh:
+            wr = csv.writer(fh)
+            wr.writerow(["day", "path", "bin", "rate"])
+            for rec in result.days:
+                for pid in network.path_ids:
+                    for k, r in enumerate(rec.profile.rate(pid)):
+                        wr.writerow([rec.day, pid, k, _fmt(r)])
+        with open(outdir / "costs.csv", "w", newline="") as fh:
+            wr = csv.writer(fh)
+            wr.writerow(["day", "path", "bin", "psi", "phi"])
+            for rec in result.days:
+                for i, pid in enumerate(network.path_ids):
+                    for k in range(grid.n_bins):
+                        wr.writerow([rec.day, pid, k, _fmt(rec.psi[i, k]), _fmt(rec.phi[i, k])])
+    if dnl_result is not None:
+        network, grid = dnl_result.network, dnl_result.grid
+        with open(outdir / "curves.csv", "w", newline="") as fh:
+            wr = csv.writer(fh)
+            wr.writerow(["link_id", "bin", "N_up", "N_down"])
+            for a in network.links:
+                for k in range(grid.n_bins + 1):
+                    wr.writerow([a, k, _fmt(dnl_result.up[a][k]), _fmt(dnl_result.down[a][k])])
+        with open(outdir / "turning_ratios.csv", "w", newline="") as fh:
+            wr = csv.writer(fh)
+            wr.writerow(["node", "in_link", "out", "bin", "ratio"])
+            for node, per_in in dnl_result.turning_ratios.items():
+                for a, per_out in per_in.items():
+                    for out, arr in per_out.items():
+                        for k, r in enumerate(arr):
+                            wr.writerow([node, a, out, k, _fmt(r)])

@@ -71,3 +71,18 @@ def test_array_loader_matches_the_list_loader(seed, jammed):
             for b, arr in per_out.items():
                 np.testing.assert_array_equal(res.turning_ratios[node][a][b], arr)
     assert res.total_arrived == arrived
+
+
+@pytest.mark.parametrize("seed, jammed", [(3, False), (4, False), (100, True)])
+def test_path_times_match_path_travel_time(seed, jammed):
+    # the stacked mu calls are elementwise, so times and counts agree to the bit
+    kw = dict(n_ods=4, demand=(400.0, 600.0), capacity=(0.1, 0.2)) if jammed else {}
+    network, profile, rates = random_network(np.random.default_rng(seed), **kw)
+    stacked = run_dnl(network, GRID, profile, compliance_rates=rates)
+    single = run_dnl(network, GRID, profile, compliance_rates=rates)
+    times = stacked.path_times()
+    assert list(times) == list(network.paths)
+    for pid in network.paths:
+        np.testing.assert_array_equal(times[pid], single.path_travel_time(pid, GRID.mids()),
+                                      err_msg=pid)
+    assert stacked.extrapolated_queries == single.extrapolated_queries > 0

@@ -338,3 +338,43 @@ def test_unusable_out_exits_one_before_any_day(tmp_path, capsys, monkeypatch, co
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "input"
     assert any("--out" in m and "afile" in m for m in err["messages"]), err["messages"]
+
+
+def test_failed_output_write_exits_two_naming_the_file(tmp_path, capsys):
+    files = _write(tmp_path, demand=120.0, solver={"max_days": 2})
+    out = tmp_path / "out"
+    (out / "flows.csv").mkdir(parents=True)
+    assert cli_run(["run"] + _flags(files) + ["--out", str(out), "--quiet"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "runtime"
+    assert any("flows.csv" in m for m in err["messages"]), err["messages"]
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_sweep_workers_below_one_exits_one(tmp_path, capsys, workers):
+    files = _write(tmp_path, demand=120.0, solver={"max_days": 2})
+    code = cli_run(["sweep"] + _flags(files) + ["--param", "beta", "--values", "0.01",
+                                                "--workers", workers, "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "input"
+    assert any("--workers" in m for m in err["messages"]), err["messages"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_stdout_is_strict_json(tmp_path, capsys):
+    # one day leaves no gap and no sign leaves no compliance rate: both NaN
+    files = _write(tmp_path, demand=120.0, solver={"max_days": 1})
+    out = tmp_path / "o"
+    assert cli_run(["sweep"] + _flags(files)[:-4] + ["--config", str(files["config"]),
+                                                     "--param", "beta", "--values", "0.01",
+                                                     "--out", str(out)]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+
+    rows = json.loads(capsys.readouterr().out, parse_constant=reject)["rows"]
+    assert rows[0]["final_gap"] is None and rows[0]["final_cr"] is None
+    with open(out / "sweep.csv") as fh:
+        row = next(csv.DictReader(fh))
+    assert row["final_gap"] == "nan" and row["final_cr"] == "nan"
