@@ -30,7 +30,6 @@ from .compliance import (
     build_pair_contexts,
     compliance_logit,
     initial_state,
-    mean_partial_times,
     step_compliance,
     time_std,
     update_perception,

@@ -98,11 +98,6 @@ def build_pair_contexts(network: Network):
 # elementary operations
 
 
-def mean_partial_times(result, pids, node) -> np.ndarray:
-    """Mean traversal time from `node` over the paths, at each bin midpoint."""
-    return sum(result.partial_times(node, pid) for pid in pids) / len(pids)
-
-
 def average_saving(values, grid: TimeGrid, omega) -> float:
     """Overlap-weighted mean of a bin-sampled profile over the active set."""
     weights = omega_bin_overlap(grid, omega)
@@ -181,8 +176,9 @@ def step_compliance(state: ComplianceState, params: ComplianceParams, result,
     statistics for the CSV output; next_state.cr is the compliance rate the
     *next* day's loading will use.
     """
-    mu_f_t = mean_partial_times(result, ctx.fset, ctx.sign.junction)
-    mu_nf_t = mean_partial_times(result, ctx.nfset, ctx.sign.junction)
+    # mean traversal time from the sign's junction over each set, per bin midpoint
+    times = result.partial_traversal_time(ctx.sign.junction, ctx.fset + ctx.nfset, grid.mids())
+    mu_f_t, mu_nf_t = (sum(times[p] for p in ps) / len(ps) for ps in (ctx.fset, ctx.nfset))
     if params.model in ("I", "III"):
         s_bar = average_saving(mu_nf_t - mu_f_t, grid, ctx.sign.omega)
         s_eff = apply_threshold(s_bar, params.gamma) if params.model == "III" else s_bar

@@ -171,6 +171,9 @@ def solve_eta(h, phi, lam: float, demand: float, dt: float) -> EtaSolve | None:
 def update_departures(profile: DepartureProfile, phi: np.ndarray, lam: float,
                       network: Network):
     """One projected step of the departure rates; returns (next profile, etas)."""
+    if tuple(profile.path_ids) != network.path_ids:  # phi's rows are in network order
+        raise ValueError(f"profile path order {tuple(profile.path_ids)} is not the "
+                         f"network's {network.path_ids}")
     nxt = profile.copy()
     etas = {}
     for od in network.ods:
@@ -238,6 +241,7 @@ def run_day_to_day(network: Network, grid: TimeGrid, profile: DepartureProfile,
 
         traces = []
         next_states = {}
+        od_totals = profile.od_totals(network)
         for ctx in contexts:
             nxt, tr = step_compliance(states[ctx.key], compliance, result, ctx, grid)
             next_states[ctx.key] = nxt
@@ -245,9 +249,8 @@ def run_day_to_day(network: Network, grid: TimeGrid, profile: DepartureProfile,
                    "cr": cr_used[ctx.key]}
             row.update(tr)
             # realized share of the O-D's vehicles that took the recommendation
-            od_total = sum(profile.rate(pid).sum() for pid in network.od_paths(ctx.od)) * grid.dt
-            took = sum(float(result.up_by_path[ctx.sign.to_link][pid][-1])
-                       for pid in ctx.fset if pid in result.up_by_path[ctx.sign.to_link])
+            od_total = od_totals[ctx.od]
+            took = sum(float(result.up_by_path[ctx.sign.to_link][pid][-1]) for pid in ctx.fset)
             row["fset_share"] = took / od_total if od_total > 0 else math.nan
             traces.append(row)
 

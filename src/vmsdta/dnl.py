@@ -163,6 +163,11 @@ class DnlResult:
     ``(origin, first link)`` for the origin queue feeding that first link.  A
     queue's ``up`` is the cumulative departures and its ``down`` the vehicles
     that have entered the first link.  ``turning_ratios`` covers links only.
+
+    Traversal times compose the legs' exit-time functions ``mu`` along chains
+    of legs (a path's legs for ``path_times``, its links downstream of a node
+    for ``partial_traversal_time``) in one walk, which calls ``mu`` once per
+    distinct leg at each position on the stacked times of the chains there.
     """
 
     network: Network
@@ -186,7 +191,6 @@ class DnlResult:
         # each path's legs: its origin queue, then its links
         self._legs = {pid: ((links[p.links[0]].from_node, p.links[0]),) + p.links
                       for pid, p in self.network.paths.items()}
-        self._partial_cache = {}
         self._path_time_cache = None
 
     # -- scalar bookkeeping ---------------------------------------------------
@@ -205,7 +209,7 @@ class DnlResult:
     # -- exit-time functions ----------------------------------------------------
 
     def mu(self, leg, t):
-        """Leg exit time for entry at t (vectorized, linear interpolation).
+        """Leg exit times for entries at the times t (an array; linear interpolation).
 
         Entries whose exit level lies beyond the horizon drain at capacity
         past tf; entries after tf traverse at free flow.  Both are flagged via
@@ -213,22 +217,19 @@ class DnlResult:
         """
         fft, cap = self._fft_cap[leg]
         t_arr = np.asarray(t, dtype=float)
-        x = np.interp(t_arr, self._edges, self.up[leg])
-        exit_t = self._invert(self.down[leg], x, cap)
+        exit_t = self._invert(self.down[leg], np.interp(t_arr, self._edges, self.up[leg]), cap)
         late = t_arr > self.grid.tf
         if np.any(late):
             self.extrapolated_queries += int(np.count_nonzero(late))
             exit_t = np.where(late, t_arr + fft, exit_t)
-        out = np.maximum(exit_t, t_arr + fft)
-        return out if out.ndim else float(out)
+        return np.maximum(exit_t, t_arr + fft)
 
     def _invert(self, curve, x, cap):
-        """First time the cumulative curve reaches level x."""
-        x_raw = np.atleast_1d(np.asarray(x, dtype=float))
+        """First times the cumulative curve reaches the levels x."""
         # curves on different links accumulate independently; absorb float drift
         # before declaring a level unreachable within the horizon
         tol = 1e-9 * max(1.0, abs(float(curve[-1])))
-        x_arr = np.where(x_raw <= curve[-1] + tol, np.minimum(x_raw, curve[-1]), x_raw)
+        x_arr = np.where(x <= curve[-1] + tol, np.minimum(x, curve[-1]), x)
         idx = np.searchsorted(curve, x_arr, side="left")
         res = np.empty_like(x_arr)
         inside = idx <= self.grid.n_bins
@@ -242,48 +243,34 @@ class DnlResult:
         if np.any(over):
             self.extrapolated_queries += int(np.count_nonzero(over))
             res[over] = self.grid.tf + (x_arr[over] - curve[-1]) / cap
-        return res if np.asarray(x).ndim else res[0]
+        return res
 
-    def compose_exit(self, legs, t):
-        """Successive composition of the legs' exit-time functions."""
-        cur = np.asarray(t, dtype=float)
-        for a in legs:
-            cur = self.mu(a, cur)
-        return cur
-
-    def path_travel_time(self, path_id, t):
-        """Door-to-door travel time from departure at t, origin queueing included."""
-        return self.compose_exit(self._legs[path_id], t) - np.asarray(t, dtype=float)
-
-    def partial_traversal_time(self, node, path_id, t):
-        """Traversal time from `node` to the path's destination, departing node at t."""
-        tail = self.network.tail_links(path_id, node)
-        return self.compose_exit(tail, t) - np.asarray(t, dtype=float)
-
-    # -- bin-sampled tables -------------------------------------------------------
+    def _traverse(self, chains, t):
+        """Time to traverse each key's chain of legs, entering the first at t; ``mu``
+        is elementwise, so each key's times are those of its chain composed alone."""
+        times = dict.fromkeys(chains, t)
+        todo = {key: legs for key, legs in chains.items() if legs}
+        while todo:
+            at = {}
+            for key, legs in todo.items():
+                at.setdefault(legs[0], []).append(key)
+            for leg, keys in at.items():
+                out = self.mu(leg, np.concatenate([times[key] for key in keys]))
+                times.update(zip(keys, out.reshape(len(keys), -1)))
+            todo = {key: legs[1:] for key, legs in todo.items() if len(legs) > 1}
+        return {key: exit_t - t for key, exit_t in times.items()}
 
     def path_times(self) -> dict:
-        """Travel time per path at each departure-bin midpoint."""
+        """Travel time per path, origin queueing included, at each departure-bin midpoint."""
         if self._path_time_cache is None:
-            mids = self.grid.mids()
-            times, todo = dict.fromkeys(self._legs, mids), self._legs
-            while todo:  # one mu call per distinct next leg, on all its paths' times
-                at = {}
-                for pid, legs in todo.items():
-                    at.setdefault(legs[0], []).append(pid)
-                for leg, pids in at.items():
-                    out = self.mu(leg, np.concatenate([times[pid] for pid in pids]))
-                    times.update(zip(pids, out.reshape(len(pids), -1)))
-                todo = {pid: legs[1:] for pid, legs in todo.items() if len(legs) > 1}
-            self._path_time_cache = {pid: t - mids for pid, t in times.items()}
+            self._path_time_cache = self._traverse(self._legs, self.grid.mids())
         return self._path_time_cache
 
-    def partial_times(self, node, path_id) -> np.ndarray:
-        """Partial traversal time from `node` at each bin midpoint."""
-        key = (node, path_id)
-        if key not in self._partial_cache:
-            self._partial_cache[key] = self.partial_traversal_time(node, path_id, self.grid.mids())
-        return self._partial_cache[key]
+    def partial_traversal_time(self, node, path_ids, t) -> dict:
+        """Traversal time from `node` to each path's destination, leaving `node`
+        at the times t (an array); ``{path: times}``."""
+        tails = {pid: self.network.tail_links(pid, node) for pid in path_ids}
+        return self._traverse(tails, np.asarray(t, dtype=float))
 
 
 # ---------------------------------------------------------------------------

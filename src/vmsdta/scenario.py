@@ -97,8 +97,17 @@ def _finite(value, name: str) -> float:
 
 
 def _integer(value, name: str) -> int:
-    _finite(value, name)
-    return int(value)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _boolean(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
 
 
 def parse_config(obj: dict) -> RunConfig:
@@ -124,7 +133,8 @@ def parse_config(obj: dict) -> RunConfig:
             y_f0=optional("y_f0"),
             y_nf0=optional("y_nf0"),
             beta_iv=optional("beta_iv"),
-            average_over_omega=bool(comp.get("average_over_omega", False)),
+            average_over_omega=_boolean(comp.get("average_over_omega", False),
+                                        "compliance.average_over_omega"),
         )
         pen = obj.get("penalty", {})
         penalty = PenaltyFunction(_finite(pen.get("early", 0.5), "penalty.early"),
@@ -148,7 +158,8 @@ def parse_config(obj: dict) -> RunConfig:
         cfg = RunConfig(
             grid=grid, compliance=compliance, penalty=penalty, solver=solver, init=init,
             default_epsilon=_finite(obj.get("default_epsilon_s", 0.0), "default_epsilon_s"),
-            dump_curves=bool(obj.get("output", {}).get("dump_curves", False)),
+            dump_curves=_boolean(obj.get("output", {}).get("dump_curves", False),
+                                 "output.dump_curves"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError([f"config: {exc}"]) from exc
@@ -294,12 +305,6 @@ def write_fig1_fixture(outdir, demand: float = 360.0) -> dict:
 # output writing
 
 
-def _fmt(x):
-    if x is None:
-        return ""
-    return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
-
-
 def _float_text(values) -> list:
     """``repr`` of each float in ``values``, as nested lists; each distinct value
     (told apart by its bits, so ``-0.0`` keeps its sign) is formatted once."""
@@ -333,7 +338,7 @@ def write_outputs(result: RunResult, outdir, config: RunConfig | None = None,
         wr.writerow(["day", "relative_gap", "total_cost", "converged"])
         for rec in result.days:
             done = result.converged and rec.day == result.days[-1].day
-            wr.writerow([rec.day, _fmt(rec.gap), _fmt(rec.total_cost), str(done).lower()])
+            wr.writerow([rec.day, rec.gap, rec.total_cost, str(done).lower()])
 
     files["flows"] = outdir / "flows.csv"
     with open(files["flows"], "w", newline="") as fh:
@@ -360,7 +365,7 @@ def write_outputs(result: RunResult, outdir, config: RunConfig | None = None,
         for rec in result.days:
             for row in rec.compliance_trace:
                 wr.writerow([rec.day, row["od"], row["sign"], row["model"]]
-                            + [_fmt(row.get(col)) for col in comp_cols[4:]])
+                            + [row.get(col) for col in comp_cols[4:]])
 
     files.update(emit_plot_data(result, outdir))
 
@@ -407,7 +412,7 @@ def emit_plot_data(result: RunResult, outdir) -> dict:
             wr = csv.writer(fh)
             wr.writerow(["day", "od_id", "sign_id", col])
             for row in rows:
-                wr.writerow([row[0], row[1], row[2], _fmt(row[3])])
+                wr.writerow(row)
 
     files["plot_flow_shares"] = outdir / "plot_flow_shares.csv"
     with open(files["plot_flow_shares"], "w", newline="") as fh:
@@ -420,7 +425,7 @@ def emit_plot_data(result: RunResult, outdir) -> dict:
                 whole = sum(totals.values())
                 for pid in pids:
                     share = totals[pid] / whole if whole > 0 else math.nan
-                    wr.writerow([rec.day, od, pid, _fmt(share)])
+                    wr.writerow([rec.day, od, pid, share])
     return files
 
 
@@ -539,7 +544,7 @@ def run_sweep(files: dict, param: str, values, outdir=None, workers: int = 1) ->
             wr.writerow(["param", "value", "days", "converged", "final_gap",
                          "final_cr", "final_total_cost"])
             for row in rows:
-                wr.writerow([row["param"], _fmt(row["value"]), row["days"],
-                             str(row["converged"]).lower(), _fmt(row["final_gap"]),
-                             _fmt(row["final_cr"]), _fmt(row["final_total_cost"])])
+                wr.writerow([row["param"], row["value"], row["days"],
+                             str(row["converged"]).lower(), row["final_gap"],
+                             row["final_cr"], row["final_total_cost"]])
     return rows

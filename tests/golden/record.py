@@ -67,8 +67,9 @@ def loading_arrays(network, grid, profile) -> dict:
         out[f"path_time|{pid}"] = times
     for sg in network.signs:
         for fset, nfset in affected_ods(network, sg).values():
-            for pid in fset + nfset:
-                out[f"partial|{sg.junction}|{pid}"] = res.partial_times(sg.junction, pid)
+            for pid, times in res.partial_traversal_time(sg.junction, fset + nfset,
+                                                         grid.mids()).items():
+                out[f"partial|{sg.junction}|{pid}"] = times
     for node, per_in in res.turning_ratios.items():
         for a, per_out in per_in.items():
             for b, arr in per_out.items():

@@ -96,6 +96,23 @@ def fine_mean_std(fn, t0, tf, step):
     return float(mean), float(np.sqrt(np.mean((vals - mean) ** 2)))
 
 
+def compose_exit(result, legs, t):
+    """Exit time after the legs in turn, entering the first at t: one
+    ``result.mu`` call per leg, for one chain at a time (``t`` may be a
+    scalar; an array is returned).  The reference for the loading result's
+    stacked walk over many chains."""
+    cur = np.atleast_1d(np.asarray(t, dtype=float))
+    for leg in legs:
+        cur = result.mu(leg, cur)
+    return cur
+
+
+def path_legs(network, path_id):
+    """A path's legs: its origin queue (origin, first link), then its links."""
+    links = network.paths[path_id].links
+    return ((network.links[links[0]].from_node, links[0]),) + links
+
+
 def slotwise_waterfill(sending, receiving, oriented, weights):
     """Admitted fractions at a junction where every leg feeds exactly one slot.
 

@@ -30,7 +30,7 @@ from vmsdta.network import (
 from vmsdta.scenario import build_profile, fig1_config, fig1_network
 
 from .conftest import assert_dnl_invariants, link_inflow, make_corridor
-from .oracles import point_queue_corridor, qp_projection
+from .oracles import compose_exit, point_queue_corridor, qp_projection
 
 
 def _report(num, label, ok, detail=""):
@@ -93,7 +93,7 @@ def test_criterion_2_dnl_point_queue_oracle():
         link_objs = [net.links[a] for a in net.paths["p"].links]
         _, oracle = point_queue_corridor(link_objs, prof.rates[0], grid)
         mids = grid.mids()[:300]
-        err = float(np.max(np.abs(np.asarray(res.path_travel_time("p", mids)) - oracle(mids))))
+        err = float(np.max(np.abs(res.path_times()["p"][:300] - oracle(mids))))
         worst = max(worst, err)
     elapsed = time.perf_counter() - start
     _report(2, "corridor travel times match the point-queue oracle within one bin",
@@ -192,7 +192,7 @@ def test_criterion_5_compliance_identities():
     params = ComplianceParams(model="I", w=0.3, beta=0.01, x0=0.0)
     mids = cfg.grid.mids()
     weights = omega_bin_overlap(cfg.grid, ctx.sign.omega)
-    partial = {p: res.compose_exit(light.tail_links(p, "b"), mids) - mids
+    partial = {p: compose_exit(res, light.tail_links(p, "b"), mids) - mids
                for p in ("p1", "p2", "p3")}
     s_bar = float(np.dot(0.5 * (partial["p1"] + partial["p2"]) - partial["p3"], weights)
                   / weights.sum())

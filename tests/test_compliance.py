@@ -11,11 +11,11 @@ from vmsdta.compliance import (
     build_pair_contexts,
     compliance_logit,
     initial_state,
-    mean_partial_times,
     step_compliance,
     time_std,
     update_perception,
 )
+from vmsdta.daytoday import SolverConfig, run_day_to_day
 from vmsdta.dnl import run_dnl
 from vmsdta.network import (
     DepartureProfile,
@@ -27,9 +27,15 @@ from vmsdta.network import (
     VmsSign,
     omega_bin_overlap,
 )
-from vmsdta.scenario import fig1_network, fig1_config
+from vmsdta.scenario import build_profile, fig1_config, fig1_network
 
-from .oracles import fine_mean_std
+from .oracles import compose_exit, fine_mean_std
+
+
+def mean_partial_times(res, pids, node):
+    """Mean traversal time from `node` over the paths, at each bin midpoint."""
+    times = res.partial_traversal_time(node, pids, res.grid.mids())
+    return sum(times[pid] for pid in pids) / len(pids)
 
 
 def two_tail_network():
@@ -88,9 +94,9 @@ def test_fig1_saving_matches_explicit_composition(fig1_freeflow_result):
     # all measured from node b
     net, grid, res = fig1_freeflow_result
     t = grid.mids()
-    explicit = 0.5 * ((res.compose_exit(("2", "5", "7"), t) - t)
-                      + (res.compose_exit(("2", "4", "6", "7"), t) - t)) \
-        - (res.compose_exit(("3", "6", "7"), t) - t)
+    explicit = 0.5 * ((compose_exit(res, ("2", "5", "7"), t) - t)
+                      + (compose_exit(res, ("2", "4", "6", "7"), t) - t)) \
+        - (compose_exit(res, ("3", "6", "7"), t) - t)
     got = mean_partial_times(res, ("p1", "p2"), "b") - mean_partial_times(res, ("p3",), "b")
     assert np.allclose(got, explicit, atol=1e-12)
     assert np.allclose(got, 20.0, atol=1e-9)  # free-flow asymmetry of the diamond
@@ -209,7 +215,7 @@ def test_experienced_times_fig1(fig1_freeflow_result):
     net, grid, res = fig1_freeflow_result
     mu_f = mean_partial_times(res, ("p3",), "b")
     mu_nf = mean_partial_times(res, ("p1", "p2"), "b")
-    explicit_f = res.compose_exit(("3", "6", "7"), grid.mids()) - grid.mids()
+    explicit_f = compose_exit(res, ("3", "6", "7"), grid.mids()) - grid.mids()
     assert np.allclose(mu_f, explicit_f, atol=1e-12)
     assert np.allclose(mu_nf - mu_f, 20.0, atol=1e-9)
 
@@ -286,7 +292,7 @@ def test_step_model1_three_day_hand_trace(fig1_freeflow_result):
     weights = omega_bin_overlap(grid, ctx.sign.omega)
     mids = grid.mids()
     tails = {p: net.tail_links(p, "b") for p in ("p1", "p2", "p3")}
-    partials = {p: res.compose_exit(tails[p], mids) - mids for p in tails}
+    partials = {p: compose_exit(res, tails[p], mids) - mids for p in tails}
     s_t = 0.5 * (partials["p1"] + partials["p2"]) - partials["p3"]
     s_bar = float(np.dot(s_t, weights) / weights.sum())
 
@@ -339,6 +345,27 @@ def test_step_model2_and_model4(fig1_freeflow_result):
     st4, tr4 = step_compliance(st4, p4, res, ctx, grid)
     assert tr4["sigma_f"] >= 0.0 and tr4["sigma_nf"] >= 0.0
     assert 0.0 < st4.cr < 1.0
+
+
+@pytest.mark.parametrize("model", ["II", "IV"])
+def test_average_over_omega_averages_hand_composed_partial_times(model):
+    # the last day's statistics come from the kept final loading: the F and NF
+    # sets' partial times from the sign's junction, averaged over the active set
+    net, cfg = fig1_network(), fig1_config()
+    params = ComplianceParams(model=model, w=0.3, beta=0.01, beta_iv=1e-4,
+                              average_over_omega=True)
+    run = run_day_to_day(net, cfg.grid, build_profile(net, cfg), params, cfg.penalty,
+                         SolverConfig(step_size=2e-4, max_days=3, gap_tolerance=1e-12))
+    ctx, res, mids = _pair_ctx(net), run.final_dnl, cfg.grid.mids()
+    (trace,) = run.days[-1].compliance_trace
+    for key, pids in (("f", ctx.fset), ("nf", ctx.nfset)):
+        by_hand = sum(compose_exit(res, net.tail_links(pid, ctx.sign.junction), mids) - mids
+                      for pid in pids) / len(pids)
+        mean = average_saving(by_hand, cfg.grid, ctx.sign.omega)
+        assert trace[f"mu_{key}"] == mean
+        assert mean != average_time(by_hand)  # the active set is not the horizon
+        if model == "IV":
+            assert trace[f"sigma_{key}"] == time_std(by_hand, mean)
 
 
 def test_compliance_params_validation():

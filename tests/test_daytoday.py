@@ -176,6 +176,21 @@ def test_update_zero_demand_clears_rates():
     assert np.all(nxt.rates == 0.0)
 
 
+def test_profile_in_another_path_order_is_rejected(fig1):
+    # phi's rows follow network.path_ids; a profile in another order would
+    # take other paths' costs, in the update and in the day's total cost
+    net, cfg = fig1
+    prof = build_profile(net, cfg)
+    order = [prof.index(pid) for pid in ("p3", "p2", "p1")]
+    shuffled = DepartureProfile(cfg.grid, ("p3", "p2", "p1"), prof.rates[order])
+    phi = np.zeros_like(prof.rates)
+    phi[net.path_ids.index("p1")] = 1000.0
+    with pytest.raises(ValueError, match=r"\('p3', 'p2', 'p1'\).*\('p1', 'p2', 'p3'\)"):
+        update_departures(shuffled, phi, cfg.solver.step_size, net)
+    with pytest.raises(ValueError, match="path order"):
+        run_day_to_day(net, cfg.grid, shuffled, cfg.compliance, cfg.penalty, cfg.solver)
+
+
 # ---------------------------------------------------------------------------
 # relative gap
 

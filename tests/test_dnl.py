@@ -13,7 +13,7 @@ from vmsdta.dnl import (
 from vmsdta.network import DepartureProfile, Link, Network, ODPair, Path, TimeGrid, in_omega
 
 from .conftest import assert_dnl_invariants, link_inflow, make_corridor
-from .oracles import list_loader, point_queue_corridor, slotwise_waterfill
+from .oracles import compose_exit, list_loader, path_legs, point_queue_corridor, slotwise_waterfill
 
 OMEGA = ((0.0, 100.0),)
 
@@ -86,7 +86,7 @@ def test_serial_links_add_free_flow_times():
     assert_dnl_invariants(res)
     assert np.allclose(res.path_times()["p"], 50.0 + 30.0, atol=1e-9)
     # composition of exit times equals addition under free flow
-    assert res.compose_exit(("L1", "L2"), 100.0) == pytest.approx(180.0, abs=1e-9)
+    assert compose_exit(res, ("L1", "L2"), 100.0) == pytest.approx(180.0, abs=1e-9)
 
 
 def test_half_capacity_bottleneck_stays_free_flow():
@@ -107,7 +107,7 @@ def test_bottleneck_against_point_queue_oracle():
     assert_dnl_invariants(res)
     _, oracle = point_queue_corridor([net.links["L1"]], prof.rates[0], grid)
     mids = grid.mids()[:10]
-    engine = np.asarray(res.path_travel_time("p", mids))
+    engine = res.path_times()["p"][:10]
     expected = oracle(mids)
     assert np.max(np.abs(engine - expected)) <= grid.dt + 1e-9
     # the last vehicle of the burst waits about dt*(rho - 1) * bins behind it
@@ -174,7 +174,7 @@ def test_three_link_corridor_against_oracle():
     _, oracle = point_queue_corridor([net.links[a] for a in ("L1", "L2", "L3")],
                                      prof.rates[0], grid)
     mids = grid.mids()[:200]
-    engine = np.asarray(res.path_travel_time("p", mids))
+    engine = res.path_times()["p"][:200]
     assert np.max(np.abs(engine - oracle(mids))) <= grid.dt + 1e-9
 
 
@@ -436,21 +436,21 @@ def test_partial_from_origin_equals_full_time_under_free_flow():
         grid, demand=30.0, window=(0.0, 300.0))
     res = run_dnl(net, grid, prof)
     t = 120.0
-    assert res.partial_traversal_time("n0", "p", t) == pytest.approx(
-        float(res.path_travel_time("p", t)), abs=1e-9)
-    assert res.partial_traversal_time("n1", "p", t) == pytest.approx(30.0, abs=1e-9)
+    assert res.partial_traversal_time("n0", ["p"], [t])["p"] == pytest.approx(
+        compose_exit(res, path_legs(net, "p"), t) - t, abs=1e-9)
+    assert res.partial_traversal_time("n1", ["p"], [t])["p"] == pytest.approx(30.0, abs=1e-9)
 
 
 def test_partial_traversal_matches_explicit_composition(fig1_loaded):
     net, grid, prof = fig1_loaded
     res = run_dnl(net, grid, prof, compliance_rates={("od1", "vms1"): 0.5})
     t = np.linspace(600.0, 2400.0, 7)
-    explicit = res.compose_exit(("3", "6", "7"), t) - t
-    assert np.allclose(res.partial_traversal_time("b", "p3", t), explicit, atol=1e-12)
+    explicit = compose_exit(res, ("3", "6", "7"), t) - t
+    assert np.allclose(res.partial_traversal_time("b", ["p3"], t)["p3"], explicit, atol=1e-12)
 
 
 def test_partial_requires_node_on_path(fig1_loaded):
     net, grid, prof = fig1_loaded
     res = run_dnl(net, grid, prof)
     with pytest.raises(ValueError):
-        res.partial_traversal_time("c", "p3", 100.0)
+        res.partial_traversal_time("c", ["p3"], [100.0])

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from vmsdta import dnl
+from vmsdta.compliance import MODELS, ComplianceParams
+from vmsdta.daytoday import PenaltyFunction, SolverConfig, run_day_to_day
 from vmsdta.dnl import run_dnl
 
 from .conftest import assert_dnl_invariants
-from .oracles import list_loader
+from .oracles import compose_exit, list_loader, path_legs
 from .randnet import GRID, random_network
 
 
@@ -75,14 +77,51 @@ def test_array_loader_matches_the_list_loader(seed, jammed):
 
 @pytest.mark.parametrize("seed, jammed", [(3, False), (4, False), (100, True)])
 def test_path_times_match_path_travel_time(seed, jammed):
-    # the stacked mu calls are elementwise, so times and counts agree to the bit
+    # the stacked mu calls are elementwise, so times and counts agree to the
+    # bit with each path's legs composed on their own
     kw = dict(n_ods=4, demand=(400.0, 600.0), capacity=(0.1, 0.2)) if jammed else {}
     network, profile, rates = random_network(np.random.default_rng(seed), **kw)
     stacked = run_dnl(network, GRID, profile, compliance_rates=rates)
     single = run_dnl(network, GRID, profile, compliance_rates=rates)
-    times = stacked.path_times()
+    times, mids = stacked.path_times(), GRID.mids()
     assert list(times) == list(network.paths)
     for pid in network.paths:
-        np.testing.assert_array_equal(times[pid], single.path_travel_time(pid, GRID.mids()),
+        np.testing.assert_array_equal(times[pid],
+                                      compose_exit(single, path_legs(network, pid), mids) - mids,
                                       err_msg=pid)
     assert stacked.extrapolated_queries == single.extrapolated_queries > 0
+
+
+@pytest.mark.parametrize("seed, jammed", [(3, False), (4, False), (100, True)])
+def test_partial_traversal_times_match_the_per_leg_chain(seed, jammed):
+    # every sign's junction, with every path through it in one call
+    kw = dict(n_ods=4, demand=(400.0, 600.0), capacity=(0.1, 0.2)) if jammed else {}
+    network, profile, rates = random_network(np.random.default_rng(seed), **kw)
+    stacked = run_dnl(network, GRID, profile, compliance_rates=rates)
+    single = run_dnl(network, GRID, profile, compliance_rates=rates)
+    mids = GRID.mids()
+    assert network.signs
+    for sg in network.signs:
+        pids = [pid for pid in network.paths if sg.junction in network.node_sequence(pid)]
+        times = stacked.partial_traversal_time(sg.junction, pids, mids)
+        assert list(times) == pids
+        for pid in pids:
+            tail = network.tail_links(pid, sg.junction)
+            np.testing.assert_array_equal(times[pid], compose_exit(single, tail, mids) - mids,
+                                          err_msg=f"{sg.junction} {pid}")
+    assert stacked.extrapolated_queries == single.extrapolated_queries
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_day_loop_on_random_networks(seed):
+    network, profile, _ = random_network(np.random.default_rng(seed))
+    params = ComplianceParams(model=MODELS[seed % len(MODELS)])
+    solver = SolverConfig(step_size=2e-4, max_days=3, gap_tolerance=1e-12)
+    run = run_day_to_day(network, GRID, profile, params, PenaltyFunction(), solver)
+    assert len(run.days) == 3 and not run.converged
+    for rec in run.days:
+        for od, total in rec.profile.od_totals(network).items():
+            assert total == pytest.approx(network.ods[od].demand, rel=1e-12, abs=0.0)
+        assert rec.cr_used and all(0.0 < cr < 1.0 for cr in rec.cr_used.values())
+        assert all(0.0 <= row["fset_share"] <= 1.0 for row in rec.compliance_trace)
+    assert_dnl_invariants(run.final_dnl)

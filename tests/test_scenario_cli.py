@@ -193,6 +193,45 @@ def test_removed_solver_setting_exits_one(tmp_path, capsys, key, value):
     assert any(repr(key) in m for m in err["messages"])
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("output", "dump_curves", "false"),
+    ("output", "dump_curves", 1),
+    ("compliance", "average_over_omega", "no"),
+    ("compliance", "average_over_omega", None),
+])
+def test_non_boolean_flag_exits_one(tmp_path, capsys, section, key, value):
+    files = _write(tmp_path, **{section: {key: value}})
+    code = cli_run(["run"] + _flags(files) + ["--out", str(tmp_path / "o")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "input"
+    assert any(f"{section}.{key} must be true or false" in m for m in err["messages"])
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("where, value", [
+    ({"solver": {"max_days": 83.9}}, 83.9),
+    ({"solver": {"max_days": True}}, True),
+    ({"solver": {"max_days": "83"}}, "83"),
+    ({"seed": 1.5}, 1.5),
+    ({"seed": False}, False),
+])
+def test_non_integer_count_exits_one(tmp_path, capsys, where, value):
+    files = _write(tmp_path, **where)
+    code = cli_run(["run"] + _flags(files) + ["--out", str(tmp_path / "o")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "input"
+    name = "solver.max_days" if "solver" in where else "seed"
+    assert any(f"{name} must be an integer, got {value!r}" in m for m in err["messages"])
+
+
+def test_integral_float_count_is_accepted():
+    cfg = fig1_config(solver={"lambda": 0.0002, "max_days": 7.0}, seed=3.0)
+    assert cfg.solver.max_days == 7 and type(cfg.solver.max_days) is int
+    assert cfg.init.seed == 3 and type(cfg.init.seed) is int
+
+
 def test_fixtures_command(tmp_path, capsys):
     code = cli_run(["fixtures", "fig1", "--out", str(tmp_path / "fx")])
     assert code == 0
