@@ -33,26 +33,22 @@ def _fail(code, kind, messages):
     return code
 
 
-def _add_scenario_args(sub, with_out=True):
+def _add_scenario_args(sub, runs=True):
+    """The scenario file options; a command that ``runs`` needs --config and takes --out."""
     sub.add_argument("--network", required=True)
     sub.add_argument("--paths", required=True)
     sub.add_argument("--demand", required=True)
-    sub.add_argument("--config", required=True)
+    sub.add_argument("--config", required=runs, default=None)
     sub.add_argument("--tolerances", default=None)
     sub.add_argument("--vms", default=None)
-    if with_out:
+    if runs:
         sub.add_argument("--out", default=os.environ.get("VMSDTA_OUT", "out"))
 
 
 def _scenario_files(args):
-    return {
-        "network_file": args.network,
-        "paths_file": args.paths,
-        "demand_file": args.demand,
-        "config_file": args.config,
-        "tolerances_file": args.tolerances,
-        "vms_file": args.vms,
-    }
+    """``load_bundle``'s file arguments from the scenario options."""
+    names = ("network", "paths", "demand", "config", "tolerances", "vms")
+    return {f"{name}_file": getattr(args, name) for name in names}
 
 
 def build_parser():
@@ -65,12 +61,7 @@ def build_parser():
     run_p.add_argument("--quiet", action="store_true")
 
     val_p = subs.add_parser("validate", help="load and validate scenario files")
-    val_p.add_argument("--network", required=True)
-    val_p.add_argument("--paths", required=True)
-    val_p.add_argument("--demand", required=True)
-    val_p.add_argument("--config", default=None)
-    val_p.add_argument("--tolerances", default=None)
-    val_p.add_argument("--vms", default=None)
+    _add_scenario_args(val_p, runs=False)
 
     fix_p = subs.add_parser("fixtures", help="write a built-in scenario")
     fix_p.add_argument("name", choices=["fig1"])
@@ -99,14 +90,13 @@ def cli_run(argv=None) -> int:
             return EXIT_OK
 
         if args.command == "validate":
+            files = _scenario_files(args)
             if args.config is not None:
-                bundle = load_bundle(**_scenario_files(args))
+                bundle = load_bundle(**files)
                 network, warnings = bundle.network, bundle.warnings
             else:
-                network, warnings = load_scenario(
-                    args.network, args.paths, args.demand,
-                    tolerances_file=args.tolerances, vms_file=args.vms,
-                )
+                del files["config_file"]
+                network, warnings = load_scenario(**files)
             print(json.dumps({
                 "ok": True,
                 "links": len(network.links),

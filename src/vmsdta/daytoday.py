@@ -22,7 +22,7 @@ from .network import DepartureProfile, Network, TimeGrid
 
 
 class DayToDayError(Exception):
-    """The day loop failed; message names the day."""
+    """The day loop failed; message names the day and the stage."""
 
 
 @dataclass(frozen=True)
@@ -230,29 +230,33 @@ def run_day_to_day(network: Network, grid: TimeGrid, profile: DepartureProfile,
     prev_cr = None
     for day in range(1, solver.max_days + 1):
         cr_used = {key: st.cr for key, st in states.items()}
+        stage = "loading"
         try:
             result = run_dnl(network, grid, profile, compliance_rates=cr_used,
                              residual_warn_fraction=solver.residual_warn_fraction)
-        except DnlError as exc:
-            raise DayToDayError(f"day {day}: {exc}") from exc
-        psi = cost_table(result, network, grid, penalty)
-        phi, v = phi_table(psi, network, network.path_ids)
-        next_profile, etas = update_departures(profile, phi, solver.step_size, network)
-
-        traces = []
-        next_states = {}
-        od_totals = profile.od_totals(network)
-        for ctx in contexts:
-            nxt, tr = step_compliance(states[ctx.key], compliance, result, ctx, grid)
-            next_states[ctx.key] = nxt
-            row = {"od": ctx.od, "sign": ctx.sign.id, "model": compliance.model,
-                   "cr": cr_used[ctx.key]}
-            row.update(tr)
-            # realized share of the O-D's vehicles that took the recommendation
-            od_total = od_totals[ctx.od]
-            took = sum(float(result.up_by_path[ctx.sign.to_link][pid][-1]) for pid in ctx.fset)
-            row["fset_share"] = took / od_total if od_total > 0 else math.nan
-            traces.append(row)
+            stage = "cost table"
+            psi = cost_table(result, network, grid, penalty)
+            stage = "BR cost"
+            phi, v = phi_table(psi, network, network.path_ids)
+            stage = "dual solve"
+            next_profile, etas = update_departures(profile, phi, solver.step_size, network)
+            stage = "compliance step"
+            traces = []
+            next_states = {}
+            od_totals = profile.od_totals(network)
+            for ctx in contexts:
+                nxt, tr = step_compliance(states[ctx.key], compliance, result, ctx, grid)
+                next_states[ctx.key] = nxt
+                row = {"od": ctx.od, "sign": ctx.sign.id, "model": compliance.model,
+                       "cr": cr_used[ctx.key]}
+                row.update(tr)
+                # realized share of the O-D's vehicles that took the recommendation
+                od_total = od_totals[ctx.od]
+                took = sum(float(result.up_by_path[ctx.sign.to_link][pid][-1]) for pid in ctx.fset)
+                row["fset_share"] = took / od_total if od_total > 0 else math.nan
+                traces.append(row)
+        except (DnlError, ValueError) as exc:
+            raise DayToDayError(f"day {day}: {stage}: {exc}") from exc
 
         gap = math.nan if prev_profile is None else relative_gap(profile, prev_profile)
         total_cost = float((profile.rates * psi).sum() * grid.dt)

@@ -439,24 +439,94 @@ class DepartureProfile:
 
 # ---------------------------------------------------------------------------
 # file I/O
+#
+# Each JSON record has one table, JSON key -> (dataclass field, reader), shared by its
+# reader and writer.  A reader takes a JSON value and the name to report, and returns
+# the field's value or raises ValueError naming the field.  Ranges and finiteness are
+# left to ``Network.validate``, which reports every violation at once.
 
-LINK_KEYS = ("id", "from", "to", "length_m", "vf_mps", "cap_vps", "kjam_vpm", "w_mps")
-PATH_KEYS = ("id", "od", "links")
-SIGN_KEYS = ("id", "host_link", "junction", "from_link", "to_link", "omega")
+
+def number(value, name) -> float:
+    """A JSON number: not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def string(value, name) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def list_of(read):
+    """Reader of a JSON list, each item read by ``read``; gives a tuple."""
+    def read_list(value, name):
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{name} must be a list, got {value!r}")
+        return tuple(read(item, name) for item in value)
+    return read_list
+
+
+def pair_of(read):
+    """Reader of exactly two numbers, each read by ``read``; gives a tuple."""
+    def read_pair(value, name):
+        if not isinstance(value, (list, tuple)) or len(value) != 2:
+            raise ValueError(f"{name} must be two numbers, got {value!r}")
+        return tuple(read(x, name) for x in value)
+    return read_pair
+
+
+def _omega(value, name):
+    return normalize_intervals(list_of(pair_of(number))(value, name))
+
+
+LINK_FIELDS = {
+    "id": ("id", string), "from": ("from_node", string), "to": ("to_node", string),
+    "length_m": ("length", number), "vf_mps": ("vf", number), "cap_vps": ("capacity", number),
+    "kjam_vpm": ("kjam", number), "w_mps": ("w", number),
+}
+PATH_FIELDS = {"id": ("id", string), "od": ("od", string), "links": ("links", list_of(string))}
+SIGN_FIELDS = {
+    "id": ("id", string), "host_link": ("host_link", string), "junction": ("junction", string),
+    "from_link": ("from_link", string), "to_link": ("to_link", string), "omega": ("omega", _omega),
+}
+DEMAND_COLUMNS = ("od_id", "origin", "destination", "Q", "T_A")
+TOLERANCE_COLUMNS = ("od_id", "path_id", "epsilon_s")
 
 
 def check_keys(record, known, where):
     """Raise ValueError unless ``record`` is an object with no key outside ``known``.
 
-    The message names ``where``, followed by the record's id if it has one.
+    Returns, and the message names, ``where`` followed by the record's id if it has one.
     """
     if not isinstance(record, dict):
         raise ValueError(f"{where}: expected a JSON object, got {type(record).__name__}")
+    name = f"{where} {record['id']}" if "id" in record else where
     unknown = sorted(set(record) - set(known))
     if unknown:
-        name = f"{where} {record['id']}" if "id" in record else where
         raise ValueError(f"{name}: unknown key {', '.join(map(repr, unknown))} "
                          f"(known: {', '.join(known)})")
+    return name
+
+
+def read_records(records, table, cls, where) -> list:
+    """One ``cls`` per object of a JSON list; every key of ``table`` is required."""
+    if not isinstance(records, list):
+        raise ValueError(f"expected a JSON list of {where}s, got {type(records).__name__}")
+    out = []
+    for rec in records:
+        name = check_keys(rec, table, where)
+        missing = [key for key in table if key not in rec]
+        if missing:
+            raise ValueError(f"{name}: missing key {', '.join(map(repr, missing))}")
+        out.append(cls(**{attr: read(rec[key], f"{name}: {key}")
+                          for key, (attr, read) in table.items()}))
+    return out
+
+
+def write_records(records, table) -> list:
+    return [{key: getattr(rec, attr) for key, (attr, _) in table.items()} for rec in records]
 
 
 def _add_unique(table, key, value, what):
@@ -465,84 +535,62 @@ def _add_unique(table, key, value, what):
     table[key] = value
 
 
+def _by_id(records, what) -> dict:
+    table = {}
+    for rec in records:
+        _add_unique(table, rec.id, rec, what)
+    return table
+
+
 def read_network_json(path):
     obj = json.loads(_FsPath(path).read_text())
     check_keys(obj, ("links",), "top level")
-    links = {}
-    for rec in obj.get("links", []):
-        check_keys(rec, LINK_KEYS, "link")
-        lk = Link(
-            id=str(rec["id"]),
-            from_node=str(rec["from"]),
-            to_node=str(rec["to"]),
-            length=float(rec["length_m"]),
-            vf=float(rec["vf_mps"]),
-            capacity=float(rec["cap_vps"]),
-            kjam=float(rec["kjam_vpm"]),
-            w=float(rec["w_mps"]),
-        )
-        _add_unique(links, lk.id, lk, "link id")
-    return links
+    return _by_id(read_records(obj.get("links", []), LINK_FIELDS, Link, "link"), "link id")
 
 
 def read_paths_json(path):
-    paths = {}
-    for rec in json.loads(_FsPath(path).read_text()):
-        check_keys(rec, PATH_KEYS, "path")
-        p = Path(str(rec["id"]), str(rec["od"]), tuple(map(str, rec["links"])))
-        _add_unique(paths, p.id, p, "path id")
-    return paths
+    records = json.loads(_FsPath(path).read_text())
+    return _by_id(read_records(records, PATH_FIELDS, Path, "path"), "path id")
+
+
+def _read_csv(path, columns) -> list:
+    """The rows of a CSV file whose header names exactly ``columns``, in any order."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if sorted(reader.fieldnames or ()) != sorted(columns):
+            raise ValueError(f"header must name {', '.join(columns)}; got {reader.fieldnames}")
+        rows = []
+        for row in reader:
+            if None in row or None in row.values():
+                raise ValueError(f"line {reader.line_num}: expected {len(columns)} fields")
+            rows.append(row)
+    return rows
 
 
 def read_demand_csv(path):
-    ods = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            od = ODPair(
-                id=str(row["od_id"]),
-                origin=str(row["origin"]),
-                destination=str(row["destination"]),
-                demand=float(row["Q"]),
-                t_arrival=float(row["T_A"]),
-            )
-            _add_unique(ods, od.id, od, "O-D id")
-    return ods
+    return _by_id([ODPair(row["od_id"], row["origin"], row["destination"], float(row["Q"]),
+                          float(row["T_A"])) for row in _read_csv(path, DEMAND_COLUMNS)],
+                  "O-D id")
 
 
 def read_tolerances_csv(path):
     tol = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            _add_unique(tol.setdefault(str(row["od_id"]), {}), str(row["path_id"]),
-                        float(row["epsilon_s"]), f"row for O-D {row['od_id']}, path")
+    for row in _read_csv(path, TOLERANCE_COLUMNS):
+        _add_unique(tol.setdefault(row["od_id"], {}), row["path_id"], float(row["epsilon_s"]),
+                    f"row for O-D {row['od_id']}, path")
     return tol
 
 
 def read_vms_json(path):
     obj = json.loads(_FsPath(path).read_text())
-    if isinstance(obj, dict):
-        obj = [obj]
-    signs = []
-    for rec in obj:
-        check_keys(rec, SIGN_KEYS, "sign")
-        signs.append(
-            VmsSign(
-                id=str(rec["id"]),
-                host_link=str(rec["host_link"]),
-                junction=str(rec["junction"]),
-                from_link=str(rec["from_link"]),
-                to_link=str(rec["to_link"]),
-                omega=normalize_intervals(rec["omega"]),
-            )
-        )
-    return signs
+    return read_records([obj] if isinstance(obj, dict) else obj, SIGN_FIELDS, VmsSign, "sign")
 
 
 def _read(what, path, reader):
     """``reader(path)``, with any failure to read or convert it as an input error."""
     try:
         return reader(path)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ScenarioError([f"{what} file {path}: {exc}"]) from exc
 
 
@@ -585,69 +633,32 @@ def load_scenario(network_file, paths_file, demand_file, tolerances_file=None,
 # -- writers (round-trip formats for fixtures and golden tests) --------------
 
 
-def write_network_json(network: Network, path):
-    obj = {
-        "links": [
-            {
-                "id": lk.id, "from": lk.from_node, "to": lk.to_node,
-                "length_m": lk.length, "vf_mps": lk.vf, "cap_vps": lk.capacity,
-                "kjam_vpm": lk.kjam, "w_mps": lk.w,
-            }
-            for lk in network.links.values()
-        ],
-    }
+def _write_json(path, obj):
     _FsPath(path).write_text(json.dumps(obj, indent=2) + "\n")
 
 
-def write_paths_json(network: Network, path):
-    obj = [{"id": p.id, "od": p.od, "links": list(p.links)} for p in network.paths.values()]
-    _FsPath(path).write_text(json.dumps(obj, indent=2) + "\n")
-
-
-def write_demand_csv(network: Network, path):
+def _write_csv(path, columns, rows):
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(["od_id", "origin", "destination", "Q", "T_A"])
-        for od in network.ods.values():
-            wr.writerow([od.id, od.origin, od.destination, repr(od.demand), repr(od.t_arrival)])
-
-
-def write_tolerances_csv(network: Network, path):
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["od_id", "path_id", "epsilon_s"])
-        for od in network.ods.values():
-            for pid in network.od_paths(od.id):
-                wr.writerow([od.id, pid, repr(od.tolerances[pid])])
-
-
-def write_vms_json(network: Network, path):
-    obj = [
-        {
-            "id": sg.id, "host_link": sg.host_link, "junction": sg.junction,
-            "from_link": sg.from_link, "to_link": sg.to_link,
-            "omega": [list(iv) for iv in sg.omega],
-        }
-        for sg in network.signs
-    ]
-    _FsPath(path).write_text(json.dumps(obj, indent=2) + "\n")
+        wr.writerow(columns)
+        wr.writerows(rows)
 
 
 def save_scenario_files(network: Network, outdir):
     """Write network/paths/demand/tolerances/vms files; returns their paths."""
     outdir = _FsPath(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    files = {
-        "network": outdir / "network.json",
-        "paths": outdir / "paths.json",
-        "demand": outdir / "demand.csv",
-        "tolerances": outdir / "tolerances.csv",
-    }
-    write_network_json(network, files["network"])
-    write_paths_json(network, files["paths"])
-    write_demand_csv(network, files["demand"])
-    write_tolerances_csv(network, files["tolerances"])
+    files = {"network": outdir / "network.json", "paths": outdir / "paths.json",
+             "demand": outdir / "demand.csv", "tolerances": outdir / "tolerances.csv"}
+    _write_json(files["network"], {"links": write_records(network.links.values(), LINK_FIELDS)})
+    _write_json(files["paths"], write_records(network.paths.values(), PATH_FIELDS))
+    _write_csv(files["demand"], DEMAND_COLUMNS,
+               [(od.id, od.origin, od.destination, repr(od.demand), repr(od.t_arrival))
+                for od in network.ods.values()])
+    _write_csv(files["tolerances"], TOLERANCE_COLUMNS,
+               [(od.id, pid, repr(od.tolerances[pid]))
+                for od in network.ods.values() for pid in network.od_paths(od.id)])
     if network.signs:
         files["vms"] = outdir / "vms.json"
-        write_vms_json(network, files["vms"])
+        _write_json(files["vms"], write_records(network.signs, SIGN_FIELDS))
     return files

@@ -8,6 +8,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path as _FsPath
 
 import numpy as np
@@ -26,7 +27,10 @@ from .network import (
     check_keys,
     load_scenario,
     normalize_intervals,
+    number,
+    pair_of,
     save_scenario_files,
+    string,
 )
 
 # parameter ranges exercised in the source study; exceeding them only warns
@@ -44,6 +48,14 @@ class InitProfileConfig:
     window: tuple | None = None  # shared departure window; per-O-D [t0, T_A] if None
     seed: int = 0
 
+    def check(self):
+        errors = []
+        if self.mode not in ("uniform", "random"):
+            errors.append(f"config: unknown init_profile mode {self.mode!r}")
+        if self.seed < 0:
+            errors.append(f"config: seed={self.seed} must be nonnegative")
+        return errors
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -56,41 +68,19 @@ class RunConfig:
     dump_curves: bool = False
 
     def check(self):
-        errors = list(self.compliance.check()) + list(self.solver.check())
-        return errors
+        return self.compliance.check() + self.solver.check() + self.init.check()
 
     def range_warnings(self):
         warnings = []
-        values = {
-            "x0": self.compliance.x0,
-            "w": self.compliance.w,
-            "beta": self.compliance.beta,
-            "gamma": self.compliance.gamma,
-        }
         for name, (lo, hi) in RANGE_WARNINGS.items():
-            v = values[name]
+            v = getattr(self.compliance, name)
             if not lo <= v <= hi:
-                warnings.append(
-                    f"config: {name}={v:g} outside the tested range [{lo:g}, {hi:g}]"
-                )
+                warnings.append(f"config: {name}={v:g} outside the tested range [{lo:g}, {hi:g}]")
         return warnings
 
 
-CONFIG_KEYS = ("grid", "model", "compliance", "penalty", "solver", "init_profile", "seed",
-               "default_epsilon_s", "output")
-SECTION_KEYS = {
-    "grid": ("t0", "tf", "dt"),
-    "compliance": ("model", "w", "beta", "gamma", "x0", "y_f0", "y_nf0", "beta_iv",
-                   "average_over_omega"),
-    "penalty": ("early", "late"),
-    "solver": ("lambda", "max_days", "gap_tolerance", "residual_warn_fraction"),
-    "init_profile": ("mode", "window"),
-    "output": ("dump_curves",),
-}
-
-
 def _finite(value, name: str) -> float:
-    x = float(value)
+    x = number(value, name)
     if not math.isfinite(x):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     return x
@@ -110,64 +100,65 @@ def _boolean(value, name: str) -> bool:
     return value
 
 
+def _optional(read):
+    return lambda value, name: None if value is None else read(value, name)
+
+
+# config.json key ("section.key" inside a section) -> (RunConfig field, reader), in
+# the order config_to_dict writes them; a key left out takes the dataclass default
+CONFIG_FIELDS = {
+    "grid.t0": ("grid.t0", _finite),
+    "grid.tf": ("grid.tf", _finite),
+    "grid.dt": ("grid.dt", _finite),
+    "model": ("compliance.model", string),
+    "compliance.w": ("compliance.w", _finite),
+    "compliance.beta": ("compliance.beta", _finite),
+    "compliance.gamma": ("compliance.gamma", _finite),
+    "compliance.x0": ("compliance.x0", _finite),
+    "compliance.y_f0": ("compliance.y_f0", _optional(_finite)),
+    "compliance.y_nf0": ("compliance.y_nf0", _optional(_finite)),
+    "compliance.beta_iv": ("compliance.beta_iv", _optional(_finite)),
+    "compliance.average_over_omega": ("compliance.average_over_omega", _boolean),
+    "penalty.early": ("penalty.early", _finite),
+    "penalty.late": ("penalty.late", _finite),
+    "solver.lambda": ("solver.step_size", _finite),
+    "solver.max_days": ("solver.max_days", _integer),
+    "solver.gap_tolerance": ("solver.gap_tolerance", _finite),
+    "solver.residual_warn_fraction": ("solver.residual_warn_fraction", _finite),
+    "init_profile.mode": ("init.mode", string),
+    "init_profile.window": ("init.window", _optional(pair_of(_finite))),
+    "seed": ("init.seed", _integer),
+    "default_epsilon_s": ("default_epsilon", _finite),
+    "output.dump_curves": ("dump_curves", _boolean),
+}
+# the record each RunConfig field prefix builds ("" is RunConfig's own fields)
+_PARTS = {"grid": TimeGrid, "compliance": ComplianceParams, "penalty": PenaltyFunction,
+          "solver": SolverConfig, "init": InitProfileConfig}
+
+
 def parse_config(obj: dict) -> RunConfig:
     """Build a RunConfig from a parsed config.json dict."""
     try:
-        check_keys(obj, CONFIG_KEYS, "top level")
-        for section, known in SECTION_KEYS.items():
-            check_keys(obj.get(section, {}), known, section)
-        g = obj["grid"]
-        grid = TimeGrid(_finite(g["t0"], "grid.t0"), _finite(g["tf"], "grid.tf"),
-                        _finite(g["dt"], "grid.dt"))
-        comp = obj.get("compliance", {})
-
-        def optional(key):
-            return None if comp.get(key) is None else _finite(comp[key], f"compliance.{key}")
-
-        compliance = ComplianceParams(
-            model=str(obj.get("model", comp.get("model", "I"))),
-            w=_finite(comp.get("w", 0.3), "compliance.w"),
-            beta=_finite(comp.get("beta", 0.01), "compliance.beta"),
-            gamma=_finite(comp.get("gamma", 0.0), "compliance.gamma"),
-            x0=_finite(comp.get("x0", 0.0), "compliance.x0"),
-            y_f0=optional("y_f0"),
-            y_nf0=optional("y_nf0"),
-            beta_iv=optional("beta_iv"),
-            average_over_omega=_boolean(comp.get("average_over_omega", False),
-                                        "compliance.average_over_omega"),
-        )
-        pen = obj.get("penalty", {})
-        penalty = PenaltyFunction(_finite(pen.get("early", 0.5), "penalty.early"),
-                                  _finite(pen.get("late", 1.5), "penalty.late"))
-        sol = obj.get("solver", {})
-        solver = SolverConfig(
-            step_size=_finite(sol.get("lambda", 0.01), "solver.lambda"),
-            max_days=_integer(sol.get("max_days", 200), "solver.max_days"),
-            gap_tolerance=_finite(sol.get("gap_tolerance", 1e-3), "solver.gap_tolerance"),
-            residual_warn_fraction=_finite(sol.get("residual_warn_fraction", 0.005),
-                                           "solver.residual_warn_fraction"),
-        )
-        init_obj = obj.get("init_profile", {})
-        window = init_obj.get("window")
-        init = InitProfileConfig(
-            mode=str(init_obj.get("mode", "uniform")),
-            window=None if window is None else (_finite(window[0], "init_profile.window"),
-                                                _finite(window[1], "init_profile.window")),
-            seed=_integer(obj.get("seed", 0), "seed"),
-        )
-        cfg = RunConfig(
-            grid=grid, compliance=compliance, penalty=penalty, solver=solver, init=init,
-            default_epsilon=_finite(obj.get("default_epsilon_s", 0.0), "default_epsilon_s"),
-            dump_curves=_boolean(obj.get("output", {}).get("dump_curves", False),
-                                 "output.dump_curves"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        check_keys(obj, dict.fromkeys(key.partition(".")[0] for key in CONFIG_FIELDS), "top level")
+        flat = {}  # "section.key" -> value
+        for head, value in obj.items():
+            known = [key[len(head) + 1:] for key in CONFIG_FIELDS if key.startswith(head + ".")]
+            if known:
+                check_keys(value, known, head)
+                flat.update((f"{head}.{key}", v) for key, v in value.items())
+            else:
+                flat[head] = value
+        parts = {part: {} for part in ("", *_PARTS)}
+        for key, (attr, read) in CONFIG_FIELDS.items():
+            if key in flat:
+                part, _, name = attr.rpartition(".")
+                parts[part][name] = read(flat[key], key)
+        cfg = RunConfig(**parts[""], **{part: cls(**parts[part]) for part, cls in _PARTS.items()})
+    except (OverflowError, TypeError, ValueError) as exc:
         raise ScenarioError([f"config: {exc}"]) from exc
     errors = cfg.check()
     if errors:
         raise ScenarioError(errors)
-    if init.mode not in ("uniform", "random"):
-        raise ScenarioError([f"config: unknown init_profile mode {init.mode!r}"])
     return cfg
 
 
@@ -180,27 +171,11 @@ def read_config(path) -> RunConfig:
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    c = cfg.compliance
-    return {
-        "grid": {"t0": cfg.grid.t0, "tf": cfg.grid.tf, "dt": cfg.grid.dt},
-        "model": c.model,
-        "compliance": {
-            "w": c.w, "beta": c.beta, "gamma": c.gamma, "x0": c.x0,
-            "y_f0": c.y_f0, "y_nf0": c.y_nf0, "beta_iv": c.beta_iv,
-            "average_over_omega": c.average_over_omega,
-        },
-        "penalty": {"early": cfg.penalty.early, "late": cfg.penalty.late},
-        "solver": {
-            "lambda": cfg.solver.step_size, "max_days": cfg.solver.max_days,
-            "gap_tolerance": cfg.solver.gap_tolerance,
-            "residual_warn_fraction": cfg.solver.residual_warn_fraction,
-        },
-        "init_profile": {"mode": cfg.init.mode,
-                         "window": None if cfg.init.window is None else list(cfg.init.window)},
-        "seed": cfg.init.seed,
-        "default_epsilon_s": cfg.default_epsilon,
-        "output": {"dump_curves": cfg.dump_curves},
-    }
+    obj = {}
+    for key, (attr, _) in CONFIG_FIELDS.items():
+        head, _, name = key.rpartition(".")
+        (obj.setdefault(head, {}) if head else obj)[name] = attrgetter(attr)(cfg)
+    return obj
 
 
 # ---------------------------------------------------------------------------

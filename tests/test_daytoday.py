@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vmsdta.daytoday import (
+    DayToDayError,
     PenaltyFunction,
     SolverConfig,
     br_cost,
@@ -187,7 +188,7 @@ def test_profile_in_another_path_order_is_rejected(fig1):
     phi[net.path_ids.index("p1")] = 1000.0
     with pytest.raises(ValueError, match=r"\('p3', 'p2', 'p1'\).*\('p1', 'p2', 'p3'\)"):
         update_departures(shuffled, phi, cfg.solver.step_size, net)
-    with pytest.raises(ValueError, match="path order"):
+    with pytest.raises(DayToDayError, match=r"^day 1: dual solve: profile path order"):
         run_day_to_day(net, cfg.grid, shuffled, cfg.compliance, cfg.penalty, cfg.solver)
 
 
@@ -318,6 +319,33 @@ def test_dnl_failure_aborts_with_day_index(fig1, monkeypatch):
     with pytest.raises(DayToDayError) as err:
         run_day_to_day(net, cfg.grid, prof, cfg.compliance, cfg.penalty, solver)
     assert str(err.value).startswith("day 1:")
+
+
+@pytest.mark.parametrize("name, stage", [
+    ("run_dnl", "loading"),
+    ("cost_table", "cost table"),
+    ("phi_table", "BR cost"),
+    ("update_departures", "dual solve"),
+    ("step_compliance", "compliance step"),
+])
+def test_day_loop_failure_names_day_and_stage(fig1, monkeypatch, name, stage):
+    from vmsdta import daytoday
+
+    real = getattr(daytoday, name)
+    calls = []
+
+    def fail_on_day_2(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:  # fig1 calls each stage once a day (one O-D, one sign)
+            raise ValueError("broken")
+        return real(*args, **kwargs)
+
+    net, cfg = fig1
+    monkeypatch.setattr(daytoday, name, fail_on_day_2)
+    solver = SolverConfig(step_size=2e-4, max_days=5)
+    with pytest.raises(DayToDayError) as err:
+        run_day_to_day(net, cfg.grid, build_profile(net, cfg), cfg.compliance, cfg.penalty, solver)
+    assert str(err.value) == f"day 2: {stage}: broken"
 
 
 def test_day_records_report_gap_series(fig1):

@@ -171,6 +171,27 @@ def test_roundtrip_is_identical(tmp_path, fig1):
         assert files[key].read_bytes() == files2[key].read_bytes()
 
 
+def test_every_link_and_sign_field_survives_a_round_trip(tmp_path, fig1):
+    net, cfg = fig1
+    # one link and one sign whose every field differs from the fixture's and from each other
+    links = dict(net.links)
+    links["1"] = Link("1", "a", "b", length=480.0, vf=13.0, capacity=0.45, kjam=0.16, w=4.5)
+    sign = VmsSign(id="vms-a", host_link="1", junction="b", from_link="2", to_link="3",
+                   omega=((600.0, 900.0), (1200.0, 3000.0)))
+    net2 = Network(links=links, paths=dict(net.paths), ods=dict(net.ods), signs=[sign])
+    files = save_scenario_files(net2, tmp_path)
+    loaded, _ = load_scenario(files["network"], files["paths"], files["demand"],
+                              tolerances_file=files["tolerances"], vms_file=files["vms"],
+                              grid=cfg.grid)
+    assert loaded.links == net2.links
+    assert loaded.signs == [sign]
+    # a single sign may also be written as one object rather than a list
+    files["vms"].write_text(json.dumps(json.loads(files["vms"].read_text())[0]))
+    loaded, _ = load_scenario(files["network"], files["paths"], files["demand"],
+                              vms_file=files["vms"])
+    assert loaded.signs == [sign]
+
+
 def test_multi_sign_path_is_flagged(fig1):
     net, cfg = fig1
     extra = VmsSign(id="vms2", host_link="2", junction="c", from_link="4", to_link="5",

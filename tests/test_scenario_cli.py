@@ -1,12 +1,15 @@
 import csv
 import json
 import math
+from operator import attrgetter
 
 import pytest
 
 from vmsdta.cli import cli_run
 from vmsdta.network import ScenarioError
 from vmsdta.scenario import (
+    CONFIG_FIELDS,
+    config_to_dict,
     fig1_config,
     load_bundle,
     parse_config,
@@ -226,6 +229,37 @@ def test_non_integer_count_exits_one(tmp_path, capsys, where, value):
     assert any(f"{name} must be an integer, got {value!r}" in m for m in err["messages"])
 
 
+def test_negative_seed_exits_one(tmp_path, capsys):
+    files = _write(tmp_path, seed=-1, init_profile={"mode": "random"})
+    code = cli_run(["run"] + _flags(files) + ["--out", str(tmp_path / "o")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "input"
+    assert any("seed=-1 must be nonnegative" in m for m in err["messages"]), err["messages"]
+
+
+def test_config_with_every_field_set_round_trips():
+    obj = {
+        "grid": {"t0": 60.0, "tf": 3660.0, "dt": 20.0},
+        "model": "IV",
+        "compliance": {"w": 0.25, "beta": 0.02, "gamma": 10.0, "x0": -5.0, "y_f0": 100.0,
+                       "y_nf0": 120.0, "beta_iv": 1e-4, "average_over_omega": True},
+        "penalty": {"early": 0.25, "late": 2.0},
+        "solver": {"lambda": 0.001, "max_days": 17, "gap_tolerance": 1e-4,
+                   "residual_warn_fraction": 0.01},
+        "init_profile": {"mode": "random", "window": [600.0, 1500.0]},
+        "seed": 5,
+        "default_epsilon_s": 30.0,
+        "output": {"dump_curves": True},
+    }
+    cfg, defaults = parse_config(obj), parse_config({"grid": obj["grid"]})
+    for key, (attr, _) in CONFIG_FIELDS.items():
+        if not key.startswith("grid."):  # the grid has no defaults
+            assert attrgetter(attr)(cfg) != attrgetter(attr)(defaults), f"{key} left at its default"
+    assert parse_config(config_to_dict(cfg)) == cfg
+    assert json.loads(json.dumps(config_to_dict(cfg))) == obj
+
+
 def test_integral_float_count_is_accepted():
     cfg = fig1_config(solver={"lambda": 0.0002, "max_days": 7.0}, seed=3.0)
     assert cfg.solver.max_days == 7 and type(cfg.solver.max_days) is int
@@ -286,6 +320,20 @@ def test_duplicate_or_orphan_rows_exit_one(tmp_path, capsys, case, edit, expecte
     assert any(all(part in m for part in expected) for m in messages), messages
 
 
+@pytest.mark.parametrize("name, edit, expected", [
+    ("demand", lambda f: f.write_text("od_id,origin,destination,Q,T_A,peak\nod1,a,f,360,2100,5\n"),
+     "header must name od_id, origin, destination, Q, T_A"),
+    ("demand", lambda f: _append_row(f, "od2,a,f,10,2100,7"), "line 3: expected 5 fields"),
+    ("tolerances", lambda f: _append_row(f, "od1,p1"), "line 5: expected 3 fields"),
+    ("tolerances", lambda f: f.write_text(""), "header must name od_id, path_id, epsilon_s"),
+])
+def test_csv_field_outside_the_header_exits_one(tmp_path, capsys, name, edit, expected):
+    files = _write(tmp_path)
+    edit(files[name])
+    messages = _validate_errors(files, capsys)
+    assert any(expected in m and files[name].name in m for m in messages), messages
+
+
 @pytest.mark.parametrize("name, edit, key", [
     ("network", lambda o: o.update(nodes=[]), "'nodes'"),
     ("network", lambda o: o["links"][0].update(lanes=2), "link 1: unknown key 'lanes'"),
@@ -297,6 +345,7 @@ def test_duplicate_or_orphan_rows_exit_one(tmp_path, capsys, case, edit, expecte
     ("config", lambda o: o["penalty"].update(erly=0.5), "penalty: unknown key 'erly'"),
     ("config", lambda o: o["init_profile"].update(seed=3), "init_profile: unknown key 'seed'"),
     ("config", lambda o: o["output"].update(dump=True), "output: unknown key 'dump'"),
+    ("config", lambda o: o["compliance"].update(model="III"), "compliance: unknown key 'model'"),
 ])
 def test_unknown_json_key_exits_one(tmp_path, capsys, name, edit, key):
     files = _write(tmp_path)
@@ -327,6 +376,53 @@ def test_json_field_of_the_wrong_type_exits_one(tmp_path, capsys, name, edit):
     _edit_json(files[name], edit)
     messages = _validate_errors(files, capsys)
     assert any(f"{name} file {files[name]}" in m for m in messages), messages
+
+
+@pytest.mark.parametrize("name, edit, expected", [
+    ("config", lambda o: o["solver"].update({"lambda": "0.0002"}),
+     "solver.lambda must be a number, got '0.0002'"),
+    ("config", lambda o: o["penalty"].update(late=True), "penalty.late must be a number, got True"),
+    ("config", lambda o: o["solver"].update(gap_tolerance=10 ** 400), "too large"),
+    ("config", lambda o: o["init_profile"].update(window=[900, 1800, 5]),
+     "init_profile.window must be two numbers, got [900, 1800, 5]"),
+    ("config", lambda o: o["init_profile"].update(window=["900", 1800]),
+     "init_profile.window must be a number, got '900'"),
+    ("config", lambda o: o.update(model=3), "model must be a string, got 3"),
+    ("network", lambda o: o["links"][0].update(length_m="500"),
+     "link 1: length_m must be a number, got '500'"),
+    ("network", lambda o: o["links"][0].update(cap_vps=True), "link 1: cap_vps must be a number"),
+    ("network", lambda o: o["links"][0].update(w_mps=10 ** 400), "too large"),
+    ("network", lambda o: o["links"][0].update(id=1), "link 1: id must be a string, got 1"),
+    ("network", lambda o: o.update(links={}), "expected a JSON list of links"),
+    ("network", lambda o: o["links"][2].pop("kjam_vpm"), "link 3: missing key 'kjam_vpm'"),
+    ("paths", lambda o: o[0].update(links="1257"), "path p1: links must be a list, got '1257'"),
+    ("paths", lambda o: o[0].update(links=[1, 2, 5, 7]), "path p1: links must be a string, got 1"),
+    ("vms", lambda o: o[0].update(omega=[["600", "3000"]]),
+     "sign vms1: omega must be a number, got '600'"),
+    ("vms", lambda o: o[0].update(omega=[[600, 3000, 4000]]),
+     "sign vms1: omega must be two numbers"),
+    ("vms", lambda o: o[0].update(to_link=3), "sign vms1: to_link must be a string, got 3"),
+])
+def test_malformed_json_record_exits_one(tmp_path, capsys, name, edit, expected):
+    files = _write(tmp_path)
+    _edit_json(files[name], edit)
+    messages = _validate_errors(files, capsys)
+    assert any(expected in m and (name == "config" or files[name].name in m)
+               for m in messages), messages
+
+
+def test_sweep_output_does_not_depend_on_workers(tmp_path, capsys):
+    files = _write(tmp_path, demand=120.0, solver={"max_days": 3})
+    runs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"workers{workers}"
+        assert cli_run(["sweep"] + _flags(files) + ["--param", "lambda", "--values",
+                                                    "0.0002,0.0004", "--workers", workers,
+                                                    "--out", str(out)]) == 0
+        written = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        runs.append((capsys.readouterr().out, written))
+    assert runs[0] == runs[1]
+    assert {p.parent.name for p in runs[0][1]} == {"", "lambda_0.0002", "lambda_0.0004"}
 
 
 def test_validate_with_config_applies_its_default_tolerance(tmp_path, capsys):
