@@ -37,9 +37,7 @@ class PenaltyFunction:
             raise ValueError("penalty weights must be nonnegative")
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = self.early * np.maximum(0.0, -x) + self.late * np.maximum(0.0, x)
-        return out if out.ndim else float(out)
+        return self.early * np.maximum(0.0, -x) + self.late * np.maximum(0.0, x)
 
 
 @dataclass(frozen=True)
@@ -76,6 +74,12 @@ class DayRecord:
     warnings: list
 
 
+@dataclass(frozen=True)
+class DayState:
+    profile: DepartureProfile  # the departure rates the day loads
+    perception: dict  # (od, sign) -> ComplianceState; pairs without demand are left out
+
+
 @dataclass
 class RunResult:
     days: list
@@ -83,6 +87,7 @@ class RunResult:
     network: Network
     grid: TimeGrid
     final_dnl: DnlResult | None  # the last day's loading (None if no day ran)
+    final_state: DayState  # what the next day would load; advance() continues the run
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +96,7 @@ class RunResult:
 
 def travel_cost(travel_time, depart_time, t_arrival, penalty: PenaltyFunction):
     """Generalized cost: travel time plus penalty on arrival-time deviation."""
-    travel_time = np.asarray(travel_time, dtype=float)
-    out = travel_time + penalty(depart_time + travel_time - t_arrival)
-    return out if out.ndim else float(out)
+    return travel_time + penalty(depart_time + travel_time - t_arrival)
 
 
 def cost_table(result, network: Network, grid: TimeGrid, penalty: PenaltyFunction) -> np.ndarray:
@@ -118,9 +121,7 @@ def br_cost(psi, v_ij: float, eps_p: float, eps_min: float):
     """Bounded-rationality cost: max(Psi, v + eps_p) - (eps_p - eps_min)."""
     if eps_min < 0 or eps_p < eps_min:
         raise ValueError("tolerances must satisfy eps_p >= eps_min >= 0")
-    psi = np.asarray(psi, dtype=float)
-    out = np.maximum(psi, v_ij + eps_p) - (eps_p - eps_min)
-    return out if out.ndim else float(out)
+    return np.maximum(psi, v_ij + eps_p) - (eps_p - eps_min)
 
 
 def phi_table(psi: np.ndarray, network: Network, path_ids) -> tuple:
@@ -210,6 +211,47 @@ def relative_gap(now: DepartureProfile, prev: DepartureProfile) -> float:
 # the day loop
 
 
+def advance(state: DayState, day: int, network: Network, grid: TimeGrid,
+            compliance: ComplianceParams, penalty: PenaltyFunction, solver: SolverConfig):
+    """Load ``state`` as day ``day``; returns (next state, its record with gap nan, loading)."""
+    cr_used = {key: st.cr for key, st in state.perception.items()}
+    stage = "loading"
+    try:
+        result = run_dnl(network, grid, state.profile, compliance_rates=cr_used,
+                         residual_warn_fraction=solver.residual_warn_fraction)
+        stage = "cost table"
+        psi = cost_table(result, network, grid, penalty)
+        stage = "BR cost"
+        phi, v = phi_table(psi, network, network.path_ids)
+        stage = "dual solve"
+        next_profile, etas = update_departures(state.profile, phi, solver.step_size, network)
+        stage = "compliance step"
+        traces = []
+        perception = {}
+        od_totals = state.profile.od_totals(network)
+        contexts = {ctx.key: ctx for ctx in build_pair_contexts(network)}
+        for key, st in state.perception.items():
+            ctx = contexts[key]
+            perception[key], tr = step_compliance(st, compliance, result, ctx, grid)
+            row = {"od": ctx.od, "sign": ctx.sign.id, "model": compliance.model,
+                   "cr": cr_used[key], **tr}
+            # realized share of the O-D's vehicles that took the recommendation
+            od_total = od_totals[ctx.od]
+            took = sum(float(result.up_by_path[ctx.sign.to_link][pid][-1]) for pid in ctx.fset)
+            row["fset_share"] = took / od_total if od_total > 0 else math.nan
+            traces.append(row)
+    except (DnlError, ValueError) as exc:
+        raise DayToDayError(f"day {day}: {stage}: {exc}") from exc
+
+    total_cost = float((state.profile.rates * psi).sum() * grid.dt)
+    record = DayRecord(
+        day=day, profile=state.profile, psi=psi, phi=phi, min_cost=v, eta=etas,
+        gap=math.nan, total_cost=total_cost, cr_used=cr_used, compliance_trace=traces,
+        residual=result.total_residual, warnings=list(result.warnings),
+    )
+    return DayState(next_profile, perception), record, result
+
+
 def run_day_to_day(network: Network, grid: TimeGrid, profile: DepartureProfile,
                    compliance: ComplianceParams, penalty: PenaltyFunction,
                    solver: SolverConfig, on_day=None) -> RunResult:
@@ -220,66 +262,24 @@ def run_day_to_day(network: Network, grid: TimeGrid, profile: DepartureProfile,
     (a non-converged run is a valid outcome, not an error).
     """
     # pairs for O-Ds without demand have no drivers to divert; skip them
-    contexts = [ctx for ctx in build_pair_contexts(network)
-                if network.ods[ctx.od].demand > 0]
-    states = {ctx.key: initial_state(compliance, ctx, network) for ctx in contexts}
+    state = DayState(profile, {ctx.key: initial_state(compliance, ctx, network)
+                               for ctx in build_pair_contexts(network)
+                               if network.ods[ctx.od].demand > 0})
     days = []
     result = None
     converged = False
-    prev_profile = None
-    prev_cr = None
     for day in range(1, solver.max_days + 1):
-        cr_used = {key: st.cr for key, st in states.items()}
-        stage = "loading"
-        try:
-            result = run_dnl(network, grid, profile, compliance_rates=cr_used,
-                             residual_warn_fraction=solver.residual_warn_fraction)
-            stage = "cost table"
-            psi = cost_table(result, network, grid, penalty)
-            stage = "BR cost"
-            phi, v = phi_table(psi, network, network.path_ids)
-            stage = "dual solve"
-            next_profile, etas = update_departures(profile, phi, solver.step_size, network)
-            stage = "compliance step"
-            traces = []
-            next_states = {}
-            od_totals = profile.od_totals(network)
-            for ctx in contexts:
-                nxt, tr = step_compliance(states[ctx.key], compliance, result, ctx, grid)
-                next_states[ctx.key] = nxt
-                row = {"od": ctx.od, "sign": ctx.sign.id, "model": compliance.model,
-                       "cr": cr_used[ctx.key]}
-                row.update(tr)
-                # realized share of the O-D's vehicles that took the recommendation
-                od_total = od_totals[ctx.od]
-                took = sum(float(result.up_by_path[ctx.sign.to_link][pid][-1]) for pid in ctx.fset)
-                row["fset_share"] = took / od_total if od_total > 0 else math.nan
-                traces.append(row)
-        except (DnlError, ValueError) as exc:
-            raise DayToDayError(f"day {day}: {stage}: {exc}") from exc
-
-        gap = math.nan if prev_profile is None else relative_gap(profile, prev_profile)
-        total_cost = float((profile.rates * psi).sum() * grid.dt)
-        days.append(DayRecord(
-            day=day, profile=profile.copy(), psi=psi, phi=phi, min_cost=v, eta=etas,
-            gap=gap, total_cost=total_cost, cr_used=cr_used, compliance_trace=traces,
-            residual=result.total_residual, warnings=list(result.warnings),
-        ))
+        state, rec, result = advance(state, day, network, grid, compliance, penalty, solver)
+        if days:
+            prev = days[-1]
+            rec.gap = relative_gap(rec.profile, prev.profile)
+            drift = max((abs(cr - prev.cr_used[k]) for k, cr in rec.cr_used.items()), default=0.0)
+            converged = rec.gap < solver.gap_tolerance and drift < solver.gap_tolerance
+        days.append(rec)
         if on_day is not None:
-            on_day(days[-1])
-
-        drift = 0.0
-        if prev_cr is not None:
-            drift = max((abs(cr_used[k] - prev_cr[k]) for k in cr_used), default=0.0)
-        if prev_profile is not None and not math.isnan(gap) \
-                and gap < solver.gap_tolerance and drift < solver.gap_tolerance:
-            converged = True
+            on_day(rec)
+        if converged:
             break
 
-        prev_profile = profile
-        prev_cr = cr_used
-        profile = next_profile
-        states = next_states
-
     return RunResult(days=days, converged=converged, network=network, grid=grid,
-                     final_dnl=result)
+                     final_dnl=result, final_state=state)

@@ -259,7 +259,7 @@ class Network:
             errors += lk.check()
         for od in self.ods.values():
             _require(0 <= od.demand < math.inf, errors,
-                     f"O-D {od.id}: demand must be nonnegative and finite")
+                     f"O-D {od.id}: demand {od.demand} must be nonnegative and finite")
             _require(math.isfinite(od.t_arrival), errors, f"O-D {od.id}: desired arrival must be finite")
             _require(bool(self.od_paths(od.id)), errors, f"O-D {od.id} has no paths")
             for pid, eps in od.tolerances.items():

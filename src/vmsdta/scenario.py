@@ -7,7 +7,7 @@ import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path as _FsPath
 
@@ -105,7 +105,8 @@ def _optional(read):
 
 
 # config.json key ("section.key" inside a section) -> (RunConfig field, reader), in
-# the order config_to_dict writes them; a key left out takes the dataclass default
+# the order config_to_dict writes them; a key left out takes the dataclass default,
+# and leaving out one whose field has no default is an input error
 CONFIG_FIELDS = {
     "grid.t0": ("grid.t0", _finite),
     "grid.tf": ("grid.tf", _finite),
@@ -136,6 +137,11 @@ _PARTS = {"grid": TimeGrid, "compliance": ComplianceParams, "penalty": PenaltyFu
           "solver": SolverConfig, "init": InitProfileConfig}
 
 
+def _required(cls) -> set:
+    """The fields of dataclass ``cls`` that have no default."""
+    return {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
+
+
 def parse_config(obj: dict) -> RunConfig:
     """Build a RunConfig from a parsed config.json dict."""
     try:
@@ -149,10 +155,15 @@ def parse_config(obj: dict) -> RunConfig:
             else:
                 flat[head] = value
         parts = {part: {} for part in ("", *_PARTS)}
+        missing = []
         for key, (attr, read) in CONFIG_FIELDS.items():
+            part, _, name = attr.rpartition(".")
             if key in flat:
-                part, _, name = attr.rpartition(".")
                 parts[part][name] = read(flat[key], key)
+            elif name in _required(_PARTS.get(part, RunConfig)):
+                missing.append(key)
+        if missing:
+            raise ValueError(f"missing key {', '.join(map(repr, missing))}")
         cfg = RunConfig(**parts[""], **{part: cls(**parts[part]) for part, cls in _PARTS.items()})
     except (OverflowError, TypeError, ValueError) as exc:
         raise ScenarioError([f"config: {exc}"]) from exc
@@ -269,8 +280,11 @@ def write_fig1_fixture(outdir, demand: float = 360.0) -> dict:
     """Write the fixture scenario files; returns the file map."""
     outdir = _FsPath(outdir)
     network = fig1_network(demand=demand)
-    files = save_scenario_files(network, outdir)
     cfg = fig1_config()
+    errors, _ = network.validate(cfg.grid)
+    if errors:  # before any file is written
+        raise ScenarioError(errors)
+    files = save_scenario_files(network, outdir)
     files["config"] = outdir / "config.json"
     files["config"].write_text(json.dumps(config_to_dict(cfg), indent=2) + "\n")
     return files
@@ -480,9 +494,8 @@ def _apply_sweep_value(cfg: RunConfig, param: str, value: float) -> RunConfig:
 
 
 def _sweep_worker(args):
-    files, cfg, param, value, outdir = args
+    files, cfg, param, value, run_dir = args
     bundle = load_bundle(**files, config=cfg)
-    run_dir = None if outdir is None else _FsPath(outdir) / f"{param}_{value:g}"
     result = run_bundle(bundle, run_dir)
     last = result.days[-1]
     final_cr = max(last.cr_used.values()) if last.cr_used else math.nan
@@ -502,8 +515,15 @@ def run_sweep(files: dict, param: str, values, outdir=None, workers: int = 1) ->
     if workers < 1:
         raise ScenarioError([f"sweep: --workers must be at least 1, got {workers}"])
     base = read_config(files["config_file"])
-    jobs = [(files, _apply_sweep_value(base, param, float(v)), param, float(v), outdir)
-            for v in values]
+    runs = {}  # run directory name -> the values written there, in the order given
+    for v in map(float, values):
+        runs.setdefault(f"{param}_{v:g}", []).append(v)
+    clashes = [f"sweep: values {', '.join(map(repr, vs))} share the run directory {name}"
+               for name, vs in runs.items() if len(vs) > 1]
+    if clashes:
+        raise ScenarioError(clashes)
+    jobs = [(files, _apply_sweep_value(base, param, v), param, v,
+             None if outdir is None else _FsPath(outdir) / name) for name, (v,) in runs.items()]
     if outdir is not None:
         make_outdir(outdir)
     workers = min(workers, len(jobs))

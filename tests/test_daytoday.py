@@ -1,12 +1,17 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from vmsdta.compliance import build_pair_contexts, initial_state
 from vmsdta.daytoday import (
+    DayRecord,
+    DayState,
     DayToDayError,
     PenaltyFunction,
     SolverConfig,
+    advance,
     br_cost,
     min_od_cost,
     relative_gap,
@@ -355,3 +360,64 @@ def test_day_records_report_gap_series(fig1):
     res = run_day_to_day(net, cfg.grid, prof, cfg.compliance, cfg.penalty, solver)
     assert math.isnan(res.days[0].gap)
     assert all(rec.gap >= 0.0 for rec in res.days[1:])
+
+
+# ---------------------------------------------------------------------------
+# one day as a step
+
+
+def _assert_same_record(a, b):
+    for f in fields(DayRecord):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "profile":
+            x, y = x.rates, y.rates
+        if isinstance(x, np.ndarray) or f.name == "gap":
+            assert np.array_equal(x, y, equal_nan=True), f.name
+        else:
+            assert x == y, f.name
+
+
+def test_a_day_leaves_its_input_profile_unchanged(fig1):
+    net, cfg = fig1
+    prof = build_profile(net, cfg)
+    before = prof.rates.copy()
+    nxt, _ = update_departures(prof, np.ones_like(prof.rates), cfg.solver.step_size, net)
+    assert nxt is not prof and np.array_equal(prof.rates, before)
+
+    state = DayState(prof, {ctx.key: initial_state(cfg.compliance, ctx, net)
+                            for ctx in build_pair_contexts(net)})
+    one = advance(state, 1, net, cfg.grid, cfg.compliance, cfg.penalty, cfg.solver)
+    assert np.array_equal(prof.rates, before)
+    assert one[1].profile is prof  # the record keeps the profile it loaded, not a copy
+    two = advance(state, 1, net, cfg.grid, cfg.compliance, cfg.penalty, cfg.solver)
+    _assert_same_record(one[1], two[1])
+    assert one[0].perception == two[0].perception
+    assert np.array_equal(one[0].profile.rates, two[0].profile.rates)
+    assert np.array_equal(prof.rates, before)
+
+
+@pytest.mark.parametrize("params", [
+    {"model": "I"},
+    {"model": "II"},
+    {"model": "III", "gamma": 30.0},
+    {"model": "IV", "beta_iv": 1e-4},
+], ids=lambda params: params["model"])
+def test_a_run_continued_with_advance_matches_a_straight_run(fig1, params):
+    net, cfg = fig1
+    compliance = replace(cfg.compliance, **params)
+    solver = replace(cfg.solver, max_days=20, gap_tolerance=1e-15)
+
+    def run(max_days):
+        return run_day_to_day(net, cfg.grid, build_profile(net, cfg), compliance, cfg.penalty,
+                              replace(solver, max_days=max_days))
+
+    straight, first = run(20), run(10)
+    assert len(straight.days) == 20 and len(first.days) == 10 and not first.converged
+    state, prev = first.final_state, first.days[-1]
+    for want in straight.days[10:]:
+        state, rec, _ = advance(state, want.day, net, cfg.grid, compliance, cfg.penalty, solver)
+        rec.gap = relative_gap(rec.profile, prev.profile)
+        _assert_same_record(rec, want)
+        prev = rec
+    assert np.array_equal(state.profile.rates, straight.final_state.profile.rates)
+    assert state.perception == straight.final_state.perception

@@ -513,3 +513,47 @@ def test_sweep_stdout_is_strict_json(tmp_path, capsys):
     with open(out / "sweep.csv") as fh:
         row = next(csv.DictReader(fh))
     assert row["final_gap"] == "nan" and row["final_cr"] == "nan"
+
+
+@pytest.mark.parametrize("edit, keys", [
+    (lambda cfg: cfg.clear(), "'grid.t0', 'grid.tf', 'grid.dt'"),
+    (lambda cfg: cfg["grid"].pop("dt"), "'grid.dt'"),
+    (lambda cfg: [cfg["grid"].pop(key) for key in ("t0", "tf")], "'grid.t0', 'grid.tf'"),
+], ids=["empty", "no-dt", "no-t0-tf"])
+def test_missing_required_config_key_exits_one(tmp_path, capsys, edit, keys):
+    files = _write(tmp_path)
+    _edit_json(files["config"], edit)
+    with pytest.raises(ScenarioError) as err:
+        parse_config(json.loads(files["config"].read_text()))
+    assert err.value.errors == [f"config: missing key {keys}"]
+    assert cli_run(["run"] + _flags(files) + ["--out", str(tmp_path / "o")]) == 1
+    assert json.loads(capsys.readouterr().err)["messages"] == [f"config: missing key {keys}"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("param, values, message", [
+    ("w", "0.3,0.3000001", "sweep: values 0.3, 0.3000001 share the run directory w_0.3"),
+    ("lambda", "0.0004,0.0002,0.0004",
+     "sweep: values 0.0004, 0.0004 share the run directory lambda_0.0004"),
+], ids=["close", "repeated"])
+def test_sweep_values_sharing_a_run_directory_exit_one(tmp_path, capsys, workers, param,
+                                                       values, message):
+    files = _write(tmp_path, demand=120.0, solver={"max_days": 2})
+    out = tmp_path / "o"
+    code = cli_run(["sweep"] + _flags(files) + ["--param", param, "--values", values,
+                                                "--workers", workers, "--out", str(out)])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "input" and err["messages"] == [message]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("demand", ["-5", "nan"])
+def test_fixture_with_an_invalid_demand_exits_one(tmp_path, capsys, demand):
+    out = tmp_path / "fx"
+    assert cli_run(["fixtures", "fig1", "--out", str(out), "--demand", demand]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "input"
+    assert err["messages"] == [f"O-D od1: demand {float(demand)} must be nonnegative and finite"]
+    assert not out.exists()
