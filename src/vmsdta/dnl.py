@@ -19,9 +19,11 @@ paths.
 
 Curves are arrays, one row per leg and per (leg, path); every lag is at least
 one bin, so each bin is one array step over all junctions, with one
-``solve_junction`` call when flow is offered.  Bins before the first
-departure, and after a quiet spell longer than every lag once the last
-departure has passed, would move nothing and are skipped.
+``solve_junction`` call when flow is offered.  The loader labels each leg and
+slot with its junction once, and the node model runs per junction on those
+labels.  Bins before the first departure, and after a quiet spell longer than
+every lag once the last departure has passed, would move nothing and are
+skipped.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ def revise_turning_ratios(alpha_from, alpha_to, cr, t, omega):
 
 
 def _finite_rounds(sending, receiving, oriented, weights):
-    """Tampere et al.'s rounds on one block of legs and slots (plain lists)."""
+    """Tampere et al.'s rounds on one junction's legs and slots (plain lists)."""
     theta = [1.0] * len(sending)
     supply = list(receiving)
     legs = [i for i, s in enumerate(sending) if s > _TINY]
@@ -98,21 +100,21 @@ def _finite_rounds(sending, receiving, oriented, weights):
     return theta
 
 
-def solve_junction(sending, receiving, oriented, weights):
+def solve_junction(sending, receiving, oriented, weights, leg_node=None, slot_node=None):
     """Fraction of each incoming leg's sending flow admitted through its junction.
 
     ``oriented[i][e]`` is leg i's demand toward outgoing slot e (sums to
     sending[i]); ``weights`` are the legs' capacities, which set their
-    priorities.  The legs and slots may span several junctions at once.
-    Where no slot is asked for more than it receives, every leg moves in
-    full.  Otherwise each connected block of legs and slots that holds an
-    over-subscribed slot is solved on its own, in the given leg and slot
-    order, by the finite algorithm of Tampere, Corthout, Cattrysse & Immers
-    (2011) for FIFO legs with capacity-proportional priorities: each round
-    finds the open slot that admits the smallest flow per unit priority, then
-    either admits in full every leg whose demand fits under that rate or
-    throttles the legs feeding that slot to it and closes the slot.  Every
-    round fixes at least one leg.  Returns an array.
+    priorities.  ``leg_node`` and ``slot_node`` label each leg and slot with
+    its junction; left out, all legs and slots form one junction.  Where no
+    slot is asked for more than it receives, every leg moves in full.
+    Otherwise each junction that holds an over-subscribed slot is solved on
+    its own, in index order, by the finite algorithm of Tampere, Corthout,
+    Cattrysse & Immers (2011) for FIFO legs with capacity-proportional
+    priorities: each round finds the open slot that admits the smallest flow
+    per unit priority, then either admits in full every leg whose demand fits
+    under that rate or throttles the legs feeding that slot to it and closes
+    the slot.  Every round fixes at least one leg.  Returns an array.
     """
     sending = np.asarray(sending, dtype=float)
     receiving = np.asarray(receiving, dtype=float)
@@ -121,33 +123,13 @@ def solve_junction(sending, receiving, oriented, weights):
     over = oriented.sum(axis=0) > receiving
     if not over.any():
         return theta
-    # each over-subscribed slot's block: the legs feeding it, every finite
-    # slot those legs feed, the legs feeding those, and so on
-    at_leg, at_slot = np.nonzero(oriented > 0.0)
-    demand = oriented[at_leg, at_slot].tolist()
-    sending, receiving = sending.tolist(), receiving.tolist()
-    weights = np.asarray(weights, dtype=float).tolist()
-    leg_slots, slot_legs = {}, {}
-    for i, e, x in zip(at_leg.tolist(), at_slot.tolist(), demand):
-        if sending[i] > _TINY and receiving[e] < math.inf:
-            leg_slots.setdefault(i, {})[e] = x
-            slot_legs.setdefault(e, []).append(i)
-    solved = set()
-    for e in np.flatnonzero(over).tolist():
-        if e in solved or e not in slot_legs:
-            continue
-        block_legs, block_slots, todo = set(), {e}, [e]
-        while todo:
-            for i in slot_legs[todo.pop()]:
-                if i not in block_legs:
-                    block_legs.add(i)
-                    todo += [f for f in leg_slots[i] if f not in block_slots]
-                    block_slots.update(leg_slots[i])
-        solved |= block_slots
-        li, si = sorted(block_legs), sorted(block_slots)
-        theta[li] = _finite_rounds([sending[i] for i in li], [receiving[f] for f in si],
-                                   [[leg_slots[i].get(f, 0.0) for f in si] for i in li],
-                                   [weights[i] for i in li])
+    leg_node = np.zeros(len(sending)) if leg_node is None else np.asarray(leg_node)
+    slot_node = np.zeros(len(receiving)) if slot_node is None else np.asarray(slot_node)
+    weights = np.asarray(weights, dtype=float)
+    for node in np.unique(slot_node[over]):
+        li, si = np.flatnonzero(leg_node == node), np.flatnonzero(slot_node == node)
+        theta[li] = _finite_rounds(sending[li].tolist(), receiving[si].tolist(),
+                                   oriented[np.ix_(li, si)].tolist(), weights[li].tolist())
     return theta
 
 
@@ -212,20 +194,18 @@ class DnlResult:
         """Leg exit times for entries at the times t (an array; linear interpolation).
 
         Entries whose exit level lies beyond the horizon drain at capacity
-        past tf; entries after tf traverse at free flow.  Both are flagged via
-        ``extrapolated_queries``.
+        past tf; entries after tf traverse at free flow.  Each such entry
+        counts once in ``extrapolated_queries``.
         """
         fft, cap = self._fft_cap[leg]
         t_arr = np.asarray(t, dtype=float)
-        exit_t = self._invert(self.down[leg], np.interp(t_arr, self._edges, self.up[leg]), cap)
+        exit_t, over = self._invert(self.down[leg], np.interp(t_arr, self._edges, self.up[leg]), cap)
         late = t_arr > self.grid.tf
-        if np.any(late):
-            self.extrapolated_queries += int(np.count_nonzero(late))
-            exit_t = np.where(late, t_arr + fft, exit_t)
-        return np.maximum(exit_t, t_arr + fft)
+        self.extrapolated_queries += int(np.count_nonzero(over | late))
+        return np.maximum(np.where(late, t_arr + fft, exit_t), t_arr + fft)
 
     def _invert(self, curve, x, cap):
-        """First times the cumulative curve reaches the levels x."""
+        """First times the cumulative curve reaches the levels x, and which lie past tf."""
         # curves on different links accumulate independently; absorb float drift
         # before declaring a level unreachable within the horizon
         tol = 1e-9 * max(1.0, abs(float(curve[-1])))
@@ -241,9 +221,8 @@ class DnlResult:
         res[idx == 0] = self._edges[0]
         over = ~inside
         if np.any(over):
-            self.extrapolated_queries += int(np.count_nonzero(over))
             res[over] = self.grid.tf + (x_arr[over] - curve[-1]) / cap
-        return res
+        return res, over
 
     def _traverse(self, chains, t):
         """Time to traverse each key's chain of legs, entering the first at t; ``mu``
@@ -291,11 +270,11 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
             compliance_rates=None, residual_warn_fraction: float = 0.005) -> DnlResult:
     """Propagate the departure profile through the network for one day.
 
-    ``compliance_rates`` maps (od_id, sign_id) to the day's CR in [0, 1];
-    missing pairs default to zero diversion.  Returns the legs' cumulative
-    curves, exit times and realized turning ratios.  A warning is recorded
-    when more than ``residual_warn_fraction`` of the demand is still in the
-    network at tf.
+    ``compliance_rates`` maps affected (od_id, sign_id) pairs to the day's CR
+    in [0, 1]; missing pairs default to zero diversion, and any other key is
+    a ``DnlError``.  Returns the legs' cumulative curves, exit times and
+    realized turning ratios.  A warning is recorded when more than
+    ``residual_warn_fraction`` of the demand is still in the network at tf.
     """
     cr_map = dict(compliance_rates or {})
     for key, cr in cr_map.items():
@@ -331,6 +310,11 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
             slots += [(node, out) for out in network.out_links(node)]
             if node in sink_nodes:
                 slots.append((node, SINK))
+    # each leg's and slot's junction, numbered: a link's to-node, a queue's origin
+    junction = {node: j for j, node in enumerate(node_legs)}
+    leg_node = np.array([junction[links[a].to_node] for a in in_legs]
+                        + [junction[origin] for origin, _ in q_legs])
+    slot_node = np.array([junction[node] for node, _ in slots])
     n_in, legs = len(in_legs), in_legs + q_legs
     n_legs, n_slots = len(legs), len(slots)
     leg_ix = {leg: i for i, leg in enumerate(legs + [a for a in links if not paths_on[a]])}
@@ -387,10 +371,13 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
     diversions = []
     for sg in network.signs:
         for od, (fset, nfset) in affected_ods(network, sg).items():
-            cr = cr_map.get((od, sg.id), 0.0)
+            cr = cr_map.pop((od, sg.id), 0.0)
             if cr > 0.0:
                 diversions.append((cr, sg.omega, [row_ix[(sg.host_link, p)] for p in nfset],
                                    [row_ix[(sg.host_link, p)] for p in fset]))
+    if cr_map:
+        unknown = ", ".join(map(str, cr_map))
+        raise DnlError(f"compliance rate for {unknown}: not an affected (O-D, sign) pair")
 
     # nothing moves before the first departure; after the last one, a quiet
     # spell longer than every lag leaves each later bin the same inputs
@@ -481,7 +468,8 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
             receiving[out_slots] = np.maximum(0.0, np.minimum(out_cap, space))
             dense = np.zeros(n_legs * n_slots)
             dense[dense_of_pair] = oriented
-            theta = solve_junction(sending, receiving, dense.reshape(n_legs, n_slots), weight)
+            theta = solve_junction(sending, receiving, dense.reshape(n_legs, n_slots), weight,
+                                   leg_node, slot_node)
 
             th = theta[leg_of_row]
             mv = th * amt

@@ -6,7 +6,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path as _FsPath
@@ -528,6 +527,8 @@ def run_sweep(files: dict, param: str, values, outdir=None, workers: int = 1) ->
         make_outdir(outdir)
     workers = min(workers, len(jobs))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_worker, jobs))
     else:

@@ -396,6 +396,15 @@ def test_a_day_leaves_its_input_profile_unchanged(fig1):
     assert np.array_equal(prof.rates, before)
 
 
+def test_a_day_with_an_unknown_sign_pair_fails_in_loading(fig1):
+    net, cfg = fig1
+    (ctx,) = build_pair_contexts(net)
+    state = initial_state(cfg.compliance, ctx, net)
+    day = DayState(build_profile(net, cfg), {ctx.key: state, ("od1", "vmsX"): state})
+    with pytest.raises(DayToDayError, match=r"^day 1: loading: .*\('od1', 'vmsX'\)"):
+        advance(day, 1, net, cfg.grid, cfg.compliance, cfg.penalty, cfg.solver)
+
+
 @pytest.mark.parametrize("params", [
     {"model": "I"},
     {"model": "II"},

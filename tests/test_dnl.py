@@ -328,6 +328,12 @@ def test_bad_compliance_rate_is_a_dnl_error(fig1_loaded):
         run_dnl(net, grid, prof, compliance_rates={("od1", "vms1"): 1.2})
 
 
+def test_unknown_sign_pair_is_a_dnl_error(fig1_loaded):
+    net, grid, prof = fig1_loaded
+    with pytest.raises(DnlError, match=r"\('od1', 'vmsX'\): not an affected \(O-D, sign\) pair"):
+        run_dnl(net, grid, prof, compliance_rates={("od1", "vms1"): 0.5, ("od1", "vmsX"): 0.5})
+
+
 def _random_junction(rng, split):
     """2-4 legs (one may be empty) into 2-4 slots; a slot may be a sink or blocked."""
     n_in, n_out = int(rng.integers(2, 5)), int(rng.integers(2, 5))
@@ -399,27 +405,50 @@ def test_junction_matches_slotwise_waterfill_when_legs_do_not_split():
         assert solve_junction(*args) == pytest.approx(slotwise_waterfill(*args), abs=1e-12)
 
 
+def _junction_union(parts, leg_node, slot_node):
+    """The parts' legs and slots in one call, at the positions their labels take."""
+    sending, receiving = np.zeros(len(leg_node)), np.zeros(len(slot_node))
+    oriented, weights = np.zeros((len(leg_node), len(slot_node))), np.zeros(len(leg_node))
+    for j, (s, r, o, w) in enumerate(parts):
+        li, si = np.flatnonzero(leg_node == j), np.flatnonzero(slot_node == j)
+        sending[li], receiving[si], weights[li] = s, r, w
+        oriented[np.ix_(li, si)] = o
+    return sending, receiving, oriented, weights
+
+
 def test_junction_union_solves_each_junction_on_its_own():
-    # the loader passes every junction of a bin in one call: a block-diagonal
-    # union must give each junction its own flows, exactly, and those of the
-    # finite rounds run over the whole junction to rounding
+    # the loader passes every junction of a bin in one call, each leg and slot
+    # labelled with its junction: a block-diagonal union must give each
+    # junction its own flows, exactly, and those of the finite rounds run over
+    # the whole junction to rounding
     rng = np.random.default_rng(17)
     throttled = 0
     for _ in range(1000):
         parts = [_random_junction(rng, split=True) for _ in range(int(rng.integers(2, 5)))]
-        sending, receiving, weights, blocks = [], [], [], []
-        for s, r, o, w in parts:
-            blocks.append(np.asarray(o))
-            sending, receiving, weights = sending + s, receiving + r, weights + w
-        oriented = np.zeros((len(sending), len(receiving)))
-        i = e = 0
-        for o in blocks:
-            oriented[i:i + o.shape[0], e:e + o.shape[1]] = o
-            i, e = i + o.shape[0], e + o.shape[1]
-        theta = solve_junction(sending, receiving, oriented, weights)
+        leg_node = np.repeat(np.arange(len(parts)), [len(p[0]) for p in parts])
+        slot_node = np.repeat(np.arange(len(parts)), [len(p[1]) for p in parts])
+        sending, receiving, oriented, weights = _junction_union(parts, leg_node, slot_node)
+        theta = solve_junction(sending, receiving, oriented, weights, leg_node, slot_node)
         assert list(theta) == list(np.concatenate([solve_junction(*p) for p in parts]))
         rounds = np.concatenate([_finite_rounds(*p) for p in parts])
         np.testing.assert_allclose(theta, rounds, rtol=0.0, atol=1e-12)
+        throttled += bool(np.any(theta < 1.0))
+    assert throttled > 500
+
+
+def test_junction_labels_not_contiguity_define_a_junction():
+    # two junctions whose legs and slots interleave in index order, as a node's
+    # in-links and origin queues do in the loader
+    rng = np.random.default_rng(19)
+    throttled = 0
+    for _ in range(1000):
+        parts = [_random_junction(rng, split=True) for _ in range(2)]
+        leg_node = rng.permutation(np.repeat([0, 1], [len(parts[0][0]), len(parts[1][0])]))
+        slot_node = rng.permutation(np.repeat([0, 1], [len(parts[0][1]), len(parts[1][1])]))
+        sending, receiving, oriented, weights = _junction_union(parts, leg_node, slot_node)
+        theta = solve_junction(sending, receiving, oriented, weights, leg_node, slot_node)
+        for j, part in enumerate(parts):
+            assert list(theta[leg_node == j]) == list(solve_junction(*part))
         throttled += bool(np.any(theta < 1.0))
     assert throttled > 500
 

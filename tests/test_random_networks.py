@@ -92,6 +92,19 @@ def test_path_times_match_path_travel_time(seed, jammed):
     assert stacked.extrapolated_queries == single.extrapolated_queries > 0
 
 
+def test_a_query_late_in_time_and_level_counts_once():
+    # after tf, on a leg that still holds vehicles at tf, a query is past the
+    # horizon both in time and in its exit level: one extrapolated query
+    network, profile, rates = random_network(np.random.default_rng(100), n_ods=4,
+                                             demand=(400.0, 600.0), capacity=(0.1, 0.2))
+    res = run_dnl(network, GRID, profile, compliance_rates=rates)
+    leg = "n0_1-n1_2"
+    assert res.up[leg][-1] - res.down[leg][-1] > 100.0
+    before = res.extrapolated_queries
+    assert res.mu(leg, [GRID.tf + 5.0]) == GRID.tf + 5.0 + network.links[leg].fft
+    assert res.extrapolated_queries == before + 1
+
+
 @pytest.mark.parametrize("seed, jammed", [(3, False), (4, False), (100, True)])
 def test_partial_traversal_times_match_the_per_leg_chain(seed, jammed):
     # every sign's junction, with every path through it in one call

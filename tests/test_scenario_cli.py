@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import subprocess
+import sys
 from operator import attrgetter
 
 import pytest
@@ -423,6 +425,12 @@ def test_sweep_output_does_not_depend_on_workers(tmp_path, capsys):
         runs.append((capsys.readouterr().out, written))
     assert runs[0] == runs[1]
     assert {p.parent.name for p in runs[0][1]} == {"", "lambda_0.0002", "lambda_0.0004"}
+
+
+def test_cli_import_leaves_the_process_pool_to_sweeps():
+    # run and validate never start workers, so they need not import them
+    code = "import sys, vmsdta.cli; sys.exit('concurrent.futures.process' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], timeout=60).returncode == 0
 
 
 def test_validate_with_config_applies_its_default_tolerance(tmp_path, capsys):
