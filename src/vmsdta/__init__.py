@@ -6,6 +6,7 @@ from .network import (
     Link,
     Network,
     ODPair,
+    PairContext,
     Path,
     ScenarioError,
     TimeGrid,
@@ -23,11 +24,9 @@ from .dnl import (
 from .compliance import (
     ComplianceParams,
     ComplianceState,
-    PairContext,
     apply_threshold,
     average_saving,
     average_time,
-    build_pair_contexts,
     compliance_logit,
     initial_state,
     step_compliance,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Network, TimeGrid, VmsSign, affected_ods, omega_bin_overlap
+from .network import Network, PairContext, TimeGrid, omega_bin_overlap
 
 MODELS = ("I", "II", "III", "IV")
 
@@ -69,29 +69,6 @@ class ComplianceState:
     x: float = 0.0  # Models I/III: perceived saving, s
     y_f: float = 0.0  # Models II/IV: perceived follow disutility
     y_nf: float = 0.0
-
-
-@dataclass(frozen=True)
-class PairContext:
-    """Static facts about one affected (O-D, sign) pair."""
-
-    od: str
-    sign: VmsSign
-    fset: tuple
-    nfset: tuple
-
-    @property
-    def key(self):
-        return (self.od, self.sign.id)
-
-
-def build_pair_contexts(network: Network):
-    """One context per (O-D, sign) pair where diversion is possible."""
-    contexts = []
-    for sg in network.signs:
-        for od, (fset, nfset) in sorted(affected_ods(network, sg).items()):
-            contexts.append(PairContext(od=od, sign=sg, fset=fset, nfset=nfset))
-    return contexts
 
 
 # ---------------------------------------------------------------------------

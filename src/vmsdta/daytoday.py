@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compliance import ComplianceParams, build_pair_contexts, initial_state, step_compliance
+from .compliance import ComplianceParams, initial_state, step_compliance
 from .dnl import DnlError, DnlResult, run_dnl
 from .network import DepartureProfile, Network, TimeGrid
 
@@ -33,8 +33,9 @@ class PenaltyFunction:
     late: float = 1.5
 
     def __post_init__(self):
-        if self.early < 0 or self.late < 0:
-            raise ValueError("penalty weights must be nonnegative")
+        for name, value in (("early", self.early), ("late", self.late)):
+            if value < 0:
+                raise ValueError(f"penalty.{name} must be nonnegative, got {value!r}")
 
     def __call__(self, x):
         return self.early * np.maximum(0.0, -x) + self.late * np.maximum(0.0, x)
@@ -55,6 +56,8 @@ class SolverConfig:
             errors.append("solver: gap_tolerance must be positive")
         if self.max_days < 1:
             errors.append("solver: max_days must be at least 1")
+        if self.residual_warn_fraction < 0:
+            errors.append("solver.residual_warn_fraction must be nonnegative")
         return errors
 
 
@@ -77,7 +80,7 @@ class DayRecord:
 @dataclass(frozen=True)
 class DayState:
     profile: DepartureProfile  # the departure rates the day loads
-    perception: dict  # (od, sign) -> ComplianceState; pairs without demand are left out
+    perception: dict  # network.pairs key -> ComplianceState; pairs without demand left out
 
 
 @dataclass
@@ -213,7 +216,8 @@ def relative_gap(now: DepartureProfile, prev: DepartureProfile) -> float:
 
 def advance(state: DayState, day: int, network: Network, grid: TimeGrid,
             compliance: ComplianceParams, penalty: PenaltyFunction, solver: SolverConfig):
-    """Load ``state`` as day ``day``; returns (next state, its record with gap nan, loading)."""
+    """Load ``state`` as day ``day``, reading each pair's context from ``network.pairs``;
+    returns (next state, its record with gap nan, loading)."""
     cr_used = {key: st.cr for key, st in state.perception.items()}
     stage = "loading"
     try:
@@ -229,9 +233,8 @@ def advance(state: DayState, day: int, network: Network, grid: TimeGrid,
         traces = []
         perception = {}
         od_totals = state.profile.od_totals(network)
-        contexts = {ctx.key: ctx for ctx in build_pair_contexts(network)}
         for key, st in state.perception.items():
-            ctx = contexts[key]
+            ctx = network.pairs[key]
             perception[key], tr = step_compliance(st, compliance, result, ctx, grid)
             row = {"od": ctx.od, "sign": ctx.sign.id, "model": compliance.model,
                    "cr": cr_used[key], **tr}
@@ -262,8 +265,8 @@ def run_day_to_day(network: Network, grid: TimeGrid, profile: DepartureProfile,
     (a non-converged run is a valid outcome, not an error).
     """
     # pairs for O-Ds without demand have no drivers to divert; skip them
-    state = DayState(profile, {ctx.key: initial_state(compliance, ctx, network)
-                               for ctx in build_pair_contexts(network)
+    state = DayState(profile, {key: initial_state(compliance, ctx, network)
+                               for key, ctx in network.pairs.items()
                                if network.ods[ctx.od].demand > 0})
     days = []
     result = None

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import SINK, Network, TimeGrid, DepartureProfile, affected_ods, in_omega
+from .network import SINK, Network, TimeGrid, DepartureProfile, in_omega
 
 _TINY = 1e-15
 
@@ -173,7 +173,6 @@ class DnlResult:
         # each path's legs: its origin queue, then its links
         self._legs = {pid: ((links[p.links[0]].from_node, p.links[0]),) + p.links
                       for pid, p in self.network.paths.items()}
-        self._path_time_cache = None
 
     # -- scalar bookkeeping ---------------------------------------------------
 
@@ -241,9 +240,7 @@ class DnlResult:
 
     def path_times(self) -> dict:
         """Travel time per path, origin queueing included, at each departure-bin midpoint."""
-        if self._path_time_cache is None:
-            self._path_time_cache = self._traverse(self._legs, self.grid.mids())
-        return self._path_time_cache
+        return self._traverse(self._legs, self.grid.mids())
 
     def partial_traversal_time(self, node, path_ids, t) -> dict:
         """Traversal time from `node` to each path's destination, leaving `node`
@@ -270,14 +267,16 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
             compliance_rates=None, residual_warn_fraction: float = 0.005) -> DnlResult:
     """Propagate the departure profile through the network for one day.
 
-    ``compliance_rates`` maps affected (od_id, sign_id) pairs to the day's CR
-    in [0, 1]; missing pairs default to zero diversion, and any other key is
-    a ``DnlError``.  Returns the legs' cumulative curves, exit times and
+    ``compliance_rates`` maps keys of ``network.pairs`` to the day's CR in
+    [0, 1]; missing pairs default to zero diversion, and any other key is a
+    ``DnlError``.  Returns the legs' cumulative curves, exit times and
     realized turning ratios.  A warning is recorded when more than
     ``residual_warn_fraction`` of the demand is still in the network at tf.
     """
     cr_map = dict(compliance_rates or {})
     for key, cr in cr_map.items():
+        if key not in network.pairs:
+            raise DnlError(f"compliance rate for {key}: not an affected (O-D, sign) pair")
         if not 0.0 <= cr <= 1.0:
             raise DnlError(f"compliance rate {cr} for {key} outside [0, 1]")
 
@@ -369,15 +368,12 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
 
     # diversion: (cr, active set, not-follow rows, follow rows) at each host leg
     diversions = []
-    for sg in network.signs:
-        for od, (fset, nfset) in affected_ods(network, sg).items():
-            cr = cr_map.pop((od, sg.id), 0.0)
-            if cr > 0.0:
-                diversions.append((cr, sg.omega, [row_ix[(sg.host_link, p)] for p in nfset],
-                                   [row_ix[(sg.host_link, p)] for p in fset]))
-    if cr_map:
-        unknown = ", ".join(map(str, cr_map))
-        raise DnlError(f"compliance rate for {unknown}: not an affected (O-D, sign) pair")
+    for key, ctx in network.pairs.items():
+        cr = cr_map.get(key, 0.0)
+        if cr > 0.0:
+            host = ctx.sign.host_link
+            diversions.append((cr, ctx.sign.omega, [row_ix[(host, p)] for p in ctx.nfset],
+                               [row_ix[(host, p)] for p in ctx.fset]))
 
     # nothing moves before the first departure; after the last one, a quiet
     # spell longer than every lag leaves each later bin the same inputs

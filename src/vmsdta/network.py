@@ -183,6 +183,20 @@ class VmsSign:
     omega: tuple  # union of disjoint [start, end) intervals, s
 
 
+@dataclass(frozen=True)
+class PairContext:
+    """Static facts about one affected (O-D, sign) pair."""
+
+    od: str
+    sign: VmsSign
+    fset: tuple
+    nfset: tuple
+
+    @property
+    def key(self):
+        return (self.od, self.sign.id)
+
+
 # ---------------------------------------------------------------------------
 # network container
 
@@ -213,6 +227,11 @@ class Network:
             for i, a in enumerate(p.links):
                 seq[a] = p.links[i + 1] if i + 1 < len(p.links) else SINK
             self._next_link[p.id] = seq
+        # the affected (O-D, sign) pairs, by sign and then by O-D
+        self.pairs = {(od, sg.id): PairContext(od, sg, fset, nfset)
+                      for sg in self.signs
+                      for od, (fset, nfset) in sorted(paths_through_vms(self, sg).items())
+                      if fset and nfset}
 
     # -- topology helpers ---------------------------------------------------
 
@@ -329,6 +348,9 @@ class Network:
         for pid, sids in claimed.items():
             if len(sids) > 1:
                 warnings.append(f"path {pid} passes multiple VMS signs ({', '.join(sids)})")
+        warnings += [f"sign {sg.id} diverts no O-D: none has paths from host link {sg.host_link} "
+                     f"into both from link {sg.from_link} and to link {sg.to_link}"
+                     for sg in self.signs if not affected_ods(self, sg)]
         return errors, warnings
 
 
@@ -353,8 +375,8 @@ def paths_through_vms(network: Network, sign: VmsSign):
 
 
 def affected_ods(network: Network, sign: VmsSign):
-    """O-Ds where diversion is possible: both F- and NF-sets nonempty."""
-    return {od: (f, nf) for od, (f, nf) in paths_through_vms(network, sign).items() if f and nf}
+    """O-Ds where diversion is possible: the sign's entries of ``network.pairs``."""
+    return {ctx.od: (ctx.fset, ctx.nfset) for ctx in network.pairs.values() if ctx.sign == sign}
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ import numpy as np
 
 from vmsdta.compliance import (
     ComplianceParams,
-    build_pair_contexts,
     compliance_logit,
     initial_state,
     step_compliance,
@@ -188,7 +187,7 @@ def test_criterion_5_compliance_identities():
     light = fig1_network(demand=30.0)
     res = run_dnl(light, cfg.grid, DepartureProfile.uniform(light, cfg.grid, (900.0, 1800.0)),
                   compliance_rates={("od1", "vms1"): 0.5})
-    ctx = build_pair_contexts(light)[0]
+    ctx = list(light.pairs.values())[0]
     params = ComplianceParams(model="I", w=0.3, beta=0.01, x0=0.0)
     mids = cfg.grid.mids()
     weights = omega_bin_overlap(cfg.grid, ctx.sign.omega)

@@ -8,7 +8,6 @@ from vmsdta.compliance import (
     apply_threshold,
     average_saving,
     average_time,
-    build_pair_contexts,
     compliance_logit,
     initial_state,
     step_compliance,
@@ -267,7 +266,7 @@ def test_update_perceived_times_examples():
 
 
 def _pair_ctx(net):
-    ctxs = build_pair_contexts(net)
+    ctxs = list(net.pairs.values())
     assert len(ctxs) == 1
     return ctxs[0]
 

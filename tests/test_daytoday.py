@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from vmsdta.compliance import build_pair_contexts, initial_state
+from vmsdta.compliance import initial_state
 from vmsdta.daytoday import (
     DayRecord,
     DayState,
@@ -385,7 +385,7 @@ def test_a_day_leaves_its_input_profile_unchanged(fig1):
     assert nxt is not prof and np.array_equal(prof.rates, before)
 
     state = DayState(prof, {ctx.key: initial_state(cfg.compliance, ctx, net)
-                            for ctx in build_pair_contexts(net)})
+                            for ctx in list(net.pairs.values())})
     one = advance(state, 1, net, cfg.grid, cfg.compliance, cfg.penalty, cfg.solver)
     assert np.array_equal(prof.rates, before)
     assert one[1].profile is prof  # the record keeps the profile it loaded, not a copy
@@ -398,7 +398,7 @@ def test_a_day_leaves_its_input_profile_unchanged(fig1):
 
 def test_a_day_with_an_unknown_sign_pair_fails_in_loading(fig1):
     net, cfg = fig1
-    (ctx,) = build_pair_contexts(net)
+    (ctx,) = list(net.pairs.values())
     state = initial_state(cfg.compliance, ctx, net)
     day = DayState(build_profile(net, cfg), {ctx.key: state, ("od1", "vmsX"): state})
     with pytest.raises(DayToDayError, match=r"^day 1: loading: .*\('od1', 'vmsX'\)"):

@@ -24,6 +24,7 @@ from vmsdta.network import (
 from vmsdta.scenario import fig1_network
 
 from .conftest import check_feasible
+from .randnet import random_network
 
 
 def test_time_grid_rejects_bad_bounds():
@@ -201,6 +202,65 @@ def test_multi_sign_path_is_flagged(fig1):
     errors, warnings = net2.validate(cfg.grid)
     assert errors == []
     assert any("multiple VMS signs" in w for w in warnings)
+
+
+def test_sign_that_diverts_no_one_is_flagged(fig1):
+    net, cfg = fig1
+    links = {**net.links, "8": Link("8", "c", "e", 500.0, 12.5, 0.5, 0.15, 5.0)}
+    idle = VmsSign(id="vms2", host_link="2", junction="c", from_link="5", to_link="8",
+                   omega=((600.0, 3000.0),))
+    net2 = Network(links=links, paths=dict(net.paths), ods=dict(net.ods),
+                   signs=list(net.signs) + [idle])
+    errors, warnings = net2.validate(cfg.grid)
+    assert errors == []
+    (flag,) = [w for w in warnings if "vms2" in w and "diverts no O-D" in w]
+    for name in ("host link 2", "from link 5", "to link 8"):
+        assert name in flag, flag
+    assert not any("vms1" in w and "diverts no O-D" in w for w in warnings)
+
+
+def _brute_pairs(net):
+    """(O-D, sign) -> (sign, fset, nfset) for each O-D with paths taking the sign's
+    host link straight into both its to link and its from link, by sign, then by O-D."""
+    def through(od, a, b):
+        return tuple(pid for pid, p in net.paths.items()
+                     if p.od == od and (a, b) in zip(p.links, p.links[1:]))
+
+    pairs = {}
+    for sg in net.signs:
+        for od in sorted({p.od for p in net.paths.values()}):
+            fset = through(od, sg.host_link, sg.to_link)
+            nfset = through(od, sg.host_link, sg.from_link)
+            if fset and nfset:
+                pairs[(od, sg.id)] = (sg, fset, nfset)
+    return pairs
+
+
+def _fig1_with_od0():
+    """fig1 plus an O-D ``od0`` over links 1-2-5-7 and 1-3-6-7, whose paths come after
+    od1's: the sign's O-Ds in path order are not in sorted order."""
+    net = fig1_network()
+    paths = dict(net.paths, q1=Path("q1", "od0", ("1", "2", "5", "7")),
+                 q3=Path("q3", "od0", ("1", "3", "6", "7")))
+    ods = dict(net.ods, od0=ODPair("od0", "a", "f", 10.0, 2100.0, {"q1": 0.0, "q3": 0.0}))
+    return Network(links=dict(net.links), paths=paths, ods=ods, signs=net.signs)
+
+
+PAIR_CASES = {"fig1": fig1_network, "fig1+od0": _fig1_with_od0,
+              **{f"random{seed}": lambda seed=seed: random_network(np.random.default_rng(seed))[0]
+                 for seed in range(50)}}
+
+
+@pytest.mark.parametrize("case", PAIR_CASES)
+def test_pair_table_matches_a_brute_force_partition(case):
+    net = PAIR_CASES[case]()
+    want = _brute_pairs(net)
+    assert list(net.pairs) == list(want)
+    for key, ctx in net.pairs.items():
+        assert (ctx.key, ctx.od, ctx.sign, ctx.fset, ctx.nfset) == (key, key[0], *want[key])
+    for sg in net.signs:
+        assert affected_ods(net, sg) == {od: (f, nf) for (od, sid), (_, f, nf) in want.items()
+                                         if sid == sg.id}
 
 
 def test_uniform_profile_meets_demand(fig1):

@@ -240,6 +240,22 @@ def test_negative_seed_exits_one(tmp_path, capsys):
     assert any("seed=-1 must be nonnegative" in m for m in err["messages"]), err["messages"]
 
 
+@pytest.mark.parametrize("section, key, expected", [
+    ("penalty", "early", "penalty.early must be nonnegative, got -1.0"),
+    ("penalty", "late", "penalty.late must be nonnegative, got -1.0"),
+    ("solver", "residual_warn_fraction", "solver.residual_warn_fraction must be nonnegative"),
+])
+def test_negative_config_weight_exits_one_naming_its_key(tmp_path, capsys, section, key,
+                                                         expected):
+    files = _write(tmp_path, **{section: {key: -1.0}})
+    code = cli_run(["run"] + _flags(files) + ["--out", str(tmp_path / "o")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "input"
+    assert any(expected in m for m in err["messages"]), err["messages"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_with_every_field_set_round_trips():
     obj = {
         "grid": {"t0": 60.0, "tf": 3660.0, "dt": 20.0},
