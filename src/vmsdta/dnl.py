@@ -19,17 +19,19 @@ paths.
 
 Curves are arrays, one row per leg and per (leg, path); every lag is at least
 one bin, so each bin is one array step over all junctions, with one
-``solve_junction`` call when flow is offered.  The loader labels each leg and
-slot with its junction once, and the node model runs per junction on those
-labels.  Bins before the first departure, and after a quiet spell longer than
-every lag once the last departure has passed, would move nothing and are
-skipped.
+``solve_junction`` call when flow is offered.  What depends only on the network
+(legs, rows, (leg, slot) pairs, the junction table) is built once per network;
+per bin, one bincount finds the over-subscribed slots, and the node model's
+rounds and the diversion run on Python floats.  Turning ratios are derived on
+first read.  Bins before the first departure, and after a quiet spell longer
+than every lag once the last departure has passed, are skipped.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -100,37 +102,47 @@ def _finite_rounds(sending, receiving, oriented, weights):
     return theta
 
 
-def solve_junction(sending, receiving, oriented, weights, leg_node=None, slot_node=None):
+def junction_table(pairs, leg_junction, slot_junction, weights):
+    """``solve_junction``'s table of (leg, slot) pairs, from each leg's and slot's junction
+    label: each pair's slot, each slot's junction, and per junction its legs and slots in
+    index order, the legs' weights and its pairs as (pair, row, column) of its block."""
+    junctions = []
+    for jn in range(max([*leg_junction, *slot_junction], default=-1) + 1):
+        legs = [i for i, j in enumerate(leg_junction) if j == jn]
+        slots = [e for e, j in enumerate(slot_junction) if j == jn]
+        junctions.append((legs, slots, [weights[i] for i in legs], [
+            (p, legs.index(i), slots.index(e)) for p, (i, e) in enumerate(pairs) if slot_junction[e] == jn]))
+    return np.array([e for _, e in pairs], dtype=np.intp), list(slot_junction), junctions
+
+
+def solve_junction(sending, receiving, oriented, table):
     """Fraction of each incoming leg's sending flow admitted through its junction.
 
-    ``oriented[i][e]`` is leg i's demand toward outgoing slot e (sums to
-    sending[i]); ``weights`` are the legs' capacities, which set their
-    priorities.  ``leg_node`` and ``slot_node`` label each leg and slot with
-    its junction; left out, all legs and slots form one junction.  Where no
-    slot is asked for more than it receives, every leg moves in full.
-    Otherwise each junction that holds an over-subscribed slot is solved on
-    its own, in index order, by the finite algorithm of Tampere, Corthout,
-    Cattrysse & Immers (2011) for FIFO legs with capacity-proportional
-    priorities: each round finds the open slot that admits the smallest flow
-    per unit priority, then either admits in full every leg whose demand fits
-    under that rate or throttles the legs feeding that slot to it and closes
-    the slot.  Every round fixes at least one leg.  Returns an array.
+    ``oriented[p]`` is the demand of pair p of the ``junction_table`` ``table``
+    (a leg's pairs sum to its ``sending``); the legs' weights, their capacities,
+    set their priorities.  Where no slot is asked for more than it receives,
+    every leg moves in full.  Otherwise each junction that holds an
+    over-subscribed slot is solved on its own by the finite algorithm of
+    Tampere, Corthout, Cattrysse & Immers (2011) for FIFO legs with
+    capacity-proportional priorities: each round finds the open slot that admits
+    the smallest flow per unit priority, then either admits in full every leg
+    whose demand fits under that rate or throttles the legs feeding that slot to
+    it and closes the slot.  Every round fixes at least one leg.  Returns an array.
     """
-    sending = np.asarray(sending, dtype=float)
-    receiving = np.asarray(receiving, dtype=float)
-    oriented = np.asarray(oriented, dtype=float).reshape(len(sending), len(receiving))
-    theta = np.ones(len(sending))
-    over = oriented.sum(axis=0) > receiving
-    if not over.any():
-        return theta
-    leg_node = np.zeros(len(sending)) if leg_node is None else np.asarray(leg_node)
-    slot_node = np.zeros(len(receiving)) if slot_node is None else np.asarray(slot_node)
-    weights = np.asarray(weights, dtype=float)
-    for node in np.unique(slot_node[over]):
-        li, si = np.flatnonzero(leg_node == node), np.flatnonzero(slot_node == node)
-        theta[li] = _finite_rounds(sending[li].tolist(), receiving[si].tolist(),
-                                   oriented[np.ix_(li, si)].tolist(), weights[li].tolist())
-    return theta
+    pair_slot, slot_junction, junctions = table
+    over = (np.bincount(pair_slot, oriented, minlength=len(receiving)) > receiving).nonzero()[0]
+    if not len(over):
+        return np.ones(len(sending))
+    s, r, o = sending.tolist(), receiving.tolist(), oriented.tolist()
+    theta = [1.0] * len(s)
+    for j in sorted({slot_junction[e] for e in over.tolist()}):
+        legs, slots, weights, block = junctions[j]
+        rows = [[0.0] * len(slots) for _ in legs]
+        for p, i, e in block:
+            rows[i][e] = o[p]
+        for i, th in zip(legs, _finite_rounds([s[i] for i in legs], [r[e] for e in slots], rows, weights)):
+            theta[i] = th
+    return np.array(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -157,35 +169,44 @@ class DnlResult:
     up: dict  # leg -> np.ndarray of cumulative inflow at edges
     down: dict  # leg -> cumulative outflow at edges
     up_by_path: dict  # leg -> {path: np.ndarray}
-    turning_ratios: dict  # node -> {in_link: {out: np.ndarray over bins}}
+    demand: tuple  # per bin: each (leg, slot) pair's demand, each leg's sending flow
     total_arrived: float  # vehicles delivered to their destinations
     warnings: list = field(default_factory=list)
     extrapolated_queries: int = 0
 
     def __post_init__(self):
-        self._edges = self.grid.edges()
-        links = self.network.links
-        self._queues = [leg for leg in self.up if leg not in links]
-        # free-flow time and capacity per leg; a queue takes no time to cross
-        # and drains at most at its first link's capacity
-        self._fft_cap = {a: (lk.fft, lk.capacity) for a, lk in links.items()}
-        self._fft_cap.update({q: (0.0, links[q[1]].capacity) for q in self._queues})
-        # each path's legs: its origin queue, then its links
-        self._legs = {pid: ((links[p.links[0]].from_node, p.links[0]),) + p.links
-                      for pid, p in self.network.paths.items()}
+        self._edges, self._tables = self.grid.edges(), self.network.loading
+
+    @cached_property
+    def turning_ratios(self) -> dict:
+        """node -> {in_link: {out: ratio per bin}}: each bin's demand shares, or the
+        last ones (at first an even split over the link's next slots) through bins
+        without demand."""
+        t, (seen_o, seen_s), K = self._tables, self.demand, self.grid.n_bins
+        of_leg, seen_o = t.leg_of_pair[:t.n_in_pairs], seen_o[:, :t.n_in_pairs]
+        with_flow = seen_s[:, of_leg] > _TINY
+        share = np.divide(seen_o, seen_s[:, of_leg], out=np.zeros_like(seen_o), where=with_flow & (seen_o > 0))
+        from_bin = np.maximum.accumulate(np.where(with_flow, np.arange(K)[:, None], -1), axis=0)
+        held = np.take_along_axis(share, np.maximum(from_bin, 0), axis=0)
+        spread = 1.0 / np.bincount(of_leg, minlength=len(t.in_legs))[of_leg]
+        # one row per in-link pair, and a last row of zeros for slots a link never feeds
+        ratios = np.vstack([np.where(from_bin >= 0, held, spread).T, np.zeros((1, K))])
+        return {node: {a: {out: ratios[t.pair_ix.get((t.leg_ix[a], t.slot_ix[(node, out)]), -1)]
+                           for n, out in t.slots if n == node} for a in in_links}
+                for node, in_links in t.node_legs.items()}
 
     # -- scalar bookkeeping ---------------------------------------------------
 
     @property
     def total_departed(self) -> float:
-        return float(sum(self.up[q][-1] for q in self._queues))
+        return float(sum(self.up[q][-1] for q in self._tables.queues))
 
     @property
     def total_residual(self) -> float:
         def left(legs):
             return sum(self.up[a][-1] - self.down[a][-1] for a in legs)
 
-        return float(left(self.network.links) + left(self._queues))
+        return float(left(self.network.links) + left(self._tables.queues))
 
     # -- exit-time functions ----------------------------------------------------
 
@@ -196,7 +217,7 @@ class DnlResult:
         past tf; entries after tf traverse at free flow.  Each such entry
         counts once in ``extrapolated_queries``.
         """
-        fft, cap = self._fft_cap[leg]
+        fft, cap = self._tables.fft_cap[leg]
         t_arr = np.asarray(t, dtype=float)
         exit_t, over = self._invert(self.down[leg], np.interp(t_arr, self._edges, self.up[leg]), cap)
         late = t_arr > self.grid.tf
@@ -207,20 +228,17 @@ class DnlResult:
         """First times the cumulative curve reaches the levels x, and which lie past tf."""
         # curves on different links accumulate independently; absorb float drift
         # before declaring a level unreachable within the horizon
-        tol = 1e-9 * max(1.0, abs(float(curve[-1])))
-        x_arr = np.where(x <= curve[-1] + tol, np.minimum(x, curve[-1]), x)
+        top, K = float(curve[-1]), len(curve) - 1
+        x_arr = np.where(x <= top + 1e-9 * max(1.0, abs(top)), np.minimum(x, top), x)
         idx = np.searchsorted(curve, x_arr, side="left")
-        res = np.empty_like(x_arr)
-        inside = idx <= self.grid.n_bins
-        lo = np.clip(idx - 1, 0, None)
-        denom = curve[np.minimum(idx, self.grid.n_bins)] - curve[lo]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            frac = np.where(denom > 0, (x_arr - curve[lo]) / np.where(denom > 0, denom, 1.0), 0.0)
-        res[inside] = (self._edges[lo] + frac * self.grid.dt)[inside]
-        res[idx == 0] = self._edges[0]
-        over = ~inside
-        if np.any(over):
-            res[over] = self.grid.tf + (x_arr[over] - curve[-1]) / cap
+        over = idx > K
+        lo = np.maximum(idx - 1, 0)
+        denom = curve[np.minimum(idx, K)] - curve[lo]
+        rising = denom > 0
+        frac = np.where(rising, (x_arr - curve[lo]) / np.where(rising, denom, 1.0), 0.0)
+        res = np.where(idx == 0, self._edges[0], self._edges[lo] + frac * self.grid.dt)
+        if over.any():
+            res[over] = self.grid.tf + (x_arr[over] - top) / cap
         return res, over
 
     def _traverse(self, chains, t):
@@ -240,7 +258,7 @@ class DnlResult:
 
     def path_times(self) -> dict:
         """Travel time per path, origin queueing included, at each departure-bin midpoint."""
-        return self._traverse(self._legs, self.grid.mids())
+        return self._traverse(self._tables.chains, self.grid.mids())
 
     def partial_traversal_time(self, node, path_ids, t) -> dict:
         """Traversal time from `node` to each path's destination, leaving `node`
@@ -251,6 +269,72 @@ class DnlResult:
 
 # ---------------------------------------------------------------------------
 # the loader
+
+
+class LoadingTables:
+    """The loader's tables for one network, which depend on no grid, profile or CR
+    (``network.loading`` builds them once).  Legs are the links paths use, then one
+    origin queue ``(origin, first link)`` per first link, then the links no path uses;
+    a queue is a curve pair like a link whose inflow is the departures."""
+
+    def __init__(self, network: Network):
+        links = network.links
+        self.paths_on = paths_on = {a: [] for a in links}
+        for p in network.paths.values():
+            for a in p.links:
+                paths_on[a].append(p.id)
+            paths_on.setdefault((links[p.links[0]].from_node, p.links[0]), []).append(p.id)
+        self.queues = list(paths_on)[len(links):]
+        # per leg its free-flow time and capacity (a queue's: 0, its first link's); per path its legs
+        self.fft_cap = {a: (lk.fft, lk.capacity) for a, lk in links.items()}
+        self.fft_cap.update({q: (0.0, links[q[1]].capacity) for q in self.queues})
+        self.chains = {pid: ((links[p.links[0]].from_node, p.links[0]),) + p.links
+                       for pid, p in network.paths.items()}
+
+        # junction order: nodes sorted; at each, its used in-links, then its
+        # queues, and its out-links, then SINK at a destination
+        sink_nodes = {od.destination for od in network.ods.values()}
+        in_legs, q_legs, slots, self.node_legs = [], [], [], {}
+        for node in sorted(network.nodes):
+            in_links = [a for a in network.in_links(node) if paths_on[a]]
+            node_q = [q for q in self.queues if q[0] == node]
+            if in_links or node_q:
+                self.node_legs[node] = in_links
+                in_legs += in_links
+                q_legs += node_q
+                slots += [(node, out) for out in network.out_links(node)]
+                if node in sink_nodes:
+                    slots.append((node, SINK))
+        self.in_legs, self.q_legs, self.slots = in_legs, q_legs, slots
+        legs = in_legs + q_legs
+        self.leg_ix = leg_ix = {leg: i for i, leg in enumerate(legs + [a for a in links if not paths_on[a]])}
+        self.slot_ix = slot_ix = {s: j for j, s in enumerate(slots)}
+        self.out_slots = [j for j, (_, out) in enumerate(slots) if out != SINK]
+        self.outs = [links[slots[j][1]] for j in self.out_slots]
+
+        # (leg, path) rows, the (leg, slot) pairs their flow takes, and the row
+        # one leg upstream that feeds each link's row (a link's rows come first)
+        self.rows = rows = [(leg, pid) for leg in legs for pid in paths_on[leg]]
+        self.row_ix = row_ix = {r: i for i, r in enumerate(rows)}
+        row_slot = [slot_ix[(links[leg].to_node, network.next_link(pid, leg)) if leg in links else leg]
+                    for leg, pid in rows]
+        pairs = sorted({(leg_ix[leg], e) for (leg, _), e in zip(rows, row_slot)})
+        self.pair_ix = {pe: j for j, pe in enumerate(pairs)}
+        self.n_in_pairs = sum(1 for i, _ in pairs if i < len(in_legs))
+        self.leg_of_row = np.array([leg_ix[leg] for leg, _ in rows], dtype=np.intp)
+        self.pair_of_row = np.array([self.pair_ix[(leg_ix[leg], e)] for (leg, _), e in zip(rows, row_slot)],
+                                    dtype=np.intp)
+        self.leg_of_pair = np.array([i for i, _ in pairs], dtype=np.intp)
+        self.to_link = [j for j, (_, e) in enumerate(pairs) if slots[e][1] != SINK]
+        self.into = np.array([leg_ix[slots[pairs[j][1]][1]] for j in self.to_link], dtype=np.intp)
+        feeder = {(slots[e][1], pid): r for r, ((_, pid), e) in enumerate(zip(rows, row_slot))}
+        self.src_of_row = np.array([feeder[r] for r in rows if r[0] in links], dtype=np.intp)
+        # each leg's and slot's junction, numbered: a link's to-node, a queue's origin
+        junction = {node: j for j, node in enumerate(self.node_legs)}
+        self.junctions = junction_table(
+            pairs, [junction[links[a].to_node] for a in in_legs] + [junction[o] for o, _ in q_legs],
+            [junction[node] for node, _ in slots],
+            [links[a].capacity for a in in_legs] + [links[q[1]].capacity for q in q_legs])
 
 
 def _lag_table(bases, lags, K):
@@ -282,109 +366,57 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
 
     K, dt = grid.n_bins, grid.dt
     W = K + 2  # a curve row: edges 0..K, then one pad edge read with weight 0
-    links = network.links
+    links, t = network.links, network.loading
+    paths_on, in_legs, q_legs, row_ix, leg_ix = t.paths_on, t.in_legs, t.q_legs, t.row_ix, t.leg_ix
+    leg_of_row, pair_of_row, leg_of_pair = t.leg_of_row, t.pair_of_row, t.leg_of_pair
+    junctions, src_of_row, into, to_link = t.junctions, t.src_of_row, t.into, t.to_link
+    n_in, n_in_rows, n_rows, n_pairs = len(in_legs), len(src_of_row), len(t.rows), len(leg_of_pair)
+    n_legs = n_in + len(q_legs)
 
-    # legs: every link, then one origin queue (origin, first link) per first
-    # link.  A queue is a curve pair like a link whose inflow is the
-    # departures; it has no traversal time and no capacity of its own.
-    paths_on = {a: [] for a in links}
-    for p in network.paths.values():
-        for a in p.links:
-            paths_on[a].append(p.id)
-        paths_on.setdefault((links[p.links[0]].from_node, p.links[0]), []).append(p.id)
-    queues = list(paths_on)[len(links):]
-
-    # junction order: nodes sorted; at each, its used in-links, then its
-    # queues, and its out-links, then SINK at a destination.  Rows hold the
-    # used links first, then the queues, then the links no path uses.
-    sink_nodes = {od.destination for od in network.ods.values()}
-    in_legs, q_legs, slots, node_legs = [], [], [], {}
-    for node in sorted(network.nodes):
-        in_links = [a for a in network.in_links(node) if paths_on[a]]
-        node_q = [q for q in queues if q[0] == node]
-        if in_links or node_q:
-            node_legs[node] = in_links
-            in_legs += in_links
-            q_legs += node_q
-            slots += [(node, out) for out in network.out_links(node)]
-            if node in sink_nodes:
-                slots.append((node, SINK))
-    # each leg's and slot's junction, numbered: a link's to-node, a queue's origin
-    junction = {node: j for j, node in enumerate(node_legs)}
-    leg_node = np.array([junction[links[a].to_node] for a in in_legs]
-                        + [junction[origin] for origin, _ in q_legs])
-    slot_node = np.array([junction[node] for node, _ in slots])
-    n_in, legs = len(in_legs), in_legs + q_legs
-    n_legs, n_slots = len(legs), len(slots)
-    leg_ix = {leg: i for i, leg in enumerate(legs + [a for a in links if not paths_on[a]])}
-    slot_ix = {s: j for j, s in enumerate(slots)}
-
-    # (leg, path) rows and the (leg, slot) pairs their flow takes
-    rows = [(leg, pid) for leg in legs for pid in paths_on[leg]]
-    row_ix = {r: i for i, r in enumerate(rows)}
-    n_in_rows = sum(len(paths_on[a]) for a in in_legs)
-    row_slot = [slot_ix[(links[leg].to_node, network.next_link(pid, leg)) if leg in links else leg]
-                for leg, pid in rows]
-    pairs = sorted({(leg_ix[leg], e) for (leg, _), e in zip(rows, row_slot)})
-    pair_ix = {pe: j for j, pe in enumerate(pairs)}
-    n_in_pairs = sum(1 for i, _ in pairs if i < n_in)
-    leg_of_row = np.array([leg_ix[leg] for leg, _ in rows], dtype=np.intp)
-    pair_of_row = np.array([pair_ix[(leg_ix[leg], e)] for (leg, _), e in zip(rows, row_slot)],
-                           dtype=np.intp)
-    leg_of_pair = np.array([i for i, _ in pairs], dtype=np.intp)
-    dense_of_pair = np.array([i * n_slots + e for i, e in pairs], dtype=np.intp)
-    to_link = [j for j, (_, e) in enumerate(pairs) if slots[e][1] != SINK]
-    into = np.array([leg_ix[slots[pairs[j][1]][1]] for j in to_link], dtype=np.intp)
-    src, dst = np.array([(r, row_ix[(slots[e][1], pid)]) for r, ((_, pid), e)
-                         in enumerate(zip(rows, row_slot)) if slots[e][1] != SINK],
-                        dtype=np.intp).reshape(-1, 2).T
-
-    # cumulative curves, leg-major; a queue's inflow is the departures
-    U, D = np.zeros((2, len(leg_ix), W))
-    UP, DP = np.zeros((2, len(rows), W))
+    # cumulative curves, leg-major, U with D and UP with DP in one buffer each;
+    # a queue's inflow is the departures
+    UD, P = np.zeros((2, len(leg_ix), W)), np.zeros((2, n_rows, W))
+    (U, D), (UP, DP) = UD, P
     for q in q_legs:
         departed = {pid: np.concatenate(([0.0], np.cumsum(profile.rate(pid)) * dt))
                     for pid in paths_on[q]}
         U[leg_ix[q], :K + 1] = sum(departed.values())
         for pid, arr in departed.items():
             UP[row_ix[(q, pid)], :K + 1] = arr
-    Uf, Df, UPf = U.ravel(), D.ravel(), UP.ravel()
+    UDf, Pf = UD.ravel(), P.ravel()
 
     # per-leg tables; lags are >= one bin by validation, the floor absorbs float spill
     lag = np.array([max(1.0, links[a].fft / dt) for a in in_legs] + [0.0] * len(q_legs))
     cap = np.array([links[a].capacity * dt for a in in_legs] + [math.inf] * len(q_legs))
-    weight = np.array([links[a].capacity for a in in_legs] + [links[q[1]].capacity for q in q_legs])
-    base = np.arange(n_legs) * W
-    row_base = np.arange(len(rows)) * W
-    s_idx, s_frac = _lag_table(base, lag, K)
-    out_slots = [j for j, (_, out) in enumerate(slots) if out != SINK]
-    outs = [links[slots[j][1]] for j in out_slots]
+    base, row_base = np.arange(n_legs) * W, np.arange(n_rows) * W
+    out_slots, outs = t.out_slots, t.outs
     out_base = np.array([leg_ix[lk.id] * W for lk in outs], dtype=np.intp)
     lag_w = np.array([max(1.0, (lk.length / lk.w) / dt) for lk in outs])
-    r_idx, r_frac = _lag_table(out_base, lag_w, K)
-    storage = np.array([lk.storage for lk in outs])
-    out_cap = np.array([lk.capacity * dt for lk in outs])
-    receiving = np.full(n_slots, math.inf)
+    # per bin: each leg's inflow curve a free-flow lag back (sending), then
+    # each out-link's outflow curve a backward-wave lag back (receiving)
+    lag_idx, lag_frac = _lag_table(np.concatenate([base, U.size + out_base]), np.concatenate([lag, lag_w]), K)
+    storage, out_cap = np.array([lk.storage for lk in outs]), np.array([lk.capacity * dt for lk in outs])
+    receiving = np.full(len(t.slots), math.inf)
 
-    # diversion: (cr, active set, not-follow rows, follow rows) at each host leg
-    diversions = []
+    # diversion, per sign with a positive CR: its host link's rows, the bins it is
+    # active in, and per O-D (cr, not-follow rows, follow rows) counted from the first
+    diversions, mids = {}, grid.mids()
     for key, ctx in network.pairs.items():
-        cr = cr_map.get(key, 0.0)
-        if cr > 0.0:
-            host = ctx.sign.host_link
-            diversions.append((cr, ctx.sign.omega, [row_ix[(host, p)] for p in ctx.nfset],
-                               [row_ix[(host, p)] for p in ctx.fset]))
+        if cr_map.get(key, 0.0) > 0.0:
+            host, sign, on_host = ctx.sign.host_link, ctx.sign, paths_on[ctx.sign.host_link]
+            rows = slice(row_ix[(host, on_host[0])], row_ix[(host, on_host[-1])] + 1)
+            on = np.any([(s <= mids) & (mids < e) for s, e in sign.omega], axis=0).tolist()
+            diversions.setdefault(sign.id, (rows, on, sign.omega, []))[3].append(
+                (cr_map[key], [on_host.index(p) for p in ctx.nfset], [on_host.index(p) for p in ctx.fset]))
 
     # nothing moves before the first departure; after the last one, a quiet
     # spell longer than every lag leaves each later bin the same inputs
     departing = np.flatnonzero(profile.rates.any(axis=0))
     first, last = (int(departing[0]), int(departing[-1])) if departing.size else (K, K)
     settle = math.ceil(max(lag.max(initial=1.0), lag_w.max(initial=1.0))) + 1
-    quiet = 0
-    ptr = np.ones(n_legs, dtype=np.intp)  # per leg: last bin's answer to the level search
-    around, both = np.array([-1, 0, 1]), np.array([0, 1])  # edge offsets
-    seen_o = np.zeros((K, n_in_pairs))  # oriented demand of in-link pairs per bin
-    seen_s = np.zeros((K, n_in))
+    quiet, window = 0, np.array([0, 1, 2])
+    before = base.copy()  # per leg, flat: the edge before last bin's answer to the level search
+    seen_o, seen_s = np.zeros((K, n_pairs)), np.zeros((K, n_legs))  # demand per bin
 
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(first, K):
@@ -393,103 +425,85 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
             UP[:n_in_rows, hi] = UP[:n_in_rows, k]
             dn_k = D[:n_legs, k]
 
-            # sending flows, and the edge up to which each leg's batch entered
-            g = Uf[s_idx[k]]
-            S = np.minimum(cap, (g[:, 0] + (g[:, 1] - g[:, 0]) * s_frac[k]) - dn_k)
+            # the curves read a lag back: sending flows, and later receiving flows
+            g = UDf[lag_idx[k]]
+            lagged = g[:, 0] + (g[:, 1] - g[:, 0]) * lag_frac[k]
+            S = np.minimum(cap, lagged[:n_legs] - dn_k)
             active = S >= _TINY
             take = None
-            if active.any():
+            if np.count_nonzero(active):
                 level = dn_k + S
                 # first edge at or above the level, stepping from last bin's answer
-                w = Uf[(base + ptr)[:, None] + around]
-                below = w < level[:, None]
+                below = UDf[before[:, None] + window] < level[:, None]
                 n_below = below.sum(axis=1)
-                at = ptr - 1 + n_below
-                lost = active & ~(below[:, 0] & (n_below < 3))
-                if lost.any():
-                    at[lost] = (U[:n_legs][lost, :hi + 1] < level[lost, None]).sum(axis=1)
-                ptr = np.where(active, at, ptr)
-                a = Uf[(base + at - 1)[:, None] + both]
-                pos = np.where(active & (at <= hi),
-                               (at - 1) + (level - a[:, 0]) / (a[:, 1] - a[:, 0]), hi)
+                at = before + n_below
+                lost = active > (below[:, 0] & (n_below < 3))
+                if np.count_nonzero(lost):
+                    at[lost] = base[lost] + (U[:n_legs][lost, :hi + 1] < level[lost, None]).sum(axis=1)
+                at1 = at - 1
+                np.copyto(before, at1, where=active)
+                # the edge up to which each leg's batch entered
+                e = at1 - base
+                a0 = UDf[at1]
+                pos = np.where(active & (e <= k), e + (level - a0) / (UDf[at] - a0), hi)
                 # each path's part of its leg's batch
                 pr = pos[leg_of_row]
                 edge = pr.astype(np.intp)
-                b = UPf[(row_base + edge)[:, None] + both]
-                amt = (b[:, 0] + (b[:, 1] - b[:, 0]) * (pr - edge)) - DP[:, k]
+                i = row_base + edge
+                b0 = Pf[i]
+                amt = (b0 + (Pf[i + 1] - b0) * (pr - edge)) - DP[:, k]
                 take = (amt > _TINY) & active[leg_of_row]
-                if not take.any():
+                if not np.count_nonzero(take):
                     take = None
 
             if take is None:
                 D[:n_legs, hi] = dn_k
                 DP[:, hi] = DP[:, k]
                 quiet += 1
-                if k >= last and quiet >= settle:
-                    U[:n_in, hi + 1:K + 1] = U[:n_in, hi, None]
-                    UP[:n_in_rows, hi + 1:K + 1] = UP[:n_in_rows, hi, None]
-                    D[:n_legs, hi + 1:K + 1] = D[:n_legs, hi, None]
-                    DP[:, hi + 1:K + 1] = DP[:, hi, None]
+                if k >= last and quiet >= settle:  # queues' curves are flat from here on too
+                    UD[..., hi + 1:K + 1], P[..., hi + 1:K + 1] = UD[..., hi, None], P[..., hi, None]
                     break
                 continue
             quiet = 0
-            amt = np.where(take, amt, 0.0)
+            amt *= take
 
-            # VMS diversion relabels not-follow flow to the follow paths
+            # VMS diversion relabels not-follow flow to the follow paths, on
+            # Python floats: one read and one write of the host link's rows
             routed = amt
-            t_mid = grid.t0 + (k + 0.5) * dt
-            for cr, omega, nf_rows, f_rows in diversions:
-                if not in_omega(t_mid, omega):
+            for rows, on, omega, per_od in diversions.values():
+                if not on[k]:
                     continue
-                for r in nf_rows:
-                    if routed[r] <= _TINY:
-                        continue
-                    # a not-follow label sends nothing toward the recommended link
-                    kept, moved = revise_turning_ratios(routed[r], 0.0, cr, t_mid, omega)
-                    if moved == 0.0:
-                        continue
-                    if routed is amt:
-                        routed = amt.copy()
-                    routed[r] = kept
-                    routed[f_rows] += moved / len(f_rows)
+                t_mid = grid.t0 + (k + 0.5) * dt
+                vals = routed[rows].tolist()
+                for cr, nf, f in per_od:
+                    for r in nf:
+                        if vals[r] <= _TINY:
+                            continue
+                        # a not-follow label sends nothing toward the recommended link
+                        vals[r], moved = revise_turning_ratios(vals[r], 0.0, cr, t_mid, omega)
+                        for q in f:
+                            vals[q] += moved / len(f)
+                routed = routed.copy()
+                routed[rows] = vals
 
             # revised turning ratios (demand shares before any throttling)
-            oriented = np.bincount(pair_of_row, routed, minlength=len(pairs))
+            oriented = np.bincount(pair_of_row, routed, minlength=n_pairs)
             sending = np.bincount(leg_of_pair, oriented, minlength=n_legs)
-            seen_o[k] = oriented[:n_in_pairs]
-            seen_s[k] = sending[:n_in]
+            seen_o[k], seen_s[k] = oriented, sending
 
-            g = Df[r_idx[k]]
-            space = (g[:, 0] + (g[:, 1] - g[:, 0]) * r_frac[k]) + storage - Uf[out_base + k]
+            space = lagged[n_legs:] + storage - UDf[out_base + k]
             receiving[out_slots] = np.maximum(0.0, np.minimum(out_cap, space))
-            dense = np.zeros(n_legs * n_slots)
-            dense[dense_of_pair] = oriented
-            theta = solve_junction(sending, receiving, dense.reshape(n_legs, n_slots), weight,
-                                   leg_node, slot_node)
+            theta = solve_junction(sending, receiving, oriented, junctions)
 
             th = theta[leg_of_row]
             mv = th * amt
-            DP[:, hi] = DP[:, k] + mv
-            D[:n_legs, hi] = dn_k + np.bincount(leg_of_row, mv, minlength=n_legs)
+            np.add(DP[:, k], mv, out=DP[:, hi])
+            np.add(dn_k, np.bincount(leg_of_row, mv, minlength=n_legs), out=D[:n_legs, hi])
             to_mv = mv if routed is amt else th * routed
-            UP[dst, hi] = UP[dst, hi] + to_mv[src]
-            total = np.bincount(pair_of_row, to_mv, minlength=len(pairs))
+            UP[:n_in_rows, hi] += to_mv[src_of_row]
+            total = np.bincount(pair_of_row, to_mv, minlength=n_pairs)
             # a link fed by several legs adds their flows in junction order
             np.add.at(U[:, hi], into, total[to_link])
-
-        # turning ratios: each bin's demand shares, or the last ones (at first
-        # an even split over the link's next slots) through bins without demand
-        of_leg = leg_of_pair[:n_in_pairs]
-        with_flow = seen_s[:, of_leg] > _TINY
-        share = np.where(with_flow & (seen_o > 0), seen_o / seen_s[:, of_leg], 0.0)
-    from_bin = np.maximum.accumulate(np.where(with_flow, np.arange(K)[:, None], -1), axis=0)
-    held = np.take_along_axis(share, np.maximum(from_bin, 0), axis=0)
-    spread = 1.0 / np.bincount(of_leg, minlength=n_in)[of_leg]
-    # one row per in-link pair, and a last row of zeros for slots a link never feeds
-    ratios = np.vstack([np.where(from_bin >= 0, held, spread).T, np.zeros((1, K))])
-    turning_ratios = {node: {a: {out: ratios[pair_ix.get((leg_ix[a], slot_ix[(node, out)]), -1)]
-                                 for n, out in slots if n == node} for a in in_links}
-                      for node, in_links in node_legs.items()}
 
     result = DnlResult(
         network=network,
@@ -498,7 +512,7 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
         down={leg: D[leg_ix[leg], :K + 1] for leg in paths_on},
         up_by_path={leg: {pid: UP[row_ix[(leg, pid)], :K + 1] for pid in pids}
                     for leg, pids in paths_on.items()},
-        turning_ratios=turning_ratios,
+        demand=(seen_o, seen_s),
         total_arrived=float(sum(DP[row_ix[(p.links[-1], p.id)], K]
                                 for p in network.paths.values())),
     )

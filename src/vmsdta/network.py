@@ -11,7 +11,9 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path as _FsPath
+from types import MappingProxyType
 
 import numpy as np
 
@@ -201,37 +203,41 @@ class PairContext:
 # network container
 
 
-@dataclass
+@dataclass(frozen=True)
 class Network:
+    """Links, paths, O-Ds and signs, read-only once built (read-only mappings and a
+    tuple of signs), so the tables derived from them cannot go stale."""
+
     links: dict
     paths: dict
     ods: dict
-    signs: list = field(default_factory=list)
+    signs: tuple = ()
 
     def __post_init__(self):
-        self.nodes = set()
-        self._out_links = {}
-        self._in_links = {}
+        # frozen: the read-only views and the derived tables go straight into __dict__
+        vars(self).update(
+            links=MappingProxyType(dict(self.links)), paths=MappingProxyType(dict(self.paths)),
+            ods=MappingProxyType(dict(self.ods)), signs=tuple(self.signs),
+            nodes=frozenset(n for lk in self.links.values() for n in (lk.from_node, lk.to_node)),
+            _out_links={}, _in_links={}, _od_paths={}, _next_link={})
         for lk in self.links.values():
-            self.nodes.add(lk.from_node)
-            self.nodes.add(lk.to_node)
             self._out_links.setdefault(lk.from_node, []).append(lk.id)
             self._in_links.setdefault(lk.to_node, []).append(lk.id)
-        self._od_paths = {}
         for p in self.paths.values():
             self._od_paths.setdefault(p.od, []).append(p.id)
-        # successor link along each path (SINK after the last link)
-        self._next_link = {}
-        for p in self.paths.values():
-            seq = {}
-            for i, a in enumerate(p.links):
-                seq[a] = p.links[i + 1] if i + 1 < len(p.links) else SINK
-            self._next_link[p.id] = seq
+            # successor link along each path (SINK after the last link)
+            self._next_link[p.id] = dict(zip(p.links, (*p.links[1:], SINK)))
         # the affected (O-D, sign) pairs, by sign and then by O-D
-        self.pairs = {(od, sg.id): PairContext(od, sg, fset, nfset)
-                      for sg in self.signs
-                      for od, (fset, nfset) in sorted(paths_through_vms(self, sg).items())
-                      if fset and nfset}
+        vars(self)["pairs"] = {(od, sg.id): PairContext(od, sg, fset, nfset)
+                               for sg in self.signs
+                               for od, (fset, nfset) in sorted(paths_through_vms(self, sg).items())
+                               if fset and nfset}
+
+    @cached_property
+    def loading(self):
+        """The loader's tables for this network (``dnl.LoadingTables``), built on first use."""
+        from .dnl import LoadingTables
+        return LoadingTables(self)
 
     # -- topology helpers ---------------------------------------------------
 

@@ -137,6 +137,24 @@ def slotwise_waterfill(sending, receiving, oriented, weights):
     return theta
 
 
+def solve_dense(sending, receiving, oriented, weights, leg_node=None, slot_node=None):
+    """``solve_junction`` on a legs x slots demand matrix ``oriented``.
+
+    Each leg and slot lies in the junction its label in ``leg_node`` and
+    ``slot_node`` names (all in one when unlabelled); the matrix is passed as
+    the demand of every (leg, slot) pair in one junction, in index order.
+    """
+    from vmsdta.dnl import junction_table, solve_junction
+
+    leg_node = [0] * len(sending) if leg_node is None else [int(j) for j in leg_node]
+    slot_node = [0] * len(receiving) if slot_node is None else [int(j) for j in slot_node]
+    pairs = [(i, e) for i in range(len(sending)) for e in range(len(receiving))
+             if leg_node[i] == slot_node[e]]
+    table = junction_table(pairs, leg_node, slot_node, [float(w) for w in weights])
+    return solve_junction(np.asarray(sending, dtype=float), np.asarray(receiving, dtype=float),
+                          np.array([oriented[i][e] for i, e in pairs], dtype=float), table)
+
+
 def list_loader(network, grid, profile, compliance_rates):
     """The loader written as scalar loops over per-path lists, node by node.
 
@@ -146,7 +164,7 @@ def list_loader(network, grid, profile, compliance_rates):
     solves its own junction.  Returns (up, down, up_by_path, turning_ratios,
     total_arrived), keyed like ``DnlResult``.
     """
-    from vmsdta.dnl import revise_turning_ratios, solve_junction
+    from vmsdta.dnl import revise_turning_ratios
     from vmsdta.network import SINK, affected_ods
 
     tiny = 1e-15
@@ -271,7 +289,7 @@ def list_loader(network, grid, profile, compliance_rates):
                 cap_flow[out], curve_at(dn[out], (k + 1) - lag_w[out]) + links[out].storage
                 - up[out][k])) for out in out_slots]
             sending = [sum(row) for row in oriented]
-            theta = solve_junction(sending, receiving, oriented, [weight[leg] for leg in legs])
+            theta = solve_dense(sending, receiving, oriented, [weight[leg] for leg in legs])
             for i, (leg, batch) in enumerate(zip(legs, batches)):
                 th = theta[i]
                 if th <= 0.0 or sending[i] <= tiny:

@@ -84,8 +84,9 @@ def test_criterion_2_dnl_point_queue_oracle():
         net, prof = make_corridor(specs, grid, demand=1.0, window=(0.0, 300.0))
         rates = rng.uniform(0.0, 2.0 * cap_min, grid.n_bins) * (grid.mids() < 300.0)
         prof.rates[0] = rates
-        net.ods["od"] = ODPair("od", net.ods["od"].origin, net.ods["od"].destination,
-                               float(rates.sum() * grid.dt), grid.tf - grid.dt, {"p": 0.0})
+        od = ODPair("od", net.ods["od"].origin, net.ods["od"].destination,
+                    float(rates.sum() * grid.dt), grid.tf - grid.dt, {"p": 0.0})
+        net = Network(net.links, net.paths, {"od": od})
         res = run_dnl(net, grid, prof)
         assert_dnl_invariants(res)
         assert res.total_residual < 1e-9, "corridor did not drain inside the horizon"

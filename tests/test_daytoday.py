@@ -286,7 +286,7 @@ def test_br_equilibrium_is_a_fixed_point():
     # share the same cost, so with a uniform band the update changes nothing
     net, grid = _toy_net(n_paths=2, n_bins=6, demand=12.0, dt=5.0)
     tol = {pid: 60.0 for pid in net.paths}
-    net.ods["od"] = ODPair("od", "o", "d", 12.0, grid.tf - grid.dt, tol)
+    net = Network(net.links, net.paths, {"od": ODPair("od", "o", "d", 12.0, grid.tf - grid.dt, tol)})
     prof = DepartureProfile.uniform(net, grid, window=(0.0, grid.tf))
     solver = SolverConfig(step_size=1e-3, max_days=4, gap_tolerance=1e-15)
     res = run_day_to_day(net, grid, prof, fig1_config().compliance,

@@ -8,12 +8,12 @@ from vmsdta.dnl import (
     _finite_rounds,
     revise_turning_ratios,
     run_dnl,
-    solve_junction,
 )
 from vmsdta.network import DepartureProfile, Link, Network, ODPair, Path, TimeGrid, in_omega
 
 from .conftest import assert_dnl_invariants, link_inflow, make_corridor
-from .oracles import compose_exit, list_loader, path_legs, point_queue_corridor, slotwise_waterfill
+from .oracles import (compose_exit, list_loader, path_legs, point_queue_corridor, slotwise_waterfill,
+                      solve_dense)
 
 OMEGA = ((0.0, 100.0),)
 
@@ -239,7 +239,7 @@ def test_spillback_blocked_inflow_causal_with_drainage():
 
 def test_junction_merge_is_capacity_proportional():
     # two legs of capacity 2:1 compete for half their joint demand
-    theta = solve_junction(
+    theta = solve_dense(
         sending=[10.0, 10.0], receiving=[10.0],
         oriented=[[10.0], [10.0]], weights=[2.0, 1.0])
     flows = [th * 10.0 for th in theta]
@@ -248,7 +248,7 @@ def test_junction_merge_is_capacity_proportional():
 
 
 def test_junction_merge_redistributes_unused_share():
-    theta = solve_junction(
+    theta = solve_dense(
         sending=[2.0, 10.0], receiving=[10.0],
         oriented=[[2.0], [10.0]], weights=[1.0, 1.0])
     assert theta[0] == pytest.approx(1.0)
@@ -257,7 +257,7 @@ def test_junction_merge_redistributes_unused_share():
 
 def test_junction_fifo_diverge_throttles_whole_leg():
     # 40% of the leg heads to a blocked slot: the whole column slows
-    theta = solve_junction(
+    theta = solve_dense(
         sending=[10.0], receiving=[2.0, 100.0],
         oriented=[[4.0, 6.0]], weights=[1.0])
     assert theta[0] == pytest.approx(0.5, rel=1e-9)
@@ -265,7 +265,7 @@ def test_junction_fifo_diverge_throttles_whole_leg():
 
 def test_junction_diverge_frees_merge_capacity():
     # leg 0 throttled by slot 0 releases room for leg 1 in slot 1
-    theta = solve_junction(
+    theta = solve_dense(
         sending=[10.0, 10.0], receiving=[1.0, 12.0],
         oriented=[[5.0, 5.0], [0.0, 10.0]], weights=[1.0, 1.0])
     assert theta[0] == pytest.approx(0.2, rel=1e-9)
@@ -360,7 +360,7 @@ def test_junction_properties_on_random_junctions():
     rng = np.random.default_rng(7)
     for _ in range(2000):
         sending, receiving, oriented, weights = _random_junction(rng, split=True)
-        theta = solve_junction(sending, receiving, oriented, weights)
+        theta = solve_dense(sending, receiving, oriented, weights)
         assert all(0.0 <= th <= 1.0 for th in theta)
         slack = [r - sum(th * row[e] for th, row in zip(theta, oriented))
                  for e, r in enumerate(receiving)]
@@ -386,12 +386,12 @@ def test_junction_invariance_to_demand_of_throttled_legs():
     checked = 0
     for _ in range(2000):
         sending, receiving, oriented, weights = _random_junction(rng, split=True)
-        theta = solve_junction(sending, receiving, oriented, weights)
+        theta = solve_dense(sending, receiving, oriented, weights)
         held = _throttled(theta, sending)
         if not held:
             continue
         more = [[2.0 * x for x in row] if i in held else row for i, row in enumerate(oriented)]
-        theta2 = solve_junction([sum(row) for row in more], receiving, more, weights)
+        theta2 = solve_dense([sum(row) for row in more], receiving, more, weights)
         for i, row in enumerate(more):
             assert theta2[i] * sum(row) == pytest.approx(theta[i] * sending[i], abs=1e-9)
         checked += 1
@@ -402,7 +402,7 @@ def test_junction_matches_slotwise_waterfill_when_legs_do_not_split():
     rng = np.random.default_rng(13)
     for _ in range(1000):
         args = _random_junction(rng, split=False)
-        assert solve_junction(*args) == pytest.approx(slotwise_waterfill(*args), abs=1e-12)
+        assert solve_dense(*args) == pytest.approx(slotwise_waterfill(*args), abs=1e-12)
 
 
 def _junction_union(parts, leg_node, slot_node):
@@ -428,8 +428,8 @@ def test_junction_union_solves_each_junction_on_its_own():
         leg_node = np.repeat(np.arange(len(parts)), [len(p[0]) for p in parts])
         slot_node = np.repeat(np.arange(len(parts)), [len(p[1]) for p in parts])
         sending, receiving, oriented, weights = _junction_union(parts, leg_node, slot_node)
-        theta = solve_junction(sending, receiving, oriented, weights, leg_node, slot_node)
-        assert list(theta) == list(np.concatenate([solve_junction(*p) for p in parts]))
+        theta = solve_dense(sending, receiving, oriented, weights, leg_node, slot_node)
+        assert list(theta) == list(np.concatenate([solve_dense(*p) for p in parts]))
         rounds = np.concatenate([_finite_rounds(*p) for p in parts])
         np.testing.assert_allclose(theta, rounds, rtol=0.0, atol=1e-12)
         throttled += bool(np.any(theta < 1.0))
@@ -446,9 +446,9 @@ def test_junction_labels_not_contiguity_define_a_junction():
         leg_node = rng.permutation(np.repeat([0, 1], [len(parts[0][0]), len(parts[1][0])]))
         slot_node = rng.permutation(np.repeat([0, 1], [len(parts[0][1]), len(parts[1][1])]))
         sending, receiving, oriented, weights = _junction_union(parts, leg_node, slot_node)
-        theta = solve_junction(sending, receiving, oriented, weights, leg_node, slot_node)
+        theta = solve_dense(sending, receiving, oriented, weights, leg_node, slot_node)
         for j, part in enumerate(parts):
-            assert list(theta[leg_node == j]) == list(solve_junction(*part))
+            assert list(theta[leg_node == j]) == list(solve_dense(*part))
         throttled += bool(np.any(theta < 1.0))
     assert throttled > 500
 

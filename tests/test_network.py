@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -185,12 +186,12 @@ def test_every_link_and_sign_field_survives_a_round_trip(tmp_path, fig1):
                               tolerances_file=files["tolerances"], vms_file=files["vms"],
                               grid=cfg.grid)
     assert loaded.links == net2.links
-    assert loaded.signs == [sign]
+    assert loaded.signs == (sign,)
     # a single sign may also be written as one object rather than a list
     files["vms"].write_text(json.dumps(json.loads(files["vms"].read_text())[0]))
     loaded, _ = load_scenario(files["network"], files["paths"], files["demand"],
                               vms_file=files["vms"])
-    assert loaded.signs == [sign]
+    assert loaded.signs == (sign,)
 
 
 def test_multi_sign_path_is_flagged(fig1):
@@ -217,6 +218,31 @@ def test_sign_that_diverts_no_one_is_flagged(fig1):
     for name in ("host link 2", "from link 5", "to link 8"):
         assert name in flag, flag
     assert not any("vms1" in w and "diverts no O-D" in w for w in warnings)
+
+
+def test_a_built_network_is_read_only():
+    # the pair table and the loader's tables are derived once, so a network that
+    # could change after construction would leave them stale
+    net = fig1_network()
+    sign = VmsSign(id="vms2", host_link="2", junction="c", from_link="4", to_link="5",
+                   omega=((600.0, 1200.0),))
+    with pytest.raises(AttributeError):
+        net.signs.append(sign)
+    with pytest.raises(TypeError):
+        net.ods["od2"] = net.ods["od1"]
+    with pytest.raises(TypeError):
+        net.links["8"] = net.links["1"]
+    with pytest.raises(TypeError):
+        del net.paths["p1"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        net.signs = (sign,)
+    assert list(net.pairs) == [("od1", "vms1")]
+    # the caller's containers are copied, so changing them later changes nothing
+    links, signs = dict(net.links), [sign]
+    net2 = Network(links=links, paths=dict(net.paths), ods=dict(net.ods), signs=signs)
+    links.clear()
+    signs.append(net.signs[0])
+    assert len(net2.links) == 7 and net2.signs == (sign,)
 
 
 def _brute_pairs(net):

@@ -75,6 +75,32 @@ def test_array_loader_matches_the_list_loader(seed, jammed):
     assert res.total_arrived == arrived
 
 
+@pytest.mark.parametrize("seed, jammed", [(s, False) for s in range(6)] + [(100, True), (101, True)])
+def test_junction_table_partitions_the_loaders_legs_and_slots(seed, jammed):
+    kw = dict(n_ods=4, demand=(400.0, 600.0), capacity=(0.1, 0.2)) if jammed else {}
+    network, _, _ = random_network(np.random.default_rng(seed), **kw)
+    t = network.loading
+    legs, nodes = t.in_legs + t.q_legs, list(t.node_legs)
+    pair_slot, slot_junction, junctions = t.junctions
+    assert len(junctions) == len(nodes)
+    assert sorted(i for j_legs, _, _, _ in junctions for i in j_legs) == list(range(len(legs)))
+    assert sorted(e for _, j_slots, _, _ in junctions for e in j_slots) == list(range(len(t.slots)))
+    placed = []
+    for j, (j_legs, j_slots, weights, block) in enumerate(junctions):
+        # a junction is a node: its in-links and queues, and the slots leaving it
+        assert {network.links[legs[i]].to_node if legs[i] in network.links else legs[i][0]
+                for i in j_legs} <= {nodes[j]}
+        assert {t.slots[e][0] for e in j_slots} == {nodes[j]}
+        assert all(slot_junction[e] == j for e in j_slots)
+        assert weights == [network.links[legs[i] if legs[i] in network.links else legs[i][1]].capacity
+                           for i in j_legs]
+        # each of its (leg, slot) pairs sits at its leg's row and its slot's column
+        for p, row, col in block:
+            assert (t.leg_of_pair[p], pair_slot[p]) == (j_legs[row], j_slots[col])
+            placed.append(p)
+    assert sorted(placed) == list(range(len(t.leg_of_pair)))
+
+
 @pytest.mark.parametrize("seed, jammed", [(3, False), (4, False), (100, True)])
 def test_path_times_match_path_travel_time(seed, jammed):
     # the stacked mu calls are elementwise, so times and counts agree to the
