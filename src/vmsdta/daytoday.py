@@ -272,6 +272,7 @@ def run_day_to_day(network: Network, grid: TimeGrid, profile: DepartureProfile,
     result = None
     converged = False
     for day in range(1, solver.max_days + 1):
+        result = None  # one loading in memory: the last day's goes before the next is built
         state, rec, result = advance(state, day, network, grid, compliance, penalty, solver)
         if days:
             prev = days[-1]

@@ -20,7 +20,8 @@ paths.
 Curves are arrays, one row per leg and per (leg, path); every lag is at least
 one bin, so each bin is one array step over all junctions, with one
 ``solve_junction`` call when flow is offered.  What depends only on the network
-(legs, rows, (leg, slot) pairs, the junction table) is built once per network;
+(legs, rows, (leg, slot) pairs, the junction table) is built once per network,
+and what depends on the grid too (the lagged reads) once per network and grid;
 per bin, one bincount finds the over-subscribed slots, and the node model's
 rounds and the diversion run on Python floats.  Turning ratios are derived on
 first read.  Bins before the first departure, and after a quiet spell longer
@@ -35,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .network import SINK, Network, TimeGrid, DepartureProfile, in_omega
+from .network import SINK, Network, TimeGrid, DepartureProfile
 
 _TINY = 1e-15
 
@@ -48,17 +49,16 @@ class DnlError(Exception):
 # turning-ratio revision (the en-route diversion rule)
 
 
-def revise_turning_ratios(alpha_from, alpha_to, cr, t, omega):
+def revise_turning_ratios(alpha_from, alpha_to, cr):
     """Shift the compliant share of the discouraged movement to the recommended one.
 
-    When the sign is active at t, ``cr * alpha_from`` moves from the from-link
-    ratio to the to-link ratio; the pair sum is preserved bit-for-bit and both
-    outputs stay in [0, 1].  Outside the active set the ratios pass through
-    unchanged.
+    ``cr * alpha_from`` moves from the from-link ratio to the to-link ratio; the
+    pair sum is preserved bit-for-bit and both outputs stay in [0, 1].  The
+    loader applies the rule only in the bins where the sign is active.
     """
     if not 0.0 <= cr <= 1.0:
         raise ValueError(f"compliance rate {cr} outside [0, 1]")
-    if cr == 0.0 or not in_omega(t, omega):
+    if cr == 0.0:
         return alpha_from, alpha_to
     moved = cr * alpha_from
     total = alpha_from + alpha_to
@@ -156,7 +156,9 @@ class DnlResult:
     ``up``, ``down`` and ``up_by_path`` are keyed by leg: a link id, or
     ``(origin, first link)`` for the origin queue feeding that first link.  A
     queue's ``up`` is the cumulative departures and its ``down`` the vehicles
-    that have entered the first link.  ``turning_ratios`` covers links only.
+    that have entered the first link.  Per path only a leg's inflow curve is
+    kept; of its outflow only the total delivered, ``total_arrived``, remains.
+    ``turning_ratios`` covers links only.
 
     Traversal times compose the legs' exit-time functions ``mu`` along chains
     of legs (a path's legs for ``path_times``, its links downstream of a node
@@ -273,7 +275,7 @@ class DnlResult:
 
 class LoadingTables:
     """The loader's tables for one network, which depend on no grid, profile or CR
-    (``network.loading`` builds them once).  Legs are the links paths use, then one
+    (``network.loading`` builds them once), and per grid its ``_grid_tables``.  Legs are the links paths use, then one
     origin queue ``(origin, first link)`` per first link, then the links no path uses;
     a queue is a curve pair like a link whose inflow is the departures."""
 
@@ -335,16 +337,34 @@ class LoadingTables:
             pairs, [junction[links[a].to_node] for a in in_legs] + [junction[o] for o, _ in q_legs],
             [junction[node] for node, _ in slots],
             [links[a].capacity for a in in_legs] + [links[q[1]].capacity for q in q_legs])
+        self.on_grid = {}  # grid -> _grid_tables(self, grid)
 
 
-def _lag_table(bases, lags, K):
-    """Per bin, flat indices of the edge pair around ``(k+1) - lag`` and its weight,
-    read as ``a + (b - a) * frac``; positions outside (0, K) read edge 0 or K."""
-    pos = np.arange(1, K + 1, dtype=float)[:, None] - lags[None, :]
+def _grid_tables(t, grid):
+    """The loader's tables for one network (its ``LoadingTables`` t) on one grid, which no
+    loading writes: per leg its capacity per bin; the flat offsets of the legs', the
+    (leg, path) rows' and the out-links' curves; per out-link its storage and capacity
+    per bin; per bin the lagged reads, each the flat index of the edge a before
+    ``(k+1) - lag`` and a weight, read with the next edge b as ``a + (b - a) * frac``
+    (positions outside (0, K) read edge 0 or K); and the quiet spell after which every
+    bin repeats the last."""
+    K, dt = grid.n_bins, grid.dt
+    W = K + 2  # run_dnl's curve row
+    # lags are >= one bin by validation, the floor absorbs float spill
+    lag = np.array([max(1.0, t.fft_cap[a][0] / dt) for a in t.in_legs] + [0.0] * len(t.q_legs))
+    lag_w = np.array([max(1.0, (lk.length / lk.w) / dt) for lk in t.outs])
+    base, row_base = np.arange(len(lag)) * W, np.arange(len(t.rows)) * W
+    out_base = np.array([t.leg_ix[lk.id] * W for lk in t.outs], dtype=np.intp)
+    # per bin: each leg's inflow curve a free-flow lag back (sending), then
+    # each out-link's outflow curve a backward-wave lag back (receiving)
+    pos = np.arange(1, K + 1, dtype=float)[:, None] - np.concatenate([lag, lag_w])[None, :]
     edge = np.clip(np.floor(pos), 0, K)
     frac = np.where((pos > 0) & (pos < K), pos - edge, 0.0)
-    idx = bases[None, :] + edge.astype(np.intp)
-    return np.stack([idx, idx + 1], axis=-1), frac
+    idx = np.concatenate([base, len(t.leg_ix) * W + out_base])[None, :] + edge.astype(np.intp)
+    cap = np.array([t.fft_cap[a][1] * dt for a in t.in_legs] + [math.inf] * len(t.q_legs))
+    settle = math.ceil(max(lag.max(initial=1.0), lag_w.max(initial=1.0))) + 1
+    return (cap, base, row_base, out_base, idx, frac, np.array([lk.storage for lk in t.outs]),
+            np.array([lk.capacity * dt for lk in t.outs]), settle)
 
 
 def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
@@ -353,9 +373,10 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
 
     ``compliance_rates`` maps keys of ``network.pairs`` to the day's CR in
     [0, 1]; missing pairs default to zero diversion, and any other key is a
-    ``DnlError``.  Returns the legs' cumulative curves, exit times and
-    realized turning ratios.  A warning is recorded when more than
-    ``residual_warn_fraction`` of the demand is still in the network at tf.
+    ``DnlError``.  Returns each leg's cumulative inflow and outflow curves and
+    its inflow curve per path, the exit times and the realized turning ratios.
+    A warning is recorded when more than ``residual_warn_fraction`` of the
+    demand is still in the network at tf.
     """
     cr_map = dict(compliance_rates or {})
     for key, cr in cr_map.items():
@@ -366,37 +387,28 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
 
     K, dt = grid.n_bins, grid.dt
     W = K + 2  # a curve row: edges 0..K, then one pad edge read with weight 0
-    links, t = network.links, network.loading
+    t = network.loading
     paths_on, in_legs, q_legs, row_ix, leg_ix = t.paths_on, t.in_legs, t.q_legs, t.row_ix, t.leg_ix
     leg_of_row, pair_of_row, leg_of_pair = t.leg_of_row, t.pair_of_row, t.leg_of_pair
     junctions, src_of_row, into, to_link = t.junctions, t.src_of_row, t.into, t.to_link
     n_in, n_in_rows, n_rows, n_pairs = len(in_legs), len(src_of_row), len(t.rows), len(leg_of_pair)
     n_legs = n_in + len(q_legs)
 
-    # cumulative curves, leg-major, U with D and UP with DP in one buffer each;
-    # a queue's inflow is the departures
-    UD, P = np.zeros((2, len(leg_ix), W)), np.zeros((2, n_rows, W))
-    (U, D), (UP, DP) = UD, P
+    # cumulative curves, leg-major, U with D in one buffer, and per (leg, path) row
+    # its inflow curve and the outflow so far; a queue's inflow is the departures
+    UD, UP, dp = np.zeros((2, len(leg_ix), W)), np.zeros((n_rows, W)), np.zeros(n_rows)
+    U, D = UD
     for q in q_legs:
         departed = {pid: np.concatenate(([0.0], np.cumsum(profile.rate(pid)) * dt))
                     for pid in paths_on[q]}
         U[leg_ix[q], :K + 1] = sum(departed.values())
         for pid, arr in departed.items():
             UP[row_ix[(q, pid)], :K + 1] = arr
-    UDf, Pf = UD.ravel(), P.ravel()
-
-    # per-leg tables; lags are >= one bin by validation, the floor absorbs float spill
-    lag = np.array([max(1.0, links[a].fft / dt) for a in in_legs] + [0.0] * len(q_legs))
-    cap = np.array([links[a].capacity * dt for a in in_legs] + [math.inf] * len(q_legs))
-    base, row_base = np.arange(n_legs) * W, np.arange(n_rows) * W
-    out_slots, outs = t.out_slots, t.outs
-    out_base = np.array([leg_ix[lk.id] * W for lk in outs], dtype=np.intp)
-    lag_w = np.array([max(1.0, (lk.length / lk.w) / dt) for lk in outs])
-    # per bin: each leg's inflow curve a free-flow lag back (sending), then
-    # each out-link's outflow curve a backward-wave lag back (receiving)
-    lag_idx, lag_frac = _lag_table(np.concatenate([base, U.size + out_base]), np.concatenate([lag, lag_w]), K)
-    storage, out_cap = np.array([lk.storage for lk in outs]), np.array([lk.capacity * dt for lk in outs])
-    receiving = np.full(len(t.slots), math.inf)
+    UDf, UDf1, UPf = UD.ravel(), UD.ravel()[1:], UP.ravel()
+    if grid not in t.on_grid:
+        t.on_grid[grid] = _grid_tables(t, grid)
+    cap, base, row_base, out_base, lag_idx, lag_frac, storage, out_cap, settle = t.on_grid[grid]
+    receiving, out_slots = np.full(len(t.slots), math.inf), t.out_slots
 
     # diversion, per sign with a positive CR: its host link's rows, the bins it is
     # active in, and per O-D (cr, not-follow rows, follow rows) counted from the first
@@ -406,14 +418,13 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
             host, sign, on_host = ctx.sign.host_link, ctx.sign, paths_on[ctx.sign.host_link]
             rows = slice(row_ix[(host, on_host[0])], row_ix[(host, on_host[-1])] + 1)
             on = np.any([(s <= mids) & (mids < e) for s, e in sign.omega], axis=0).tolist()
-            diversions.setdefault(sign.id, (rows, on, sign.omega, []))[3].append(
+            diversions.setdefault(sign.id, (rows, on, []))[2].append(
                 (cr_map[key], [on_host.index(p) for p in ctx.nfset], [on_host.index(p) for p in ctx.fset]))
 
     # nothing moves before the first departure; after the last one, a quiet
     # spell longer than every lag leaves each later bin the same inputs
     departing = np.flatnonzero(profile.rates.any(axis=0))
     first, last = (int(departing[0]), int(departing[-1])) if departing.size else (K, K)
-    settle = math.ceil(max(lag.max(initial=1.0), lag_w.max(initial=1.0))) + 1
     quiet, window = 0, np.array([0, 1, 2])
     before = base.copy()  # per leg, flat: the edge before last bin's answer to the level search
     seen_o, seen_s = np.zeros((K, n_pairs)), np.zeros((K, n_legs))  # demand per bin
@@ -426,8 +437,9 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
             dn_k = D[:n_legs, k]
 
             # the curves read a lag back: sending flows, and later receiving flows
-            g = UDf[lag_idx[k]]
-            lagged = g[:, 0] + (g[:, 1] - g[:, 0]) * lag_frac[k]
+            ix = lag_idx[k]
+            g = UDf[ix]
+            lagged = g + (UDf1[ix] - g) * lag_frac[k]
             S = np.minimum(cap, lagged[:n_legs] - dn_k)
             active = S >= _TINY
             take = None
@@ -450,18 +462,17 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
                 pr = pos[leg_of_row]
                 edge = pr.astype(np.intp)
                 i = row_base + edge
-                b0 = Pf[i]
-                amt = (b0 + (Pf[i + 1] - b0) * (pr - edge)) - DP[:, k]
+                b0 = UPf[i]
+                amt = (b0 + (UPf[i + 1] - b0) * (pr - edge)) - dp
                 take = (amt > _TINY) & active[leg_of_row]
                 if not np.count_nonzero(take):
                     take = None
 
             if take is None:
                 D[:n_legs, hi] = dn_k
-                DP[:, hi] = DP[:, k]
                 quiet += 1
                 if k >= last and quiet >= settle:  # queues' curves are flat from here on too
-                    UD[..., hi + 1:K + 1], P[..., hi + 1:K + 1] = UD[..., hi, None], P[..., hi, None]
+                    UD[..., hi + 1:K + 1], UP[:, hi + 1:K + 1] = UD[..., hi, None], UP[:, hi, None]
                     break
                 continue
             quiet = 0
@@ -470,17 +481,16 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
             # VMS diversion relabels not-follow flow to the follow paths, on
             # Python floats: one read and one write of the host link's rows
             routed = amt
-            for rows, on, omega, per_od in diversions.values():
+            for rows, on, per_od in diversions.values():
                 if not on[k]:
                     continue
-                t_mid = grid.t0 + (k + 0.5) * dt
                 vals = routed[rows].tolist()
                 for cr, nf, f in per_od:
                     for r in nf:
                         if vals[r] <= _TINY:
                             continue
                         # a not-follow label sends nothing toward the recommended link
-                        vals[r], moved = revise_turning_ratios(vals[r], 0.0, cr, t_mid, omega)
+                        vals[r], moved = revise_turning_ratios(vals[r], 0.0, cr)
                         for q in f:
                             vals[q] += moved / len(f)
                 routed = routed.copy()
@@ -497,7 +507,7 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
 
             th = theta[leg_of_row]
             mv = th * amt
-            np.add(DP[:, k], mv, out=DP[:, hi])
+            dp += mv
             np.add(dn_k, np.bincount(leg_of_row, mv, minlength=n_legs), out=D[:n_legs, hi])
             to_mv = mv if routed is amt else th * routed
             UP[:n_in_rows, hi] += to_mv[src_of_row]
@@ -513,8 +523,7 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
         up_by_path={leg: {pid: UP[row_ix[(leg, pid)], :K + 1] for pid in pids}
                     for leg, pids in paths_on.items()},
         demand=(seen_o, seen_s),
-        total_arrived=float(sum(DP[row_ix[(p.links[-1], p.id)], K]
-                                for p in network.paths.values())),
+        total_arrived=float(sum(dp[row_ix[(p.links[-1], p.id)]] for p in network.paths.values())),
     )
     departed, residual = result.total_departed, result.total_residual
     if departed > 0 and residual > residual_warn_fraction * departed:

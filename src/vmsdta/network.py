@@ -93,11 +93,6 @@ def normalize_intervals(intervals):
     return tuple(merged)
 
 
-def in_omega(t, omega) -> bool:
-    """True if t lies in one of the [start, end) intervals."""
-    return any(s <= t < e for s, e in omega)
-
-
 def omega_length(omega) -> float:
     return sum(e - s for s, e in omega)
 

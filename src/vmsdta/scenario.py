@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
+import struct
 from dataclasses import MISSING, dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path as _FsPath
@@ -293,23 +295,29 @@ def write_fig1_fixture(outdir, demand: float = 360.0) -> dict:
 # output writing
 
 
-def _float_text(values) -> list:
-    """``repr`` of each float in ``values``, as nested lists; each distinct value
-    (told apart by its bits, so ``-0.0`` keeps its sign) is formatted once."""
-    arr = np.ascontiguousarray(values, dtype=float)
-    bits, where = np.unique(arr.view(np.int64), return_inverse=True)
-    text = np.array([repr(x) for x in bits.view(float).tolist()], dtype=object)
-    return text[where.reshape(arr.shape)].tolist()
+class _FloatText(dict):
+    """``repr`` of floats keyed by their bits (so ``-0.0`` keeps its sign), each formatted once."""
+
+    def __missing__(self, bits):
+        self[bits] = text = repr(struct.unpack("<d", struct.pack("<q", bits))[0])
+        return text
 
 
-def _write_bins(fh, fields, *columns):
+@functools.lru_cache(maxsize=4)
+def _bins_template(n_bins, n_columns):
+    """A CSV row per bin k: NUL for the leading fields, k, then ``n_columns`` ``%s``; the
+    fields replace the NULs after the ``%``, so a ``%`` in them is never a format."""
+    return "".join(f"\0{k}{',%s' * n_columns}\r\n" for k in range(n_bins))
+
+
+def _write_bins(fh, text, fields, *columns):
     """Write, in one call, a CSV row per bin k: ``fields`` (quoted once, as
-    ``csv.writer`` quotes them), k, then each column's k-th string."""
+    ``csv.writer`` quotes them), k, then each column's k-th float as the
+    ``_FloatText`` ``text`` formats it."""
     buf = io.StringIO()
     csv.writer(buf).writerow(fields + ("",))
-    bins = map(str, range(len(columns[0])))
-    prefix, rows = buf.getvalue()[:-2], list(map(",".join, zip(bins, *columns)))
-    fh.write(prefix + ("\r\n" + prefix).join(rows) + "\r\n" if rows else "")
+    values = tuple(map(text.__getitem__, np.column_stack(columns).ravel().view(np.int64).tolist()))
+    fh.write((_bins_template(len(columns[0]), len(columns)) % values).replace("\0", buf.getvalue()[:-2]))
 
 
 def write_outputs(result: RunResult, outdir, config: RunConfig | None = None,
@@ -328,21 +336,15 @@ def write_outputs(result: RunResult, outdir, config: RunConfig | None = None,
             done = result.converged and rec.day == result.days[-1].day
             wr.writerow([rec.day, rec.gap, rec.total_cost, str(done).lower()])
 
-    files["flows"] = outdir / "flows.csv"
-    with open(files["flows"], "w", newline="") as fh:
-        csv.writer(fh).writerow(["day", "path", "bin", "rate"])
+    files["flows"], files["costs"] = outdir / "flows.csv", outdir / "costs.csv"
+    with open(files["flows"], "w", newline="") as flows, open(files["costs"], "w", newline="") as costs:
+        csv.writer(flows).writerow(["day", "path", "bin", "rate"])
+        csv.writer(costs).writerow(["day", "path", "bin", "psi", "phi"])
         for rec in result.days:
-            order = [rec.profile.index(pid) for pid in network.path_ids]
-            for pid, rates in zip(network.path_ids, _float_text(rec.profile.rates[order])):
-                _write_bins(fh, (rec.day, pid), rates)
-
-    files["costs"] = outdir / "costs.csv"
-    with open(files["costs"], "w", newline="") as fh:
-        csv.writer(fh).writerow(["day", "path", "bin", "psi", "phi"])
-        for rec in result.days:
-            psi, phi = _float_text(np.stack((rec.psi, rec.phi)))
-            for pid, psi_row, phi_row in zip(network.path_ids, psi, phi):
-                _write_bins(fh, (rec.day, pid), psi_row, phi_row)
+            text = _FloatText()  # one day's distinct values; the rows go out one path at a time
+            for pid, psi, phi in zip(network.path_ids, rec.psi, rec.phi):
+                _write_bins(flows, text, (rec.day, pid), rec.profile.rate(pid))
+                _write_bins(costs, text, (rec.day, pid), psi, phi)
 
     files["compliance"] = outdir / "compliance.csv"
     comp_cols = ["day", "od_id", "sign_id", "model", "s_bar", "mu_f", "mu_nf",
@@ -422,17 +424,17 @@ def dump_curves(dnl_result, outdir) -> dict:
     network = dnl_result.network
     outdir = _FsPath(outdir)
     files = {"curves": outdir / "curves.csv", "turning_ratios": outdir / "turning_ratios.csv"}
+    text = _FloatText()
     with open(files["curves"], "w", newline="") as fh:
         csv.writer(fh).writerow(["link_id", "bin", "N_up", "N_down"])
-        curves = _float_text([(dnl_result.up[a], dnl_result.down[a]) for a in network.links])
-        for a, (up, down) in zip(network.links, curves):
-            _write_bins(fh, (a,), up, down)
+        for a in network.links:
+            _write_bins(fh, text, (a,), dnl_result.up[a], dnl_result.down[a])
     with open(files["turning_ratios"], "w", newline="") as fh:
         csv.writer(fh).writerow(["node", "in_link", "out", "bin", "ratio"])
         for node, per_in in dnl_result.turning_ratios.items():
             for a, per_out in per_in.items():
-                for out, ratios in zip(per_out, _float_text(list(per_out.values()))):
-                    _write_bins(fh, (node, a, out), ratios)
+                for out, ratios in per_out.items():
+                    _write_bins(fh, text, (node, a, out), ratios)
     return files
 
 

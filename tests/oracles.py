@@ -265,12 +265,14 @@ def list_loader(network, grid, profile, compliance_rates):
                     dest.setdefault(step[leg][pid], {})[pid] = amt
                 routed.append(dest)
             for i, e_from, e_to, omega, crs in signs:
+                if not any(s <= t_mid < e for s, e in omega):
+                    continue
                 for cr, fset, nfset in crs:
                     for pid in nfset:
                         amt = routed[i].get(e_from, {}).get(pid, 0.0)
                         if amt <= tiny:
                             continue
-                        kept, moved = revise_turning_ratios(amt, 0.0, cr, t_mid, omega)
+                        kept, moved = revise_turning_ratios(amt, 0.0, cr)
                         if moved == 0.0:
                             continue
                         routed[i][e_from][pid] = kept

@@ -1,4 +1,5 @@
 import math
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -324,6 +325,26 @@ def test_dnl_failure_aborts_with_day_index(fig1, monkeypatch):
     with pytest.raises(DayToDayError) as err:
         run_day_to_day(net, cfg.grid, prof, cfg.compliance, cfg.penalty, solver)
     assert str(err.value).startswith("day 1:")
+
+
+def test_one_loading_is_alive_at_a_time(fig1, monkeypatch):
+    # day d's loading is gone when day d+1's is built; the run keeps the last one
+    from vmsdta import daytoday, dnl
+
+    loadings, dead_on_entry = [], []
+
+    def run_dnl(*args, **kwargs):
+        dead_on_entry.append([ref() is None for ref in loadings])
+        result = dnl.run_dnl(*args, **kwargs)
+        loadings.append(weakref.ref(result))
+        return result
+
+    net, cfg = fig1
+    monkeypatch.setattr(daytoday, "run_dnl", run_dnl)
+    solver = replace(cfg.solver, max_days=5, gap_tolerance=1e-15)
+    res = run_day_to_day(net, cfg.grid, build_profile(net, cfg), cfg.compliance, cfg.penalty, solver)
+    assert dead_on_entry == [[True] * day for day in range(5)]
+    assert loadings[-1]() is res.final_dnl is not None
 
 
 @pytest.mark.parametrize("name, stage", [

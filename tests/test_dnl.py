@@ -3,48 +3,43 @@ import math
 import numpy as np
 import pytest
 
+from vmsdta import dnl
 from vmsdta.dnl import (
     DnlError,
     _finite_rounds,
     revise_turning_ratios,
     run_dnl,
 )
-from vmsdta.network import DepartureProfile, Link, Network, ODPair, Path, TimeGrid, in_omega
+from vmsdta.network import DepartureProfile, Link, Network, ODPair, Path, TimeGrid
+from vmsdta.scenario import fig1_config, fig1_network
 
 from .conftest import assert_dnl_invariants, link_inflow, make_corridor
 from .oracles import (compose_exit, list_loader, path_legs, point_queue_corridor, slotwise_waterfill,
                       solve_dense)
-
-OMEGA = ((0.0, 100.0),)
-
 
 # ---------------------------------------------------------------------------
 # turning-ratio revision
 
 
 def test_revision_identity_at_zero_compliance():
-    assert revise_turning_ratios(0.6, 0.4, 0.0, 50.0, OMEGA) == (0.6, 0.4)
+    assert revise_turning_ratios(0.6, 0.4, 0.0) == (0.6, 0.4)
 
 
 def test_revision_diverts_all_at_full_compliance():
-    assert revise_turning_ratios(0.6, 0.4, 1.0, 50.0, OMEGA) == (0.0, 1.0)
+    assert revise_turning_ratios(0.6, 0.4, 1.0) == (0.0, 1.0)
 
 
 def test_revision_half_compliance():
-    rf, rt = revise_turning_ratios(0.6, 0.4, 0.5, 50.0, OMEGA)
+    rf, rt = revise_turning_ratios(0.6, 0.4, 0.5)
     assert rf == pytest.approx(0.3, abs=1e-15)
     assert rt == pytest.approx(0.7, abs=1e-15)
 
 
-def test_revision_inactive_sign_passes_through():
-    assert revise_turning_ratios(0.6, 0.4, 0.5, 150.0, OMEGA) == (0.6, 0.4)
-
-
 def test_revision_rejects_bad_compliance():
     with pytest.raises(ValueError):
-        revise_turning_ratios(0.6, 0.4, 1.5, 50.0, OMEGA)
+        revise_turning_ratios(0.6, 0.4, 1.5)
     with pytest.raises(ValueError):
-        revise_turning_ratios(0.6, 0.4, -0.1, 50.0, OMEGA)
+        revise_turning_ratios(0.6, 0.4, -0.1)
 
 
 def test_revision_preserves_sum_and_bounds():
@@ -53,8 +48,7 @@ def test_revision_preserves_sum_and_bounds():
         a_from = float(rng.random())
         a_to = 1.0 - a_from
         cr = float(rng.random())
-        t = float(rng.uniform(-50, 200))
-        rf, rt = revise_turning_ratios(a_from, a_to, cr, t, OMEGA)
+        rf, rt = revise_turning_ratios(a_from, a_to, cr)
         assert 0.0 <= rf <= 1.0 and 0.0 <= rt <= 1.0
         assert rf + rt == a_from + a_to  # bit-for-bit
 
@@ -314,12 +308,56 @@ def test_revised_ratios_reflect_diversion(fig1_loaded):
     res = run_dnl(net, grid, prof, compliance_rates={("od1", "vms1"): 0.5})
     ratios = res.turning_ratios["b"]["1"]
     mids = grid.mids()
-    active = np.array([in_omega(t, net.signs[0].omega) for t in mids])
+    active = np.any([(s <= mids) & (mids < e) for s, e in net.signs[0].omega], axis=0)
     flowing = link_inflow(res, "2") + link_inflow(res, "3") > 1e-9
     # base split is 2/3 toward link 2; half of it diverts while the sign is on
     sel = active & flowing
     assert np.allclose(ratios["2"][sel], 1.0 / 3.0, atol=1e-9)
     assert np.allclose(ratios["3"][sel], 2.0 / 3.0, atol=1e-9)
+
+
+def test_outside_omega_the_host_link_loads_as_without_the_sign():
+    # uncongested, with the sign on for part of the departures: in the bins
+    # outside its active set the host link's flow per (leg, slot) pair is the
+    # CR-0 loading's, bit for bit, and in the active bins it is not
+    net = fig1_network(demand=120.0, omega=((1200.0, 1500.0),))
+    grid = fig1_config().grid
+    prof = DepartureProfile.uniform(net, grid, window=(900.0, 1800.0))
+    loads = [run_dnl(net, grid, prof, compliance_rates={("od1", "vms1"): cr}) for cr in (0.0, 0.5)]
+    host = net.loading.leg_of_pair == net.loading.leg_ix["1"]
+    off, on = (res.demand[0][:, host] for res in loads)
+    mids = grid.mids()
+    active = (1200.0 <= mids) & (mids < 1500.0)
+    assert np.array_equal(on[~active], off[~active])
+    assert off[~active].any() and not np.array_equal(on[active], off[active])
+
+
+def test_grid_tables_are_built_once_per_grid_and_load_as_fresh_copies(monkeypatch):
+    # one network loaded on two grids in turn, each twice, loads bit for bit as
+    # fresh copies of it do, and builds its grid tables once per grid
+    build, builds = dnl._grid_tables, []
+
+    def counted(t, grid):
+        builds.append((t, grid))
+        return build(t, grid)
+
+    monkeypatch.setattr(dnl, "_grid_tables", counted)
+
+    def load(network, grid):
+        prof = DepartureProfile.uniform(network, grid, window=(900.0, 1800.0))
+        return run_dnl(network, grid, prof, compliance_rates={("od1", "vms1"): 0.5})
+
+    net, grids = fig1_network(), [TimeGrid(0.0, 3600.0, 10.0), TimeGrid(0.0, 3000.0, 5.0)]
+    for grid in grids + grids:
+        shared, fresh = load(net, grid), load(fig1_network(), grid)
+        for leg, pids in fresh.up_by_path.items():
+            assert np.array_equal(shared.up[leg], fresh.up[leg])
+            assert np.array_equal(shared.down[leg], fresh.down[leg])
+            assert all(np.array_equal(shared.up_by_path[leg][p], fresh.up_by_path[leg][p]) for p in pids)
+        times = shared.path_times()
+        assert all(np.array_equal(times[p], t) for p, t in fresh.path_times().items())
+        assert shared.total_arrived == fresh.total_arrived
+    assert [grid for t, grid in builds if t is net.loading] == grids
 
 
 def test_bad_compliance_rate_is_a_dnl_error(fig1_loaded):

@@ -14,7 +14,6 @@ from vmsdta.network import (
     TimeGrid,
     VmsSign,
     affected_ods,
-    in_omega,
     load_scenario,
     normalize_intervals,
     omega_bin_overlap,
@@ -49,7 +48,6 @@ def test_omega_helpers():
     om = normalize_intervals([(30.0, 40.0), (0.0, 10.0), (10.0, 20.0)])
     assert om == ((0.0, 20.0), (30.0, 40.0))
     assert omega_length(om) == 30.0
-    assert in_omega(0.0, om) and in_omega(19.9, om) and not in_omega(20.0, om)
     grid = TimeGrid(0.0, 40.0, 8.0)
     overlap = omega_bin_overlap(grid, om)
     assert overlap.tolist() == [8.0, 8.0, 4.0, 2.0, 8.0]
