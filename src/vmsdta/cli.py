@@ -127,8 +127,6 @@ def cli_run(argv=None) -> int:
             return EXIT_OK
     except ScenarioError as exc:
         return _fail(EXIT_INPUT, "input", exc.errors)
-    except FileNotFoundError as exc:
-        return _fail(EXIT_INPUT, "input", [str(exc)])
     except (DnlError, DayToDayError, OutputError) as exc:
         return _fail(EXIT_RUNTIME, "runtime", [str(exc)])
     return _fail(EXIT_INPUT, "input", [f"unknown command {args.command!r}"])

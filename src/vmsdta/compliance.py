@@ -112,9 +112,9 @@ def compliance_logit(advantage: float, beta: float) -> float:
         raise ValueError(f"beta {beta} must be positive")
     z = beta * advantage
     if z >= 0:
-        cr = 1.0 / (1.0 + math.exp(-min(z, 745.0)))
+        cr = 1.0 / (1.0 + math.exp(-z))
     else:
-        ez = math.exp(max(z, -745.0))
+        ez = math.exp(z)
         cr = ez / (1.0 + ez)
     return _clamp_open01(cr)
 
@@ -145,27 +145,26 @@ def initial_state(params: ComplianceParams, ctx: PairContext, network: Network) 
     return ComplianceState(cr=compliance_logit(y_nf - y_f, params.logit_scale), y_f=y_f, y_nf=y_nf)
 
 
-def step_compliance(state: ComplianceState, params: ComplianceParams, result,
-                    ctx: PairContext, grid: TimeGrid):
-    """Advance one pair's perception by one day from the day's loading result.
+def step_compliance(state: ComplianceState, params: ComplianceParams, result, ctx: PairContext):
+    """Advance one pair's perception by one day from the day's loading result, on its grid.
 
     Returns ``(next_state, trace)`` where the trace holds the day's observed
     statistics for the CSV output; next_state.cr is the compliance rate the
     *next* day's loading will use.
     """
     # mean traversal time from the sign's junction over each set, per bin midpoint
-    times = result.partial_traversal_time(ctx.sign.junction, ctx.fset + ctx.nfset, grid.mids())
+    times = result.partial_traversal_time(ctx.sign.junction, ctx.fset + ctx.nfset, result.grid.mids())
     mu_f_t, mu_nf_t = (sum(times[p] for p in ps) / len(ps) for ps in (ctx.fset, ctx.nfset))
     if params.model in ("I", "III"):
-        s_bar = average_saving(mu_nf_t - mu_f_t, grid, ctx.sign.omega)
+        s_bar = average_saving(mu_nf_t - mu_f_t, result.grid, ctx.sign.omega)
         s_eff = apply_threshold(s_bar, params.gamma) if params.model == "III" else s_bar
         x = update_perception(state.x, s_eff, params.w)
         nxt = ComplianceState(cr=compliance_logit(2.0 * x, params.beta), x=x)
         trace = {"s_bar": s_bar, "x": x}
         return nxt, trace
     if params.average_over_omega:
-        mu_f = average_saving(mu_f_t, grid, ctx.sign.omega)
-        mu_nf = average_saving(mu_nf_t, grid, ctx.sign.omega)
+        mu_f = average_saving(mu_f_t, result.grid, ctx.sign.omega)
+        mu_nf = average_saving(mu_nf_t, result.grid, ctx.sign.omega)
     else:
         mu_f = average_time(mu_f_t)
         mu_nf = average_time(mu_nf_t)

@@ -102,11 +102,11 @@ def travel_cost(travel_time, depart_time, t_arrival, penalty: PenaltyFunction):
     return travel_time + penalty(depart_time + travel_time - t_arrival)
 
 
-def cost_table(result, network: Network, grid: TimeGrid, penalty: PenaltyFunction) -> np.ndarray:
-    """Psi for every path (row order = network.path_ids) at bin midpoints."""
-    mids = grid.mids()
+def cost_table(result: DnlResult, penalty: PenaltyFunction) -> np.ndarray:
+    """Psi for every path of the loading (row order = network.path_ids) at its bin midpoints."""
+    network, mids = result.network, result.grid.mids()
     times = result.path_times()
-    psi = np.empty((len(network.path_ids), grid.n_bins))
+    psi = np.empty((len(network.path_ids), len(mids)))
     for i, pid in enumerate(network.path_ids):
         t_a = network.ods[network.paths[pid].od].t_arrival
         psi[i] = travel_cost(times[pid], mids, t_a, penalty)
@@ -127,10 +127,10 @@ def br_cost(psi, v_ij: float, eps_p: float, eps_min: float):
     return np.maximum(psi, v_ij + eps_p) - (eps_p - eps_min)
 
 
-def phi_table(psi: np.ndarray, network: Network, path_ids) -> tuple:
-    """BR costs for all paths plus the per-O-D minimum costs."""
+def phi_table(psi: np.ndarray, network: Network) -> tuple:
+    """BR costs for all paths (rows in network.path_ids order) plus the per-O-D minimum costs."""
     phi = np.empty_like(psi)
-    row = {pid: i for i, pid in enumerate(path_ids)}
+    row = {pid: i for i, pid in enumerate(network.path_ids)}
     v = {}
     for od in network.ods:
         rows = [row[pid] for pid in network.od_paths(od)]
@@ -217,16 +217,16 @@ def relative_gap(now: DepartureProfile, prev: DepartureProfile) -> float:
 def advance(state: DayState, day: int, network: Network, grid: TimeGrid,
             compliance: ComplianceParams, penalty: PenaltyFunction, solver: SolverConfig):
     """Load ``state`` as day ``day``, reading each pair's context from ``network.pairs``;
-    returns (next state, its record with gap nan, loading)."""
+    returns (next state, its record with gap nan, loading).  The record warns when the
+    vehicles still in the network at tf exceed ``solver.residual_warn_fraction`` of departures."""
     cr_used = {key: st.cr for key, st in state.perception.items()}
     stage = "loading"
     try:
-        result = run_dnl(network, grid, state.profile, compliance_rates=cr_used,
-                         residual_warn_fraction=solver.residual_warn_fraction)
+        result = run_dnl(network, grid, state.profile, compliance_rates=cr_used)
         stage = "cost table"
-        psi = cost_table(result, network, grid, penalty)
+        psi = cost_table(result, penalty)
         stage = "BR cost"
-        phi, v = phi_table(psi, network, network.path_ids)
+        phi, v = phi_table(psi, network)
         stage = "dual solve"
         next_profile, etas = update_departures(state.profile, phi, solver.step_size, network)
         stage = "compliance step"
@@ -235,7 +235,7 @@ def advance(state: DayState, day: int, network: Network, grid: TimeGrid,
         od_totals = state.profile.od_totals(network)
         for key, st in state.perception.items():
             ctx = network.pairs[key]
-            perception[key], tr = step_compliance(st, compliance, result, ctx, grid)
+            perception[key], tr = step_compliance(st, compliance, result, ctx)
             row = {"od": ctx.od, "sign": ctx.sign.id, "model": compliance.model,
                    "cr": cr_used[key], **tr}
             # realized share of the O-D's vehicles that took the recommendation
@@ -247,10 +247,13 @@ def advance(state: DayState, day: int, network: Network, grid: TimeGrid,
         raise DayToDayError(f"day {day}: {stage}: {exc}") from exc
 
     total_cost = float((state.profile.rates * psi).sum() * grid.dt)
+    departed, residual = result.total_departed, result.total_residual
+    stranded = departed > 0 and residual > solver.residual_warn_fraction * departed
     record = DayRecord(
         day=day, profile=state.profile, psi=psi, phi=phi, min_cost=v, eta=etas,
-        gap=math.nan, total_cost=total_cost, cr_used=cr_used, compliance_trace=traces,
-        residual=result.total_residual, warnings=list(result.warnings),
+        gap=math.nan, total_cost=total_cost, cr_used=cr_used, compliance_trace=traces, residual=residual,
+        warnings=[f"{residual:.3f} vehicles ({residual / departed:.2%} of demand) still in the network at tf"]
+        if stranded else [],
     )
     return DayState(next_profile, perception), record, result
 

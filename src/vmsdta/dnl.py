@@ -31,7 +31,7 @@ than every lag once the last departure has passed, are skipped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -158,7 +158,8 @@ class DnlResult:
     queue's ``up`` is the cumulative departures and its ``down`` the vehicles
     that have entered the first link.  Per path only a leg's inflow curve is
     kept; of its outflow only the total delivered, ``total_arrived``, remains.
-    ``turning_ratios`` covers links only.
+    ``demand[k, p]`` is the demand of (leg, slot) pair p in bin k before any
+    throttling, whence ``turning_ratios`` (links only).
 
     Traversal times compose the legs' exit-time functions ``mu`` along chains
     of legs (a path's legs for ``path_times``, its links downstream of a node
@@ -171,9 +172,8 @@ class DnlResult:
     up: dict  # leg -> np.ndarray of cumulative inflow at edges
     down: dict  # leg -> cumulative outflow at edges
     up_by_path: dict  # leg -> {path: np.ndarray}
-    demand: tuple  # per bin: each (leg, slot) pair's demand, each leg's sending flow
+    demand: np.ndarray  # bins x (leg, slot) pairs
     total_arrived: float  # vehicles delivered to their destinations
-    warnings: list = field(default_factory=list)
     extrapolated_queries: int = 0
 
     def __post_init__(self):
@@ -184,10 +184,13 @@ class DnlResult:
         """node -> {in_link: {out: ratio per bin}}: each bin's demand shares, or the
         last ones (at first an even split over the link's next slots) through bins
         without demand."""
-        t, (seen_o, seen_s), K = self._tables, self.demand, self.grid.n_bins
-        of_leg, seen_o = t.leg_of_pair[:t.n_in_pairs], seen_o[:, :t.n_in_pairs]
-        with_flow = seen_s[:, of_leg] > _TINY
-        share = np.divide(seen_o, seen_s[:, of_leg], out=np.zeros_like(seen_o), where=with_flow & (seen_o > 0))
+        t, K = self._tables, self.grid.n_bins
+        of_leg, seen_o = t.leg_of_pair[:t.n_in_pairs], self.demand[:, :t.n_in_pairs]
+        sending = np.zeros((len(t.in_legs), K))
+        np.add.at(sending, of_leg, seen_o.T)  # each link's sending flow, its pairs added in order as by bincount
+        seen_s = sending[of_leg].T
+        with_flow = seen_s > _TINY
+        share = np.divide(seen_o, seen_s, out=np.zeros_like(seen_o), where=with_flow & (seen_o > 0))
         from_bin = np.maximum.accumulate(np.where(with_flow, np.arange(K)[:, None], -1), axis=0)
         held = np.take_along_axis(share, np.maximum(from_bin, 0), axis=0)
         spread = 1.0 / np.bincount(of_leg, minlength=len(t.in_legs))[of_leg]
@@ -368,15 +371,14 @@ def _grid_tables(t, grid):
 
 
 def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
-            compliance_rates=None, residual_warn_fraction: float = 0.005) -> DnlResult:
+            compliance_rates=None) -> DnlResult:
     """Propagate the departure profile through the network for one day.
 
     ``compliance_rates`` maps keys of ``network.pairs`` to the day's CR in
     [0, 1]; missing pairs default to zero diversion, and any other key is a
     ``DnlError``.  Returns each leg's cumulative inflow and outflow curves and
-    its inflow curve per path, the exit times and the realized turning ratios.
-    A warning is recorded when more than ``residual_warn_fraction`` of the
-    demand is still in the network at tf.
+    its inflow curve per path, each (leg, slot) pair's demand per bin, the exit
+    times and the realized turning ratios.
     """
     cr_map = dict(compliance_rates or {})
     for key, cr in cr_map.items():
@@ -427,7 +429,7 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
     first, last = (int(departing[0]), int(departing[-1])) if departing.size else (K, K)
     quiet, window = 0, np.array([0, 1, 2])
     before = base.copy()  # per leg, flat: the edge before last bin's answer to the level search
-    seen_o, seen_s = np.zeros((K, n_pairs)), np.zeros((K, n_legs))  # demand per bin
+    demand = np.zeros((K, n_pairs))  # per bin
 
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(first, K):
@@ -497,9 +499,8 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
                 routed[rows] = vals
 
             # revised turning ratios (demand shares before any throttling)
-            oriented = np.bincount(pair_of_row, routed, minlength=n_pairs)
+            demand[k] = oriented = np.bincount(pair_of_row, routed, minlength=n_pairs)
             sending = np.bincount(leg_of_pair, oriented, minlength=n_legs)
-            seen_o[k], seen_s[k] = oriented, sending
 
             space = lagged[n_legs:] + storage - UDf[out_base + k]
             receiving[out_slots] = np.maximum(0.0, np.minimum(out_cap, space))
@@ -515,19 +516,13 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
             # a link fed by several legs adds their flows in junction order
             np.add.at(U[:, hi], into, total[to_link])
 
-    result = DnlResult(
+    return DnlResult(
         network=network,
         grid=grid,
         up={leg: U[leg_ix[leg], :K + 1] for leg in paths_on},
         down={leg: D[leg_ix[leg], :K + 1] for leg in paths_on},
         up_by_path={leg: {pid: UP[row_ix[(leg, pid)], :K + 1] for pid in pids}
                     for leg, pids in paths_on.items()},
-        demand=(seen_o, seen_s),
+        demand=demand,
         total_arrived=float(sum(dp[row_ix[(p.links[-1], p.id)]] for p in network.paths.values())),
     )
-    departed, residual = result.total_departed, result.total_residual
-    if departed > 0 and residual > residual_warn_fraction * departed:
-        result.warnings.append(
-            f"{residual:.3f} vehicles ({residual / departed:.2%} of demand) still in the network at tf"
-        )
-    return result

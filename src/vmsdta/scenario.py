@@ -278,16 +278,20 @@ def fig1_config(**overrides) -> RunConfig:
 
 
 def write_fig1_fixture(outdir, demand: float = 360.0) -> dict:
-    """Write the fixture scenario files; returns the file map."""
+    """Write the fixture scenario files into a directory ``make_outdir`` makes; returns the file map."""
     outdir = _FsPath(outdir)
     network = fig1_network(demand=demand)
     cfg = fig1_config()
     errors, _ = network.validate(cfg.grid)
     if errors:  # before any file is written
         raise ScenarioError(errors)
-    files = save_scenario_files(network, outdir)
-    files["config"] = outdir / "config.json"
-    files["config"].write_text(json.dumps(config_to_dict(cfg), indent=2) + "\n")
+    make_outdir(outdir)
+    try:
+        files = save_scenario_files(network, outdir)
+        files["config"] = outdir / "config.json"
+        files["config"].write_text(json.dumps(config_to_dict(cfg), indent=2) + "\n")
+    except OSError as exc:
+        raise OutputError(f"writing fixture files in {outdir}: {exc}") from exc
     return files
 
 

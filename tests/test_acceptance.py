@@ -194,7 +194,7 @@ def test_criterion_5_compliance_identities():
     x_hand = 0.0
     max_err = 0.0
     for _day in range(3):
-        state, trace = step_compliance(state, params, res, ctx, cfg.grid)
+        state, trace = step_compliance(state, params, res, ctx)
         x_hand = (1 - 0.3) * x_hand + 0.3 * s_bar
         cr_hand = math.exp(0.01 * x_hand) / (math.exp(-0.01 * x_hand) + math.exp(0.01 * x_hand))
         max_err = max(max_err, abs(state.x - x_hand), abs(state.cr - cr_hand))

@@ -184,6 +184,9 @@ def test_logit1_closed_form():
 def test_logit1_limits_stay_open():
     assert 0.0 < compliance_logit(2.0 * -1e9, 0.1) < 0.5
     assert 0.5 < compliance_logit(2.0 * 1e9, 0.1) < 1.0
+    # infinite advantages land on the bounds: the largest double below 1, the smallest above 0
+    assert compliance_logit(math.inf, 0.1) == float(np.nextafter(1.0, 0.0))
+    assert compliance_logit(-math.inf, 0.1) == 5e-324
 
 
 def test_logit1_depends_only_on_product():
@@ -299,7 +302,7 @@ def test_step_model1_three_day_hand_trace(fig1_freeflow_result):
     x_hand, cr_hand = 0.0, 0.5
     for _day in range(3):
         assert state.cr == pytest.approx(cr_hand, abs=1e-9)
-        state, trace = step_compliance(state, params, res, ctx, grid)
+        state, trace = step_compliance(state, params, res, ctx)
         x_hand = 0.7 * x_hand + 0.3 * s_bar
         cr_hand = math.exp(0.01 * x_hand) / (math.exp(-0.01 * x_hand) + math.exp(0.01 * x_hand))
         assert trace["s_bar"] == pytest.approx(s_bar, abs=1e-9)
@@ -314,8 +317,8 @@ def test_model3_gamma_zero_reproduces_model1(fig1_freeflow_result):
     p3 = ComplianceParams(model="III", w=0.3, beta=0.01, gamma=0.0)
     s1, s3 = initial_state(p1, ctx, net), initial_state(p3, ctx, net)
     for _day in range(50):
-        s1, _ = step_compliance(s1, p1, res, ctx, grid)
-        s3, _ = step_compliance(s3, p3, res, ctx, grid)
+        s1, _ = step_compliance(s1, p1, res, ctx)
+        s3, _ = step_compliance(s3, p3, res, ctx)
         assert s3 == s1  # exact trajectory equality, not approximate
 
 
@@ -325,7 +328,7 @@ def test_model3_threshold_freezes_small_savings(fig1_freeflow_result):
     params = ComplianceParams(model="III", w=0.3, beta=0.01, gamma=200.0)
     state = initial_state(params, ctx, net)
     for _day in range(5):
-        state, trace = step_compliance(state, params, res, ctx, grid)
+        state, trace = step_compliance(state, params, res, ctx)
     # the 20 s saving sits inside [0, gamma): perception never moves
     assert 0.0 < trace["s_bar"] < 200.0
     assert state.x == 0.0 and state.cr == 0.5
@@ -336,12 +339,12 @@ def test_step_model2_and_model4(fig1_freeflow_result):
     ctx = _pair_ctx(net)
     p2 = ComplianceParams(model="II", w=0.3, beta=0.01)
     st = initial_state(p2, ctx, net)
-    st, tr = step_compliance(st, p2, res, ctx, grid)
+    st, tr = step_compliance(st, p2, res, ctx)
     assert tr["mu_nf"] - tr["mu_f"] == pytest.approx(20.0, abs=1e-9)
     assert st.cr > 0.5  # follow is faster, so compliance exceeds one half
     p4 = ComplianceParams(model="IV", w=0.3, beta=0.01, beta_iv=1e-4)
     st4 = initial_state(p4, ctx, net)
-    st4, tr4 = step_compliance(st4, p4, res, ctx, grid)
+    st4, tr4 = step_compliance(st4, p4, res, ctx)
     assert tr4["sigma_f"] >= 0.0 and tr4["sigma_nf"] >= 0.0
     assert 0.0 < st4.cr < 1.0
 

@@ -482,7 +482,8 @@ def test_sweep_run_reports_its_own_range_warnings(tmp_path, capsys, base, swept,
     assert summary["warnings"] == expect
 
 
-@pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "beta", "--values", "0.01"]])
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "beta", "--values", "0.01"],
+                                     ["fixtures", "fig1"]])
 def test_unusable_out_exits_one_before_any_day(tmp_path, capsys, monkeypatch, command):
     files = _write(tmp_path, demand=120.0, solver={"max_days": 2})
     (tmp_path / "afile").write_text("")
@@ -491,12 +492,22 @@ def test_unusable_out_exits_one_before_any_day(tmp_path, capsys, monkeypatch, co
         raise AssertionError("the day loop ran before the output directory was checked")
 
     monkeypatch.setattr("vmsdta.scenario.run_day_to_day", no_day)
-    code = cli_run([command[0]] + _flags(files) + command[1:]
-                   + ["--out", str(tmp_path / "afile" / "sub")])
-    assert code == 1
+    flags = [] if command[0] == "fixtures" else _flags(files)
+    for out in (tmp_path / "afile", tmp_path / "afile" / "sub"):  # a file, and a path under it
+        code = cli_run([command[0]] + flags + command[1:] + ["--out", str(out)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "input"
+        assert any("--out" in m and "afile" in m for m in err["messages"]), err["messages"]
+
+
+def test_fixture_file_that_cannot_be_written_exits_two_naming_it(tmp_path, capsys):
+    out = tmp_path / "fx"
+    (out / "paths.json").mkdir(parents=True)
+    assert cli_run(["fixtures", "fig1", "--out", str(out)]) == 2
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "input"
-    assert any("--out" in m and "afile" in m for m in err["messages"]), err["messages"]
+    assert err["error"] == "runtime"
+    assert any("paths.json" in m for m in err["messages"]), err["messages"]
 
 
 def test_failed_output_write_exits_two_naming_the_file(tmp_path, capsys):

@@ -87,7 +87,7 @@ def test_fig1_solves_each_bin_with_flow_once_and_keeps_its_turning_ratios(tmp_pa
 
     def loading(*args, **kwargs):
         result = load(*args, **kwargs)
-        with_flow.append(int(np.count_nonzero(result.demand[1].any(axis=1))))
+        with_flow.append(int(np.count_nonzero(result.demand.any(axis=1))))
         return result
 
     monkeypatch.setattr(dnl, "solve_junction", counting)
