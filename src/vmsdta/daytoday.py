@@ -12,7 +12,7 @@ result (simultaneous update).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,10 +63,13 @@ class SolverConfig:
 
 @dataclass
 class DayRecord:
+    """One day of a run.  ``on_day`` sees it whole; ``RunResult.days`` keeps it
+    without ``psi`` and ``phi``, so a run does not hold every day's cost tables."""
+
     day: int
     profile: DepartureProfile  # the departure rates loaded that day
-    psi: np.ndarray  # travel cost per path x bin
-    phi: np.ndarray  # bounded-rationality cost per path x bin
+    psi: np.ndarray | None  # travel cost per path x bin
+    phi: np.ndarray | None  # bounded-rationality cost per path x bin
     min_cost: dict  # od -> v_ij
     eta: dict  # od -> dual value (None for zero demand)
     gap: float  # relative L2 gap vs. the previous day (nan on day 1)
@@ -265,7 +268,9 @@ def run_day_to_day(network: Network, grid: TimeGrid, profile: DepartureProfile,
 
     Stops when both the relative flow gap and the largest day-over-day
     compliance drift fall below ``solver.gap_tolerance``, or at ``max_days``
-    (a non-converged run is a valid outcome, not an error).
+    (a non-converged run is a valid outcome, not an error).  ``on_day`` gets
+    each day's whole record as the day ends; ``RunResult.days`` keeps a copy
+    with ``psi`` and ``phi`` set to None.
     """
     # pairs for O-Ds without demand have no drivers to divert; skip them
     state = DayState(profile, {key: initial_state(compliance, ctx, network)
@@ -282,9 +287,9 @@ def run_day_to_day(network: Network, grid: TimeGrid, profile: DepartureProfile,
             rec.gap = relative_gap(rec.profile, prev.profile)
             drift = max((abs(cr - prev.cr_used[k]) for k, cr in rec.cr_used.items()), default=0.0)
             converged = rec.gap < solver.gap_tolerance and drift < solver.gap_tolerance
-        days.append(rec)
         if on_day is not None:
             on_day(rec)
+        days.append(replace(rec, psi=None, phi=None))
         if converged:
             break
 

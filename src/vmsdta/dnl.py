@@ -216,35 +216,33 @@ class DnlResult:
     # -- exit-time functions ----------------------------------------------------
 
     def mu(self, leg, t):
-        """Leg exit times for entries at the times t (an array; linear interpolation).
+        """Leg exit times for entries at the times t (an array; linear interpolation):
+        the first times the exit curve reaches the entry levels.
 
         Entries whose exit level lies beyond the horizon drain at capacity
         past tf; entries after tf traverse at free flow.  Each such entry
         counts once in ``extrapolated_queries``.
         """
         fft, cap = self._tables.fft_cap[leg]
-        t_arr = np.asarray(t, dtype=float)
-        exit_t, over = self._invert(self.down[leg], np.interp(t_arr, self._edges, self.up[leg]), cap)
-        late = t_arr > self.grid.tf
-        self.extrapolated_queries += int(np.count_nonzero(over | late))
-        return np.maximum(np.where(late, t_arr + fft, exit_t), t_arr + fft)
-
-    def _invert(self, curve, x, cap):
-        """First times the cumulative curve reaches the levels x, and which lie past tf."""
+        curve, t = self.down[leg], np.asarray(t, dtype=float)
+        x = np.interp(t, self._edges, self.up[leg])
         # curves on different links accumulate independently; absorb float drift
-        # before declaring a level unreachable within the horizon
-        top, K = float(curve[-1]), len(curve) - 1
-        x_arr = np.where(x <= top + 1e-9 * max(1.0, abs(top)), np.minimum(x, top), x)
-        idx = np.searchsorted(curve, x_arr, side="left")
-        over = idx > K
+        # before declaring a level unreachable within the horizon (a nan level is too)
+        top = float(curve[-1])
+        over = ~(x <= top + 1e-9 * max(1.0, abs(top)))
+        level = np.fmin(x, top)
+        idx = np.searchsorted(curve, level, side="left")  # at most K: no level is above the top
         lo = np.maximum(idx - 1, 0)
-        denom = curve[np.minimum(idx, K)] - curve[lo]
-        rising = denom > 0
-        frac = np.where(rising, (x_arr - curve[lo]) / np.where(rising, denom, 1.0), 0.0)
-        res = np.where(idx == 0, self._edges[0], self._edges[lo] + frac * self.grid.dt)
+        below = curve[lo]
+        denom = curve[idx] - below
+        with np.errstate(divide="ignore", invalid="ignore"):  # flat segments: the quotient is discarded
+            exit_t = self._edges[lo] + np.where(denom > 0, (level - below) / denom, 0.0) * self.grid.dt
         if over.any():
-            res[over] = self.grid.tf + (x_arr[over] - top) / cap
-        return res, over
+            exit_t[over] = self.grid.tf + (x[over] - top) / cap
+        late = t > self.grid.tf
+        self.extrapolated_queries += int(np.count_nonzero(over | late))
+        free = t + fft
+        return np.maximum(np.where(late, free, exit_t), free)
 
     def _traverse(self, chains, t):
         """Time to traverse each key's chain of legs, entering the first at t; ``mu``

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
@@ -315,21 +316,46 @@ def _bins_template(n_bins, n_columns):
 
 
 def _write_bins(fh, text, fields, *columns):
-    """Write, in one call, a CSV row per bin k: ``fields`` (quoted once, as
-    ``csv.writer`` quotes them), k, then each column's k-th float as the
-    ``_FloatText`` ``text`` formats it."""
+    """Write and flush, in one call, a CSV row per bin k: ``fields`` (quoted once,
+    as ``csv.writer`` quotes them), k, then each column's k-th float as the
+    ``_FloatText`` ``text`` formats it.  A failure is an ``OutputError`` naming
+    the file, which it closes: its unwritten rows would fail again on close."""
     buf = io.StringIO()
     csv.writer(buf).writerow(fields + ("",))
     values = tuple(map(text.__getitem__, np.column_stack(columns).ravel().view(np.int64).tolist()))
-    fh.write((_bins_template(len(columns[0]), len(columns)) % values).replace("\0", buf.getvalue()[:-2]))
+    try:
+        fh.write((_bins_template(len(columns[0]), len(columns)) % values).replace("\0", buf.getvalue()[:-2]))
+        fh.flush()
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            fh.close()
+        raise OutputError(f"writing {fh.name}: {exc.strerror or exc}") from exc
+
+
+@contextlib.contextmanager
+def day_tables(network: Network, outdir):
+    """Open flows.csv and costs.csv in ``outdir`` and yield the ``on_day`` callback that
+    writes a day's rows as the day ends; the tables close when the block does."""
+    outdir = _FsPath(outdir)
+    with open(outdir / "flows.csv", "w", newline="") as flows, open(outdir / "costs.csv", "w", newline="") as costs:
+        csv.writer(flows).writerow(["day", "path", "bin", "rate"])
+        csv.writer(costs).writerow(["day", "path", "bin", "psi", "phi"])
+
+        def on_day(rec):
+            text = _FloatText()  # one day's distinct values; the rows go out one path at a time
+            for pid, psi, phi in zip(network.path_ids, rec.psi, rec.phi):
+                _write_bins(flows, text, (rec.day, pid), rec.profile.rate(pid))
+                _write_bins(costs, text, (rec.day, pid), psi, phi)
+
+        yield on_day
 
 
 def write_outputs(result: RunResult, outdir, config: RunConfig | None = None,
                   warnings=None) -> dict:
-    """Write days/flows/costs/compliance CSVs plus summary.json and plot data."""
+    """Write days.csv, compliance.csv, the plot data and summary.json from the run's
+    records; flows.csv and costs.csv were written day by day by ``day_tables``."""
     outdir = _FsPath(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    network = result.network
     files = {}
 
     files["days"] = outdir / "days.csv"
@@ -339,16 +365,6 @@ def write_outputs(result: RunResult, outdir, config: RunConfig | None = None,
         for rec in result.days:
             done = result.converged and rec.day == result.days[-1].day
             wr.writerow([rec.day, rec.gap, rec.total_cost, str(done).lower()])
-
-    files["flows"], files["costs"] = outdir / "flows.csv", outdir / "costs.csv"
-    with open(files["flows"], "w", newline="") as flows, open(files["costs"], "w", newline="") as costs:
-        csv.writer(flows).writerow(["day", "path", "bin", "rate"])
-        csv.writer(costs).writerow(["day", "path", "bin", "psi", "phi"])
-        for rec in result.days:
-            text = _FloatText()  # one day's distinct values; the rows go out one path at a time
-            for pid, psi, phi in zip(network.path_ids, rec.psi, rec.phi):
-                _write_bins(flows, text, (rec.day, pid), rec.profile.rate(pid))
-                _write_bins(costs, text, (rec.day, pid), psi, phi)
 
     files["compliance"] = outdir / "compliance.csv"
     comp_cols = ["day", "od_id", "sign_id", "model", "s_bar", "mu_f", "mu_nf",
@@ -447,7 +463,7 @@ def dump_curves(dnl_result, outdir) -> dict:
 
 
 class OutputError(Exception):
-    """An output file could not be written after the day loop ran."""
+    """An output file could not be written."""
 
 
 def make_outdir(outdir):
@@ -459,18 +475,24 @@ def make_outdir(outdir):
 
 
 def run_bundle(bundle: ScenarioBundle, outdir=None) -> RunResult:
+    """Run the bundle; with ``outdir``, write flows.csv and costs.csv as each day ends
+    and the other outputs after the last day (none of them, and no summary.json, if a
+    day fails)."""
     cfg = bundle.config
     if outdir is not None:
         make_outdir(outdir)
-    result = run_day_to_day(bundle.network, cfg.grid, bundle.profile,
-                            cfg.compliance, cfg.penalty, cfg.solver)
-    if outdir is not None:
-        try:
+    try:
+        if outdir is not None:  # a summary.json marks a finished run, so an earlier run's goes first
+            (_FsPath(outdir) / "summary.json").unlink(missing_ok=True)
+        with contextlib.nullcontext() if outdir is None else day_tables(bundle.network, outdir) as on_day:
+            result = run_day_to_day(bundle.network, cfg.grid, bundle.profile,
+                                    cfg.compliance, cfg.penalty, cfg.solver, on_day=on_day)
+        if outdir is not None:
             write_outputs(result, outdir, config=cfg, warnings=bundle.warnings)
             if cfg.dump_curves:
                 dump_curves(result.final_dnl, outdir)
-        except OSError as exc:
-            raise OutputError(f"writing outputs in {outdir}: {exc}") from exc
+    except OSError as exc:
+        raise OutputError(f"writing outputs in {outdir}: {exc}") from exc
     return result
 
 
@@ -541,12 +563,15 @@ def run_sweep(files: dict, param: str, values, outdir=None, workers: int = 1) ->
         rows = [_sweep_worker(job) for job in jobs]
     if outdir is not None:
         path = _FsPath(outdir) / "sweep.csv"
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["param", "value", "days", "converged", "final_gap",
-                         "final_cr", "final_total_cost"])
-            for row in rows:
-                wr.writerow([row["param"], row["value"], row["days"],
-                             str(row["converged"]).lower(), row["final_gap"],
-                             row["final_cr"], row["final_total_cost"]])
+        try:
+            with open(path, "w", newline="") as fh:
+                wr = csv.writer(fh)
+                wr.writerow(["param", "value", "days", "converged", "final_gap",
+                             "final_cr", "final_total_cost"])
+                for row in rows:
+                    wr.writerow([row["param"], row["value"], row["days"],
+                                 str(row["converged"]).lower(), row["final_gap"],
+                                 row["final_cr"], row["final_total_cost"]])
+        except OSError as exc:
+            raise OutputError(f"writing {path}: {exc.strerror or exc}") from exc
     return rows

@@ -323,31 +323,31 @@ def _fmt(x):
     return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
 
 
-def row_writer(outdir, result=None, dnl_result=None):
+def row_writer(outdir, network, records=None, dnl_result=None):
     """The per-row CSV writer: one ``csv.writer`` row and one ``_fmt`` call per value.
 
     This is the writer the block writer replaced, kept as its reference.  It
-    writes flows.csv and costs.csv for a ``RunResult``, and curves.csv and
-    turning_ratios.csv for a ``DnlResult``, into ``outdir``.
+    writes flows.csv and costs.csv for a run's whole day records (as ``on_day``
+    gets them) on ``network``, and curves.csv and turning_ratios.csv for a
+    ``DnlResult``, into ``outdir``.
     """
-    if result is not None:
-        network, grid = result.network, result.grid
+    if records is not None:
         with open(outdir / "flows.csv", "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["day", "path", "bin", "rate"])
-            for rec in result.days:
+            for rec in records:
                 for pid in network.path_ids:
                     for k, r in enumerate(rec.profile.rate(pid)):
                         wr.writerow([rec.day, pid, k, _fmt(r)])
         with open(outdir / "costs.csv", "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["day", "path", "bin", "psi", "phi"])
-            for rec in result.days:
+            for rec in records:
                 for i, pid in enumerate(network.path_ids):
-                    for k in range(grid.n_bins):
+                    for k in range(rec.profile.grid.n_bins):
                         wr.writerow([rec.day, pid, k, _fmt(rec.psi[i, k]), _fmt(rec.phi[i, k])])
     if dnl_result is not None:
-        network, grid = dnl_result.network, dnl_result.grid
+        grid = dnl_result.grid
         with open(outdir / "curves.csv", "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["link_id", "bin", "N_up", "N_down"])

@@ -383,6 +383,19 @@ def test_day_records_report_gap_series(fig1):
     assert all(rec.gap >= 0.0 for rec in res.days[1:])
 
 
+def test_on_day_gets_whole_records_and_the_run_keeps_them_without_cost_tables(fig1):
+    net, cfg = fig1
+    seen = []
+    solver = SolverConfig(step_size=2e-4, max_days=4, gap_tolerance=1e-12)
+    res = run_day_to_day(net, cfg.grid, build_profile(net, cfg), cfg.compliance, cfg.penalty, solver,
+                         on_day=seen.append)
+    assert [rec.day for rec in seen] == [rec.day for rec in res.days] == [1, 2, 3, 4]
+    for whole, kept in zip(seen, res.days):
+        assert whole.psi.shape == whole.phi.shape == (len(net.path_ids), cfg.grid.n_bins)
+        assert kept.psi is None and kept.phi is None
+        _assert_same_record(kept, replace(whole, psi=None, phi=None))
+
+
 # ---------------------------------------------------------------------------
 # one day as a step
 
@@ -437,14 +450,15 @@ def test_a_run_continued_with_advance_matches_a_straight_run(fig1, params):
     compliance = replace(cfg.compliance, **params)
     solver = replace(cfg.solver, max_days=20, gap_tolerance=1e-15)
 
-    def run(max_days):
+    def run(max_days, on_day=None):
         return run_day_to_day(net, cfg.grid, build_profile(net, cfg), compliance, cfg.penalty,
-                              replace(solver, max_days=max_days))
+                              replace(solver, max_days=max_days), on_day=on_day)
 
-    straight, first = run(20), run(10)
+    whole = []  # the straight run's records with their cost tables
+    straight, first = run(20, whole.append), run(10)
     assert len(straight.days) == 20 and len(first.days) == 10 and not first.converged
     state, prev = first.final_state, first.days[-1]
-    for want in straight.days[10:]:
+    for want in whole[10:]:
         state, rec, _ = advance(state, want.day, net, cfg.grid, compliance, cfg.penalty, solver)
         rec.gap = relative_gap(rec.profile, prev.profile)
         _assert_same_record(rec, want)

@@ -5,14 +5,19 @@
   on its own legs and slots.
 - Multiplying every demand, capacity and jam density by a power of two, and
   the step size lambda with them, scales every vehicle count by it exactly
-  and leaves every time, cost and compliance rate as it was.
+  and leaves every time, cost and compliance rate as it was (fig1, generated
+  grids and random networks).
 - A disjoint union of networks loads each component as it loads alone.
 
 The order of the link records is part of the input: it fixes the order in
 which the loader sums flows, so a shuffle moves path times only by rounding.
 """
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path as FsPath
 
 import numpy as np
 import pytest
@@ -20,9 +25,11 @@ import pytest
 from vmsdta.daytoday import run_day_to_day
 from vmsdta.dnl import run_dnl
 from vmsdta.network import SINK, DepartureProfile, Network, Path
-from vmsdta.scenario import build_profile, fig1_config, fig1_network
+from vmsdta.scenario import build_profile, fig1_config, fig1_network, load_bundle
 
 from .randnet import GRID, random_network
+
+ROOT = FsPath(__file__).resolve().parents[1]
 
 RANDNET = [(s, False) for s in range(4)] + [(100, True), (101, True)]
 JAMMED = dict(n_ods=4, demand=(400.0, 600.0), capacity=(0.1, 0.2))
@@ -76,9 +83,11 @@ def _assert_loads_alike(res, ref, node=None, sfx="", scale=1.0):
 
 
 def _assert_runs_alike(run, ref, scale=1.0):
-    """Day by day the same costs and compliance, with the departure rates times ``scale``."""
-    assert len(run.days) == len(ref.days) and run.converged == ref.converged
-    for rec, base in zip(run.days, ref.days):
+    """Day by day the same costs and compliance, with the departure rates times ``scale``;
+    each run is a ``RunResult`` and its whole records, as ``on_day`` saw them."""
+    (run, days), (ref, ref_days) = run, ref
+    assert len(days) == len(run.days) == len(ref.days) == len(ref_days) and run.converged == ref.converged
+    for rec, base in zip(days, ref_days):
         np.testing.assert_array_equal(rec.psi, base.psi)
         np.testing.assert_array_equal(rec.phi, base.phi)
         np.testing.assert_array_equal(rec.profile.rates, scale * base.profile.rates)
@@ -88,10 +97,17 @@ def _assert_runs_alike(run, ref, scale=1.0):
         assert rec.gap == base.gap or (np.isnan(rec.gap) and np.isnan(base.gap))
 
 
+def _collected(run, *args, **kwargs):
+    """``run``'s result and the whole record of each day, collected through ``on_day``."""
+    days = []
+    return run(*args, **kwargs, on_day=days.append), days
+
+
 def _fig1_run(network, model, scale=1.0, max_days=10):
     cfg = fig1_config(model=model)
     solver = replace(cfg.solver, max_days=max_days, step_size=scale * cfg.solver.step_size)
-    return run_day_to_day(network, cfg.grid, build_profile(network, cfg), cfg.compliance, cfg.penalty, solver)
+    return _collected(run_day_to_day, network, cfg.grid, build_profile(network, cfg), cfg.compliance,
+                      cfg.penalty, solver)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +142,29 @@ def test_power_of_two_scaling_is_exact_over_a_fig1_run(model):
     ref = _fig1_run(network, model)
     for c in (2.0, 0.5):
         _assert_runs_alike(_fig1_run(_rebuilt(network, scale=c), model, scale=c), ref, scale=c)
+
+
+@pytest.mark.parametrize("layout", [1, 2])
+def test_power_of_two_scaling_is_exact_over_a_generated_grid_run(layout, tmp_path):
+    # bench/gridgen.py at 300 veh per O-D, where some junction solves throttle, over 5 days
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, str(ROOT / "bench" / "gridgen.py"), "--seed", str(layout),
+                    "--demand", "300", "--days", "5", "--out", str(tmp_path)], env=env, check=True,
+                   capture_output=True, timeout=300)
+    names = ("network.json", "paths.json", "demand.csv", "config.json", "tolerances.csv", "vms.json")
+    bundle = load_bundle(*(tmp_path / name for name in names))
+    cfg = bundle.config
+
+    def run(network, scale):
+        profile = DepartureProfile(cfg.grid, network.path_ids, scale * bundle.profile.rates)
+        solver = replace(cfg.solver, step_size=scale * cfg.solver.step_size)
+        return _collected(run_day_to_day, network, cfg.grid, profile, cfg.compliance, cfg.penalty, solver)
+
+    ref = run(bundle.network, 1.0)
+    assert len(ref[1]) == 5
+    for c in (2.0, 0.5):
+        _assert_runs_alike(run(_rebuilt(bundle.network, scale=c), c), ref, scale=c)
 
 
 @pytest.mark.parametrize("seed, jammed", RANDNET)

@@ -1,12 +1,15 @@
 import csv
+import errno
 import json
 import math
+import os
 import subprocess
 import sys
 from operator import attrgetter
 
 import pytest
 
+from vmsdta import daytoday
 from vmsdta.cli import cli_run
 from vmsdta.network import ScenarioError
 from vmsdta.scenario import (
@@ -518,6 +521,56 @@ def test_failed_output_write_exits_two_naming_the_file(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "runtime"
     assert any("flows.csv" in m for m in err["messages"]), err["messages"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the always-full device")
+def test_a_table_that_fills_the_disk_exits_two_naming_it(tmp_path, capsys):
+    files = _write(tmp_path, demand=120.0, solver={"max_days": 2})
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "costs.csv").symlink_to("/dev/full")  # opens, but every write fails with ENOSPC
+    assert cli_run(["run"] + _flags(files) + ["--out", str(out), "--quiet"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "runtime"
+    assert err["messages"] == [f"writing {out / 'costs.csv'}: {os.strerror(errno.ENOSPC)}"]
+    assert not (out / "summary.json").exists()
+
+
+def test_a_run_that_fails_on_day_2_keeps_day_1_table_rows_and_leaves_no_summary(tmp_path, capsys,
+                                                                                monkeypatch):
+    real, calls = daytoday.cost_table, []
+
+    def fail_on_day_2(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise ValueError("broken")
+        return real(*args)
+
+    monkeypatch.setattr(daytoday, "cost_table", fail_on_day_2)
+    files = _write(tmp_path, demand=120.0, solver={"max_days": 5})
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "summary.json").write_text("{}\n")  # an earlier run's
+    assert cli_run(["run"] + _flags(files) + ["--out", str(out), "--quiet"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "runtime", "messages": ["day 2: cost table: broken"]}
+    for name in ("flows.csv", "costs.csv"):
+        with open(out / name, newline="") as fh:
+            days = [row["day"] for row in csv.DictReader(fh)]
+        assert days == ["1"] * (3 * 360), name  # 3 paths x 360 bins
+    assert not (out / "summary.json").exists()
+
+
+def test_sweep_csv_that_cannot_be_written_exits_two_naming_it(tmp_path, capsys):
+    files = _write(tmp_path, demand=120.0, solver={"max_days": 2})
+    out = tmp_path / "o"
+    (out / "sweep.csv").mkdir(parents=True)
+    code = cli_run(["sweep"] + _flags(files) + ["--param", "lambda", "--values", "0.0004", "--out", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "runtime"
+    assert any("sweep.csv" in m for m in err["messages"]), err["messages"]
+    assert (out / "lambda_0.0004" / "summary.json").exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])
