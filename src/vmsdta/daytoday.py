@@ -63,11 +63,13 @@ class SolverConfig:
 
 @dataclass
 class DayRecord:
-    """One day of a run.  ``on_day`` sees it whole; ``RunResult.days`` keeps it
-    without ``psi`` and ``phi``, so a run does not hold every day's cost tables."""
+    """One day of a run.  ``on_day`` sees it whole; ``RunResult.days`` keeps it without
+    ``psi`` and ``phi``, and without ``profile`` once the next day's gap is formed, so a
+    run holds no per-bin array but the newest day's departure rates."""
 
     day: int
-    profile: DepartureProfile  # the departure rates loaded that day
+    profile: DepartureProfile | None  # the departure rates loaded that day
+    departed: dict  # path -> vehicles that departed on it that day
     psi: np.ndarray | None  # travel cost per path x bin
     phi: np.ndarray | None  # bounded-rationality cost per path x bin
     min_cost: dict  # od -> v_ij
@@ -250,12 +252,13 @@ def advance(state: DayState, day: int, network: Network, grid: TimeGrid,
         raise DayToDayError(f"day {day}: {stage}: {exc}") from exc
 
     total_cost = float((state.profile.rates * psi).sum() * grid.dt)
-    departed, residual = result.total_departed, result.total_residual
-    stranded = departed > 0 and residual > solver.residual_warn_fraction * departed
+    total, residual = result.total_departed, result.total_residual
+    stranded = total > 0 and residual > solver.residual_warn_fraction * total
     record = DayRecord(
         day=day, profile=state.profile, psi=psi, phi=phi, min_cost=v, eta=etas,
+        departed={pid: float(state.profile.rate(pid).sum()) * grid.dt for pid in network.path_ids},
         gap=math.nan, total_cost=total_cost, cr_used=cr_used, compliance_trace=traces, residual=residual,
-        warnings=[f"{residual:.3f} vehicles ({residual / departed:.2%} of demand) still in the network at tf"]
+        warnings=[f"{residual:.3f} vehicles ({residual / total:.2%} of demand) still in the network at tf"]
         if stranded else [],
     )
     return DayState(next_profile, perception), record, result
@@ -270,7 +273,8 @@ def run_day_to_day(network: Network, grid: TimeGrid, profile: DepartureProfile,
     compliance drift fall below ``solver.gap_tolerance``, or at ``max_days``
     (a non-converged run is a valid outcome, not an error).  ``on_day`` gets
     each day's whole record as the day ends; ``RunResult.days`` keeps a copy
-    with ``psi`` and ``phi`` set to None.
+    with ``psi`` and ``phi`` set to None, and sets its ``profile`` to None once
+    the next day's gap has read it: only ``days[-1]`` keeps its profile.
     """
     # pairs for O-Ds without demand have no drivers to divert; skip them
     state = DayState(profile, {key: initial_state(compliance, ctx, network)
@@ -285,6 +289,7 @@ def run_day_to_day(network: Network, grid: TimeGrid, profile: DepartureProfile,
         if days:
             prev = days[-1]
             rec.gap = relative_gap(rec.profile, prev.profile)
+            prev.profile = None  # the gap was its last reader; the flow shares read departed
             drift = max((abs(cr - prev.cr_used[k]) for k, cr in rec.cr_used.items()), default=0.0)
             converged = rec.gap < solver.gap_tolerance and drift < solver.gap_tolerance
         if on_day is not None:

@@ -397,10 +397,11 @@ def write_outputs(result: RunResult, outdir, config: RunConfig | None = None,
 
 
 def emit_plot_data(result: RunResult, outdir) -> dict:
-    """Tidy per-day series: savings, perception, compliance, path flow shares."""
+    """Tidy per-day series: savings, perception, compliance, path flow shares (from
+    each record's ``departed``, as the kept records have no profile but the last)."""
     outdir = _FsPath(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    network, grid = result.network, result.grid
+    network = result.network
     files = {}
 
     savings, perception, compliance = [], [], []
@@ -431,10 +432,9 @@ def emit_plot_data(result: RunResult, outdir) -> dict:
         for rec in result.days:
             for od in network.ods:
                 pids = network.od_paths(od)
-                totals = {pid: float(rec.profile.rate(pid).sum()) * grid.dt for pid in pids}
-                whole = sum(totals.values())
+                whole = sum(rec.departed[pid] for pid in pids)
                 for pid in pids:
-                    share = totals[pid] / whole if whole > 0 else math.nan
+                    share = rec.departed[pid] / whole if whole > 0 else math.nan
                     wr.writerow([rec.day, od, pid, share])
     return files
 
@@ -474,16 +474,24 @@ def make_outdir(outdir):
         raise ScenarioError([f"--out {outdir}: {exc.strerror or exc}"]) from exc
 
 
+# what a run writes after its last day; an earlier run's copies go before day 1
+# (day_tables truncates flows.csv and costs.csv)
+RUN_FILES = ("days.csv", "compliance.csv", "plot_savings.csv", "plot_perception.csv",
+             "plot_compliance.csv", "plot_flow_shares.csv", "curves.csv", "turning_ratios.csv",
+             "summary.json")
+
+
 def run_bundle(bundle: ScenarioBundle, outdir=None) -> RunResult:
-    """Run the bundle; with ``outdir``, write flows.csv and costs.csv as each day ends
-    and the other outputs after the last day (none of them, and no summary.json, if a
-    day fails)."""
+    """Run the bundle; with ``outdir``, remove an earlier run's files, write flows.csv
+    and costs.csv as each day ends and the other outputs after the last day (none of
+    them, and no summary.json, if a day fails)."""
     cfg = bundle.config
     if outdir is not None:
         make_outdir(outdir)
     try:
-        if outdir is not None:  # a summary.json marks a finished run, so an earlier run's goes first
-            (_FsPath(outdir) / "summary.json").unlink(missing_ok=True)
+        if outdir is not None:
+            for name in RUN_FILES:
+                (_FsPath(outdir) / name).unlink(missing_ok=True)
         with contextlib.nullcontext() if outdir is None else day_tables(bundle.network, outdir) as on_day:
             result = run_day_to_day(bundle.network, cfg.grid, bundle.profile,
                                     cfg.compliance, cfg.penalty, cfg.solver, on_day=on_day)

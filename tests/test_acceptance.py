@@ -165,16 +165,17 @@ def test_criterion_5_compliance_identities():
     cfg = fig1_config()
     prof = build_profile(net, cfg)
     solver = replace(cfg.solver, max_days=50, gap_tolerance=1e-15)
-    runs = {}
+    runs = {}  # model -> the whole day records, as on_day gets them
     for model, gamma in (("I", 0.0), ("III", 0.0)):
         params = replace(cfg.compliance, model=model, gamma=gamma)
-        runs[model] = run_day_to_day(net, cfg.grid, prof.copy(), params, cfg.penalty, solver)
-    ok = len(runs["I"].days) == len(runs["III"].days) == 50
-    for rec1, rec3 in zip(runs["I"].days, runs["III"].days):
+        runs[model] = []
+        run_day_to_day(net, cfg.grid, prof.copy(), params, cfg.penalty, solver, on_day=runs[model].append)
+    ok = len(runs["I"]) == len(runs["III"]) == 50
+    for rec1, rec3 in zip(runs["I"], runs["III"]):
         ok &= rec1.cr_used == rec3.cr_used  # exact, not approximate
         ok &= np.array_equal(rec1.profile.rates, rec3.profile.rates)
-    for res in runs.values():
-        for rec in res.days:
+    for days in runs.values():
+        for rec in days:
             ok &= all(0.0 < cr < 1.0 for cr in rec.cr_used.values())
     ok &= compliance_logit(0.0, 0.01) == 0.5
 

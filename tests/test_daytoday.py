@@ -261,10 +261,11 @@ def test_single_path_od_keeps_profile_and_compliance_idle():
         [{"length": 1000.0, "vf": 20.0, "cap": 0.5, "kjam": 0.2, "w": 5.0}],
         grid, demand=30.0, window=(0.0, grid.tf))
     solver = SolverConfig(step_size=1e-4, max_days=3, gap_tolerance=1e-15)
+    whole = []  # the kept records have no profile but the last
     res = run_day_to_day(net, grid, prof, fig1_config().compliance,
-                         PenaltyFunction(0.0, 0.0), solver)
-    assert res.converged and len(res.days) == 2
-    for rec in res.days:
+                         PenaltyFunction(0.0, 0.0), solver, on_day=whole.append)
+    assert res.converged and len(res.days) == len(whole) == 2
+    for rec in whole:
         assert np.allclose(rec.profile.rates, prof.rates, rtol=0.0, atol=1e-15)
         assert rec.cr_used == {}  # no affected pair, compliance skipped
     assert res.days[1].gap < 1e-15
@@ -273,9 +274,11 @@ def test_single_path_od_keeps_profile_and_compliance_idle():
 def test_feasibility_preserved_across_days(fig1):
     net, cfg = fig1
     prof = build_profile(net, cfg)
-    res = run_day_to_day(net, cfg.grid, prof, cfg.compliance, cfg.penalty, cfg.solver)
-    assert res.converged and len(res.days) == 83
-    for rec in res.days:
+    whole = []
+    res = run_day_to_day(net, cfg.grid, prof, cfg.compliance, cfg.penalty, cfg.solver,
+                         on_day=whole.append)
+    assert res.converged and len(res.days) == len(whole) == 83
+    for rec in whole:
         assert np.all(rec.profile.rates >= 0.0)
         assert rec.profile.od_totals(net)["od1"] == pytest.approx(360.0, rel=1e-12)
         for (od, sign), cr in rec.cr_used.items():
@@ -384,6 +387,7 @@ def test_day_records_report_gap_series(fig1):
 
 
 def test_on_day_gets_whole_records_and_the_run_keeps_them_without_cost_tables(fig1):
+    # ... and without profiles, but for the newest day's
     net, cfg = fig1
     seen = []
     solver = SolverConfig(step_size=2e-4, max_days=4, gap_tolerance=1e-12)
@@ -393,7 +397,10 @@ def test_on_day_gets_whole_records_and_the_run_keeps_them_without_cost_tables(fi
     for whole, kept in zip(seen, res.days):
         assert whole.psi.shape == whole.phi.shape == (len(net.path_ids), cfg.grid.n_bins)
         assert kept.psi is None and kept.phi is None
-        _assert_same_record(kept, replace(whole, psi=None, phi=None))
+        assert kept.profile is (whole.profile if kept is res.days[-1] else None)
+        assert kept.departed == {pid: float(whole.profile.rate(pid).sum()) * cfg.grid.dt
+                                 for pid in net.path_ids}
+        _assert_same_record(kept, replace(whole, psi=None, phi=None, profile=kept.profile))
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +411,7 @@ def _assert_same_record(a, b):
     for f in fields(DayRecord):
         x, y = getattr(a, f.name), getattr(b, f.name)
         if f.name == "profile":
-            x, y = x.rates, y.rates
+            x, y = getattr(x, "rates", x), getattr(y, "rates", y)
         if isinstance(x, np.ndarray) or f.name == "gap":
             assert np.array_equal(x, y, equal_nan=True), f.name
         else:

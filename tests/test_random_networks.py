@@ -156,9 +156,10 @@ def test_day_loop_on_random_networks(seed):
     network, profile, _ = random_network(np.random.default_rng(seed))
     params = ComplianceParams(model=MODELS[seed % len(MODELS)])
     solver = SolverConfig(step_size=2e-4, max_days=3, gap_tolerance=1e-12)
-    run = run_day_to_day(network, GRID, profile, params, PenaltyFunction(), solver)
-    assert len(run.days) == 3 and not run.converged
-    for rec in run.days:
+    whole = []  # the kept records have no profile but the last
+    run = run_day_to_day(network, GRID, profile, params, PenaltyFunction(), solver, on_day=whole.append)
+    assert len(run.days) == len(whole) == 3 and not run.converged
+    for rec in whole:
         for od, total in rec.profile.od_totals(network).items():
             assert total == pytest.approx(network.ods[od].demand, rel=1e-12, abs=0.0)
         assert rec.cr_used and all(0.0 < cr < 1.0 for cr in rec.cr_used.values())

@@ -127,6 +127,18 @@ def test_dump_curves_flag(tmp_path):
     assert (out / "turning_ratios.csv").exists()
 
 
+def test_a_run_without_the_curve_dump_removes_an_earlier_runs_curves(tmp_path):
+    out = tmp_path / "out"
+    dumped = _write(tmp_path / "dumped", demand=120.0, solver={"max_days": 3}, output={"dump_curves": True})
+    assert cli_run(["run"] + _flags(dumped) + ["--out", str(out), "--quiet"]) == 0
+    assert (out / "curves.csv").exists() and (out / "turning_ratios.csv").exists()
+    plain = _write(tmp_path / "plain", demand=120.0, solver={"max_days": 3})
+    assert cli_run(["run"] + _flags(plain) + ["--out", str(out), "--quiet"]) == 0
+    assert sorted(f.name for f in out.iterdir()) == [
+        "compliance.csv", "costs.csv", "days.csv", "flows.csv", "plot_compliance.csv",
+        "plot_flow_shares.csv", "plot_perception.csv", "plot_savings.csv", "summary.json"]
+
+
 def test_sweep_writes_one_row_per_value(tmp_path, capsys):
     files = _write(tmp_path, demand=120.0, solver={"max_days": 5})
     out = tmp_path / "sweep_out"
@@ -550,7 +562,10 @@ def test_a_run_that_fails_on_day_2_keeps_day_1_table_rows_and_leaves_no_summary(
     files = _write(tmp_path, demand=120.0, solver={"max_days": 5})
     out = tmp_path / "out"
     out.mkdir()
-    (out / "summary.json").write_text("{}\n")  # an earlier run's
+    earlier = ("days.csv", "compliance.csv", "plot_savings.csv", "plot_perception.csv", "plot_compliance.csv",
+               "plot_flow_shares.csv", "curves.csv", "turning_ratios.csv", "summary.json")
+    for name in earlier:  # an earlier run's
+        (out / name).write_text("{}\n")
     assert cli_run(["run"] + _flags(files) + ["--out", str(out), "--quiet"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "runtime", "messages": ["day 2: cost table: broken"]}
@@ -558,7 +573,8 @@ def test_a_run_that_fails_on_day_2_keeps_day_1_table_rows_and_leaves_no_summary(
         with open(out / name, newline="") as fh:
             days = [row["day"] for row in csv.DictReader(fh)]
         assert days == ["1"] * (3 * 360), name  # 3 paths x 360 bins
-    assert not (out / "summary.json").exists()
+    assert not any((out / name).exists() for name in earlier)
+    assert sorted(f.name for f in out.iterdir()) == ["costs.csv", "flows.csv"]
 
 
 def test_sweep_csv_that_cannot_be_written_exits_two_naming_it(tmp_path, capsys):
