@@ -69,7 +69,6 @@ class DayRecord:
 
     day: int
     profile: DepartureProfile | None  # the departure rates loaded that day
-    departed: dict  # path -> vehicles that departed on it that day
     psi: np.ndarray | None  # travel cost per path x bin
     phi: np.ndarray | None  # bounded-rationality cost per path x bin
     min_cost: dict  # od -> v_ij
@@ -164,16 +163,22 @@ def solve_eta(h, phi, lam: float, demand: float, dt: float) -> EtaSolve | None:
     This is the threshold of the projection onto {x >= 0, sum(x) * dt = demand}
     (Held, Wolfe & Crowder 1974; Duchi et al. 2008): with the values sorted in
     decreasing order, the active set is the longest prefix whose shifted
-    values stay positive.  Returns None for zero demand (all rates map to zero).
+    values stay positive.  Returns None for zero demand (all rates map to zero); raises
+    ValueError when h - lam*phi is not finite or so large that it rounds away demand / dt.
     """
     if demand < 0:
         raise ValueError("demand must be nonnegative")
     if demand == 0:
         return None
-    base = np.asarray(h, dtype=float).ravel() - lam * np.asarray(phi, dtype=float).ravel()
-    v = np.sort(base)[::-1]
-    shift = (demand / dt - np.cumsum(v)) / np.arange(1, v.size + 1)
-    n_active = int(np.flatnonzero(v + shift > 0)[-1]) + 1
+    with np.errstate(all="ignore"):  # a non-finite value is reported below
+        base = np.asarray(h, dtype=float).ravel() - lam * np.asarray(phi, dtype=float).ravel()
+        v = np.sort(base)[::-1]
+        shift = (demand / dt - np.cumsum(v)) / np.arange(1, v.size + 1)
+        active = np.flatnonzero(v + shift > 0)
+    if active.size == 0 or not np.isfinite(v).all():
+        raise ValueError(f"h - lambda*phi, from {v[-1]:g} to {v[0]:g}, is not finite or too large "
+                         f"for demand/dt {demand / dt:g} (lambda {lam:g})")
+    n_active = int(active[-1]) + 1
     return EtaSolve(eta=float(shift[n_active - 1]), iterations=n_active)
 
 
@@ -256,7 +261,6 @@ def advance(state: DayState, day: int, network: Network, grid: TimeGrid,
     stranded = total > 0 and residual > solver.residual_warn_fraction * total
     record = DayRecord(
         day=day, profile=state.profile, psi=psi, phi=phi, min_cost=v, eta=etas,
-        departed={pid: float(state.profile.rate(pid).sum()) * grid.dt for pid in network.path_ids},
         gap=math.nan, total_cost=total_cost, cr_used=cr_used, compliance_trace=traces, residual=residual,
         warnings=[f"{residual:.3f} vehicles ({residual / total:.2%} of demand) still in the network at tf"]
         if stranded else [],
@@ -289,7 +293,7 @@ def run_day_to_day(network: Network, grid: TimeGrid, profile: DepartureProfile,
         if days:
             prev = days[-1]
             rec.gap = relative_gap(rec.profile, prev.profile)
-            prev.profile = None  # the gap was its last reader; the flow shares read departed
+            prev.profile = None  # the gap was its last reader
             drift = max((abs(cr - prev.cr_used[k]) for k, cr in rec.cr_used.items()), default=0.0)
             converged = rec.gap < solver.gap_tolerance and drift < solver.gap_tolerance
         if on_day is not None:

@@ -300,7 +300,7 @@ class Network:
             unknown = [a for a in p.links if a not in self.links]
             for a in unknown:
                 errors.append(f"path {p.id}: unknown link {a}")
-            if unknown:
+            if unknown or not p.links:
                 continue
             _require(len(set(p.links)) == len(p.links), errors, f"path {p.id}: repeated links")
             for a, b in zip(p.links, p.links[1:]):

@@ -204,10 +204,13 @@ class ScenarioBundle:
 
 
 def build_profile(network: Network, cfg: RunConfig) -> DepartureProfile:
-    if cfg.init.mode == "random":
-        rng = np.random.default_rng(cfg.init.seed)
-        return DepartureProfile.random(network, cfg.grid, rng, cfg.init.window)
-    return DepartureProfile.uniform(network, cfg.grid, cfg.init.window)
+    g, init = cfg.grid, cfg.init
+    try:
+        if init.mode == "random":
+            return DepartureProfile.random(network, g, np.random.default_rng(init.seed), init.window)
+        return DepartureProfile.uniform(network, g, init.window)
+    except ValueError as exc:  # numpy cannot allocate paths x bins
+        raise ScenarioError([f"config: grid.tf {g.tf:g} and grid.dt {g.dt:g} give {g.n_bins:.3g} bins: {exc}"]) from exc
 
 
 def load_bundle(network_file, paths_file, demand_file, config_file,
@@ -352,8 +355,8 @@ def day_tables(network: Network, outdir):
 
 def write_outputs(result: RunResult, outdir, config: RunConfig | None = None,
                   warnings=None) -> dict:
-    """Write days.csv, compliance.csv, the plot data and summary.json from the run's
-    records; flows.csv and costs.csv were written day by day by ``day_tables``."""
+    """Write days.csv, compliance.csv and summary.json from the run's records;
+    flows.csv and costs.csv were written day by day by ``day_tables``."""
     outdir = _FsPath(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     files = {}
@@ -365,17 +368,6 @@ def write_outputs(result: RunResult, outdir, config: RunConfig | None = None,
         for rec in result.days:
             done = result.converged and rec.day == result.days[-1].day
             wr.writerow([rec.day, rec.gap, rec.total_cost, str(done).lower()])
-
-    files["compliance"] = outdir / "compliance.csv"
-    comp_cols = ["day", "od_id", "sign_id", "model", "s_bar", "mu_f", "mu_nf",
-                 "sigma_f", "sigma_nf", "x", "y_f", "y_nf", "cr", "fset_share"]
-    with open(files["compliance"], "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(comp_cols)
-        for rec in result.days:
-            for row in rec.compliance_trace:
-                wr.writerow([rec.day, row["od"], row["sign"], row["model"]]
-                            + [row.get(col) for col in comp_cols[4:]])
 
     files.update(emit_plot_data(result, outdir))
 
@@ -397,45 +389,18 @@ def write_outputs(result: RunResult, outdir, config: RunConfig | None = None,
 
 
 def emit_plot_data(result: RunResult, outdir) -> dict:
-    """Tidy per-day series: savings, perception, compliance, path flow shares (from
-    each record's ``departed``, as the kept records have no profile but the last)."""
-    outdir = _FsPath(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    network = result.network
-    files = {}
-
-    savings, perception, compliance = [], [], []
-    for rec in result.days:
-        for row in rec.compliance_trace:
-            key = (rec.day, row["od"], row["sign"])
-            if row.get("s_bar") is not None:
-                savings.append(key + (row["s_bar"],))
-            if row.get("x") is not None:
-                perception.append(key + (row["x"],))
-            elif row.get("y_nf") is not None:
-                perception.append(key + (row["y_nf"] - row["y_f"],))
-            compliance.append(key + (row["cr"],))
-    for fname, rows, col in (("plot_savings", savings, "saving_s"),
-                             ("plot_perception", perception, "perception"),
-                             ("plot_compliance", compliance, "cr")):
-        files[fname] = outdir / f"{fname}.csv"
-        with open(files[fname], "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["day", "od_id", "sign_id", col])
-            for row in rows:
-                wr.writerow(row)
-
-    files["plot_flow_shares"] = outdir / "plot_flow_shares.csv"
-    with open(files["plot_flow_shares"], "w", newline="") as fh:
+    """Write compliance.csv into ``outdir``: each (O-D, sign) pair's trace per day, which
+    holds the saving ``s_bar``, the perception (``x``, or ``y_nf - y_f``) and ``cr``."""
+    files = {"compliance": _FsPath(outdir) / "compliance.csv"}
+    comp_cols = ["day", "od_id", "sign_id", "model", "s_bar", "mu_f", "mu_nf",
+                 "sigma_f", "sigma_nf", "x", "y_f", "y_nf", "cr", "fset_share"]
+    with open(files["compliance"], "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(["day", "od_id", "path", "share"])
+        wr.writerow(comp_cols)
         for rec in result.days:
-            for od in network.ods:
-                pids = network.od_paths(od)
-                whole = sum(rec.departed[pid] for pid in pids)
-                for pid in pids:
-                    share = rec.departed[pid] / whole if whole > 0 else math.nan
-                    wr.writerow([rec.day, od, pid, share])
+            for row in rec.compliance_trace:
+                wr.writerow([rec.day, row["od"], row["sign"], row["model"]]
+                            + [row.get(col) for col in comp_cols[4:]])
     return files
 
 
@@ -475,10 +440,8 @@ def make_outdir(outdir):
 
 
 # what a run writes after its last day; an earlier run's copies go before day 1
-# (day_tables truncates flows.csv and costs.csv)
-RUN_FILES = ("days.csv", "compliance.csv", "plot_savings.csv", "plot_perception.csv",
-             "plot_compliance.csv", "plot_flow_shares.csv", "curves.csv", "turning_ratios.csv",
-             "summary.json")
+# (day_tables truncates flows.csv and costs.csv), and no other file in --out is touched
+RUN_FILES = ("days.csv", "compliance.csv", "curves.csv", "turning_ratios.csv", "summary.json")
 
 
 def run_bundle(bundle: ScenarioBundle, outdir=None) -> RunResult:

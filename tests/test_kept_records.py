@@ -1,14 +1,10 @@
-"""What a run keeps of its days, and the output read from the kept records.
+"""What a run keeps of its days.
 
 ``RunResult.days`` keeps each day's record without a per-bin array, except
 the newest day's departure profile, so a run's memory does not grow with its
-length by a paths x bins table a day.  The flow shares are written from each
-record's ``departed`` totals, which must give the bytes the whole profiles give.
+length by a paths x bins table a day.
 """
 
-import csv
-import io
-import math
 import os
 import subprocess
 import sys
@@ -17,11 +13,10 @@ from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from vmsdta.daytoday import DayRecord, run_day_to_day
 from vmsdta.network import DepartureProfile
-from vmsdta.scenario import build_profile, emit_plot_data, fig1_config, fig1_network, load_bundle
+from vmsdta.scenario import load_bundle
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -80,36 +75,3 @@ def test_a_run_grows_by_less_than_16_kib_a_day_and_keeps_one_profile(tmp_path):
         else:
             assert rec.profile is None
         assert not any(held.values()), (rec.day, {name: len(a) for name, a in held.items() if a})
-
-
-def _shares_text(network, grid, whole):
-    """plot_flow_shares.csv as the whole records' profiles give it: per-path row
-    sums times dt, as shares of their O-D's total."""
-    buf = io.StringIO(newline="")
-    wr = csv.writer(buf)
-    wr.writerow(["day", "od_id", "path", "share"])
-    for rec in whole:
-        for od in network.ods:
-            pids = network.od_paths(od)
-            totals = {pid: float(rec.profile.rate(pid).sum()) * grid.dt for pid in pids}
-            whole_od = sum(totals.values())
-            for pid in pids:
-                wr.writerow([rec.day, od, pid, totals[pid] / whole_od if whole_od > 0 else math.nan])
-    return buf.getvalue()
-
-
-@pytest.mark.parametrize("scenario", ["fig1", "grid-free"])
-def test_flow_shares_match_the_whole_profiles(tmp_path, scenario):
-    if scenario == "fig1":
-        network, cfg = fig1_network(), fig1_config()
-        profile = build_profile(network, cfg)
-    else:
-        bundle = _grid(tmp_path, 5)
-        network, cfg, profile = bundle.network, bundle.config, bundle.profile
-    whole = []
-    res = run_day_to_day(network, cfg.grid, profile, cfg.compliance, cfg.penalty, cfg.solver,
-                         on_day=whole.append)
-    assert len(whole) == len(res.days) == (83 if scenario == "fig1" else 5)
-    files = emit_plot_data(res, tmp_path / "out")
-    with open(files["plot_flow_shares"], newline="") as fh:
-        assert fh.read() == _shares_text(network, cfg.grid, whole)

@@ -9,7 +9,7 @@ from operator import attrgetter
 
 import pytest
 
-from vmsdta import daytoday
+from vmsdta import daytoday, scenario
 from vmsdta.cli import cli_run
 from vmsdta.network import ScenarioError
 from vmsdta.scenario import (
@@ -89,8 +89,7 @@ def test_runs_are_deterministic(tmp_path):
         out = tmp_path / sub
         assert cli_run(["run"] + _flags(files) + ["--out", str(out), "--quiet"]) == 0
         outs.append(out)
-    for name in ("days.csv", "flows.csv", "costs.csv", "compliance.csv",
-                 "plot_compliance.csv", "plot_flow_shares.csv"):
+    for name in ("days.csv", "flows.csv", "costs.csv", "compliance.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
@@ -98,16 +97,9 @@ def test_plot_data_invariants(tmp_path):
     files = _write(tmp_path, demand=240.0, solver={"max_days": 12})
     out = tmp_path / "out"
     assert cli_run(["run"] + _flags(files) + ["--out", str(out), "--quiet"]) == 0
-    with open(out / "plot_compliance.csv") as fh:
+    with open(out / "compliance.csv") as fh:
         crs = [float(r["cr"]) for r in csv.DictReader(fh)]
     assert crs and all(0.0 < c < 1.0 for c in crs)
-    with open(out / "plot_flow_shares.csv") as fh:
-        rows = list(csv.DictReader(fh))
-    by_day = {}
-    for r in rows:
-        by_day.setdefault((r["day"], r["od_id"]), []).append(float(r["share"]))
-    for shares in by_day.values():
-        assert sum(shares) == pytest.approx(1.0, abs=1e-9)
     with open(out / "days.csv") as fh:
         gaps = [r["relative_gap"] for r in csv.DictReader(fh)]
     assert gaps[0] == "nan"
@@ -125,6 +117,8 @@ def test_dump_curves_flag(tmp_path):
     n_up = [float(r["N_up"]) for r in rows if r["link_id"] == "1"]
     assert n_up == sorted(n_up)
     assert (out / "turning_ratios.csv").exists()
+    # RUN_FILES is every file a run writes after its last day
+    assert sorted(f.name for f in out.iterdir()) == sorted(scenario.RUN_FILES + ("flows.csv", "costs.csv"))
 
 
 def test_a_run_without_the_curve_dump_removes_an_earlier_runs_curves(tmp_path):
@@ -135,8 +129,7 @@ def test_a_run_without_the_curve_dump_removes_an_earlier_runs_curves(tmp_path):
     plain = _write(tmp_path / "plain", demand=120.0, solver={"max_days": 3})
     assert cli_run(["run"] + _flags(plain) + ["--out", str(out), "--quiet"]) == 0
     assert sorted(f.name for f in out.iterdir()) == [
-        "compliance.csv", "costs.csv", "days.csv", "flows.csv", "plot_compliance.csv",
-        "plot_flow_shares.csv", "plot_perception.csv", "plot_savings.csv", "summary.json"]
+        "compliance.csv", "costs.csv", "days.csv", "flows.csv", "summary.json"]
 
 
 def test_sweep_writes_one_row_per_value(tmp_path, capsys):
@@ -444,6 +437,38 @@ def test_malformed_json_record_exits_one(tmp_path, capsys, name, edit, expected)
                for m in messages), messages
 
 
+def test_a_path_without_links_exits_one_naming_it(tmp_path, capsys):
+    files = _write(tmp_path)
+    _edit_json(files["paths"], lambda o: o[0].update(links=[]))
+    assert _validate_errors(files, capsys) == ["path p1: empty link sequence"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key, value", [("tf", 1e308), ("dt", 1e-300)])
+def test_a_grid_whose_bins_numpy_cannot_allocate_exits_one_naming_it(tmp_path, capsys, key, value):
+    # numpy rejects both shapes before it allocates anything
+    files = _write(tmp_path)
+    _edit_json(files["config"], lambda o: o["grid"].update({key: value}))
+    messages = _validate_errors(files, capsys)
+    assert len(messages) == 1 and f"grid.{key} {value:g}" in messages[0], messages
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, edit, day", [
+    # h - lambda*phi overflows to -inf on day 1
+    ("config", lambda o: o["solver"].update({"lambda": 1e308}), 1),
+    # day 2's h - lambda*phi is finite but at or below -7e296, where demand / dt rounds away
+    ("network", lambda o: o["links"][0].update(cap_vps=1e-300), 2),
+])
+def test_a_dual_solve_on_values_beyond_float_precision_exits_two(tmp_path, capsys, name, edit, day):
+    files = _write(tmp_path)
+    _edit_json(files[name], edit)
+    assert cli_run(["run"] + _flags(files) + ["--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "runtime" and len(err["messages"]) == 1, err
+    assert err["messages"][0].startswith(f"day {day}: dual solve: h - lambda*phi"), err
+
+
 def test_sweep_output_does_not_depend_on_workers(tmp_path, capsys):
     files = _write(tmp_path, demand=120.0, solver={"max_days": 3})
     runs = []
@@ -562,8 +587,7 @@ def test_a_run_that_fails_on_day_2_keeps_day_1_table_rows_and_leaves_no_summary(
     files = _write(tmp_path, demand=120.0, solver={"max_days": 5})
     out = tmp_path / "out"
     out.mkdir()
-    earlier = ("days.csv", "compliance.csv", "plot_savings.csv", "plot_perception.csv", "plot_compliance.csv",
-               "plot_flow_shares.csv", "curves.csv", "turning_ratios.csv", "summary.json")
+    earlier = scenario.RUN_FILES
     for name in earlier:  # an earlier run's
         (out / name).write_text("{}\n")
     assert cli_run(["run"] + _flags(files) + ["--out", str(out), "--quiet"]) == 2

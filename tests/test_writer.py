@@ -65,8 +65,6 @@ def test_ids_that_need_quoting_match_the_row_writer(tmp_path):
     assert b'"p,1"' in (tmp_path / "new" / "flows.csv").read_bytes()
 
 
-# inf and -inf in one path's rates make its flow share nan, with numpy's warning
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_special_floats_match_the_row_writer(tmp_path):
     network, cfg = fig1_network(), fig1_config()
     result, records = _run(network, build_profile(network, cfg), 2)
