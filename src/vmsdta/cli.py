@@ -1,6 +1,6 @@
 """Command-line entry point: run, validate, fixtures, sweep.
 
-Exit codes: 0 ok, 1 input error, 2 runtime error.  Failures print a
+Exit codes: 0 ok, 1 input or usage error, 2 runtime error.  Failures print a
 machine-readable JSON object to stderr.
 """
 
@@ -51,9 +51,13 @@ def _scenario_files(args):
     return {f"{name}_file": getattr(args, name) for name in names}
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is an input error: exit 1 with JSON, as the others
+        raise ScenarioError([f"{self.prog}: {message}"])
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="vmsdta",
-                                     description="VMS-aware day-to-day dynamic traffic assignment")
+    parser = _Parser(prog="vmsdta", description="VMS-aware day-to-day dynamic traffic assignment")
     subs = parser.add_subparsers(dest="command", required=True)
 
     run_p = subs.add_parser("run", help="load a scenario, run the day loop, write outputs")
@@ -78,8 +82,8 @@ def build_parser():
 
 
 def cli_run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "run":
             bundle = load_bundle(**_scenario_files(args))
             result = run_bundle(bundle, args.out)
@@ -129,7 +133,6 @@ def cli_run(argv=None) -> int:
         return _fail(EXIT_INPUT, "input", exc.errors)
     except (DnlError, DayToDayError, OutputError) as exc:
         return _fail(EXIT_RUNTIME, "runtime", [str(exc)])
-    return _fail(EXIT_INPUT, "input", [f"unknown command {args.command!r}"])
 
 
 def main():

@@ -61,11 +61,10 @@ class SolverConfig:
         return errors
 
 
-@dataclass
+@dataclass(frozen=True)
 class DayRecord:
     """One day of a run.  ``on_day`` sees it whole; ``RunResult.days`` keeps it without
-    ``psi`` and ``phi``, and without ``profile`` once the next day's gap is formed, so a
-    run holds no per-bin array but the newest day's departure rates."""
+    ``profile``, ``psi`` and ``phi``, so a run holds no per-bin array of a past day."""
 
     day: int
     profile: DepartureProfile | None  # the departure rates loaded that day
@@ -74,6 +73,7 @@ class DayRecord:
     min_cost: dict  # od -> v_ij
     eta: dict  # od -> dual value (None for zero demand)
     gap: float  # relative L2 gap vs. the previous day (nan on day 1)
+    converged: bool  # the gap and the compliance drift into this day both below gap_tolerance
     total_cost: float
     cr_used: dict  # (od, sign) -> compliance rate in effect
     compliance_trace: list  # per pair dicts for the CSV output
@@ -85,12 +85,15 @@ class DayRecord:
 class DayState:
     profile: DepartureProfile  # the departure rates the day loads
     perception: dict  # network.pairs key -> ComplianceState; pairs without demand left out
+    day: int = 1
+    gap: float = math.nan  # relative_gap of profile against the profile that produced it
+    drift: float = math.nan  # largest |CR change| over the day that produced it
 
 
 @dataclass
 class RunResult:
     days: list
-    converged: bool
+    converged: bool  # the last day's
     network: Network
     grid: TimeGrid
     final_dnl: DnlResult | None  # the last day's loading (None if no day ran)
@@ -224,61 +227,61 @@ def relative_gap(now: DepartureProfile, prev: DepartureProfile) -> float:
 # the day loop
 
 
-def advance(state: DayState, day: int, network: Network, grid: TimeGrid,
-            compliance: ComplianceParams, penalty: PenaltyFunction, solver: SolverConfig):
-    """Load ``state`` as day ``day``, reading each pair's context from ``network.pairs``;
-    returns (next state, its record with gap nan, loading).  The record warns when the
-    vehicles still in the network at tf exceed ``solver.residual_warn_fraction`` of departures."""
+def advance(state: DayState, network: Network, grid: TimeGrid, compliance: ComplianceParams,
+            penalty: PenaltyFunction, solver: SolverConfig):
+    """Load ``state`` as day ``state.day``; returns (next state, its record, loading).  The record
+    is converged when the state's gap and CR drift are below ``solver.gap_tolerance``, and warns
+    when the vehicles left at tf exceed ``solver.residual_warn_fraction`` of departures."""
     cr_used = {key: st.cr for key, st in state.perception.items()}
     stage = "loading"
     try:
-        result = run_dnl(network, grid, state.profile, compliance_rates=cr_used)
-        stage = "cost table"
-        psi = cost_table(result, penalty)
-        stage = "BR cost"
-        phi, v = phi_table(psi, network)
-        stage = "dual solve"
-        next_profile, etas = update_departures(state.profile, phi, solver.step_size, network)
-        stage = "compliance step"
-        traces = []
-        perception = {}
-        od_totals = state.profile.od_totals(network)
-        for key, st in state.perception.items():
-            ctx = network.pairs[key]
-            perception[key], tr = step_compliance(st, compliance, result, ctx)
-            row = {"od": ctx.od, "sign": ctx.sign.id, "model": compliance.model,
-                   "cr": cr_used[key], **tr}
-            # realized share of the O-D's vehicles that took the recommendation
-            od_total = od_totals[ctx.od]
-            took = sum(float(result.up_by_path[ctx.sign.to_link][pid][-1]) for pid in ctx.fset)
-            row["fset_share"] = took / od_total if od_total > 0 else math.nan
-            traces.append(row)
-    except (DnlError, ValueError) as exc:
-        raise DayToDayError(f"day {day}: {stage}: {exc}") from exc
+        with np.errstate(over="raise", divide="raise", invalid="raise"):  # a float error fails the day
+            result = run_dnl(network, grid, state.profile, compliance_rates=cr_used)
+            stage = "cost table"
+            psi = cost_table(result, penalty)
+            total_cost = float((state.profile.rates * psi).sum() * grid.dt)
+            stage = "BR cost"
+            phi, v = phi_table(psi, network)
+            stage = "dual solve"
+            next_profile, etas = update_departures(state.profile, phi, solver.step_size, network)
+            gap = relative_gap(next_profile, state.profile)
+            stage = "compliance step"
+            traces = []
+            perception = {}
+            od_totals = state.profile.od_totals(network)
+            for key, st in state.perception.items():
+                ctx = network.pairs[key]
+                perception[key], tr = step_compliance(st, compliance, result, ctx)
+                row = {"od": ctx.od, "sign": ctx.sign.id, "model": compliance.model,
+                       "cr": cr_used[key], **tr}
+                # realized share of the O-D's vehicles that took the recommendation
+                od_total = od_totals[ctx.od]
+                took = sum(float(result.up_by_path[ctx.sign.to_link][pid][-1]) for pid in ctx.fset)
+                row["fset_share"] = took / od_total if od_total > 0 else math.nan
+                traces.append(row)
+    except (DnlError, ValueError, FloatingPointError) as exc:
+        raise DayToDayError(f"day {state.day}: {stage}: {exc}") from exc
 
-    total_cost = float((state.profile.rates * psi).sum() * grid.dt)
     total, residual = result.total_departed, result.total_residual
     stranded = total > 0 and residual > solver.residual_warn_fraction * total
     record = DayRecord(
-        day=day, profile=state.profile, psi=psi, phi=phi, min_cost=v, eta=etas,
-        gap=math.nan, total_cost=total_cost, cr_used=cr_used, compliance_trace=traces, residual=residual,
+        day=state.day, profile=state.profile, psi=psi, phi=phi, min_cost=v, eta=etas, gap=state.gap,
+        converged=state.gap < solver.gap_tolerance and state.drift < solver.gap_tolerance,
+        total_cost=total_cost, cr_used=cr_used, compliance_trace=traces, residual=residual,
         warnings=[f"{residual:.3f} vehicles ({residual / total:.2%} of demand) still in the network at tf"]
         if stranded else [],
     )
-    return DayState(next_profile, perception), record, result
+    drift = max((abs(st.cr - cr_used[key]) for key, st in perception.items()), default=0.0)
+    return DayState(next_profile, perception, state.day + 1, gap, drift), record, result
 
 
 def run_day_to_day(network: Network, grid: TimeGrid, profile: DepartureProfile,
                    compliance: ComplianceParams, penalty: PenaltyFunction,
                    solver: SolverConfig, on_day=None) -> RunResult:
-    """Couple loading, compliance learning and departure adjustment over days.
-
-    Stops when both the relative flow gap and the largest day-over-day
-    compliance drift fall below ``solver.gap_tolerance``, or at ``max_days``
-    (a non-converged run is a valid outcome, not an error).  ``on_day`` gets
-    each day's whole record as the day ends; ``RunResult.days`` keeps a copy
-    with ``psi`` and ``phi`` set to None, and sets its ``profile`` to None once
-    the next day's gap has read it: only ``days[-1]`` keeps its profile.
+    """Couple loading, compliance learning and departure adjustment over days, up to the
+    first converged day (see ``advance``) or ``max_days`` (a non-converged run is a valid
+    outcome, not an error).  ``on_day`` gets each day's whole record as the day ends;
+    ``RunResult.days`` keeps a copy with ``profile``, ``psi`` and ``phi`` set to None.
     """
     # pairs for O-Ds without demand have no drivers to divert; skip them
     state = DayState(profile, {key: initial_state(compliance, ctx, network)
@@ -286,21 +289,14 @@ def run_day_to_day(network: Network, grid: TimeGrid, profile: DepartureProfile,
                                if network.ods[ctx.od].demand > 0})
     days = []
     result = None
-    converged = False
-    for day in range(1, solver.max_days + 1):
+    for _ in range(solver.max_days):
         result = None  # one loading in memory: the last day's goes before the next is built
-        state, rec, result = advance(state, day, network, grid, compliance, penalty, solver)
-        if days:
-            prev = days[-1]
-            rec.gap = relative_gap(rec.profile, prev.profile)
-            prev.profile = None  # the gap was its last reader
-            drift = max((abs(cr - prev.cr_used[k]) for k, cr in rec.cr_used.items()), default=0.0)
-            converged = rec.gap < solver.gap_tolerance and drift < solver.gap_tolerance
+        state, rec, result = advance(state, network, grid, compliance, penalty, solver)
         if on_day is not None:
             on_day(rec)
-        days.append(replace(rec, psi=None, phi=None))
-        if converged:
+        days.append(replace(rec, profile=None, psi=None, phi=None))
+        if rec.converged:
             break
 
-    return RunResult(days=days, converged=converged, network=network, grid=grid,
-                     final_dnl=result, final_state=state)
+    return RunResult(days=days, converged=bool(days) and days[-1].converged, network=network,
+                     grid=grid, final_dnl=result, final_state=state)

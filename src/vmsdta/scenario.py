@@ -366,8 +366,7 @@ def write_outputs(result: RunResult, outdir, config: RunConfig | None = None,
         wr = csv.writer(fh)
         wr.writerow(["day", "relative_gap", "total_cost", "converged"])
         for rec in result.days:
-            done = result.converged and rec.day == result.days[-1].day
-            wr.writerow([rec.day, rec.gap, rec.total_cost, str(done).lower()])
+            wr.writerow([rec.day, rec.gap, rec.total_cost, str(rec.converged).lower()])
 
     files.update(emit_plot_data(result, outdir))
 

@@ -295,7 +295,7 @@ def test_br_equilibrium_is_a_fixed_point():
     solver = SolverConfig(step_size=1e-3, max_days=4, gap_tolerance=1e-15)
     res = run_day_to_day(net, grid, prof, fig1_config().compliance,
                          PenaltyFunction(0.0, 0.0), solver)
-    assert np.allclose(res.days[-1].profile.rates, prof.rates, atol=1e-10)
+    assert np.allclose(res.final_state.profile.rates, prof.rates, atol=1e-10)
 
 
 def test_thirty_day_smoke_cr_rises_with_positive_saving(fig1):
@@ -387,7 +387,7 @@ def test_day_records_report_gap_series(fig1):
 
 
 def test_on_day_gets_whole_records_and_the_run_keeps_them_without_cost_tables(fig1):
-    # ... and without profiles, but for the newest day's
+    # ... and without profiles
     net, cfg = fig1
     seen = []
     solver = SolverConfig(step_size=2e-4, max_days=4, gap_tolerance=1e-12)
@@ -396,9 +396,8 @@ def test_on_day_gets_whole_records_and_the_run_keeps_them_without_cost_tables(fi
     assert [rec.day for rec in seen] == [rec.day for rec in res.days] == [1, 2, 3, 4]
     for whole, kept in zip(seen, res.days):
         assert whole.psi.shape == whole.phi.shape == (len(net.path_ids), cfg.grid.n_bins)
-        assert kept.psi is None and kept.phi is None
-        assert kept.profile is (whole.profile if kept is res.days[-1] else None)
-        _assert_same_record(kept, replace(whole, psi=None, phi=None, profile=kept.profile))
+        assert kept.profile is None and kept.psi is None and kept.phi is None
+        _assert_same_record(kept, replace(whole, profile=None, psi=None, phi=None))
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +424,10 @@ def test_a_day_leaves_its_input_profile_unchanged(fig1):
 
     state = DayState(prof, {ctx.key: initial_state(cfg.compliance, ctx, net)
                             for ctx in list(net.pairs.values())})
-    one = advance(state, 1, net, cfg.grid, cfg.compliance, cfg.penalty, cfg.solver)
+    one = advance(state, net, cfg.grid, cfg.compliance, cfg.penalty, cfg.solver)
     assert np.array_equal(prof.rates, before)
     assert one[1].profile is prof  # the record keeps the profile it loaded, not a copy
-    two = advance(state, 1, net, cfg.grid, cfg.compliance, cfg.penalty, cfg.solver)
+    two = advance(state, net, cfg.grid, cfg.compliance, cfg.penalty, cfg.solver)
     _assert_same_record(one[1], two[1])
     assert one[0].perception == two[0].perception
     assert np.array_equal(one[0].profile.rates, two[0].profile.rates)
@@ -441,7 +440,7 @@ def test_a_day_with_an_unknown_sign_pair_fails_in_loading(fig1):
     state = initial_state(cfg.compliance, ctx, net)
     day = DayState(build_profile(net, cfg), {ctx.key: state, ("od1", "vmsX"): state})
     with pytest.raises(DayToDayError, match=r"^day 1: loading: .*\('od1', 'vmsX'\)"):
-        advance(day, 1, net, cfg.grid, cfg.compliance, cfg.penalty, cfg.solver)
+        advance(day, net, cfg.grid, cfg.compliance, cfg.penalty, cfg.solver)
 
 
 @pytest.mark.parametrize("params", [
@@ -462,11 +461,24 @@ def test_a_run_continued_with_advance_matches_a_straight_run(fig1, params):
     whole = []  # the straight run's records with their cost tables
     straight, first = run(20, whole.append), run(10)
     assert len(straight.days) == 20 and len(first.days) == 10 and not first.converged
-    state, prev = first.final_state, first.days[-1]
+    state = first.final_state
     for want in whole[10:]:
-        state, rec, _ = advance(state, want.day, net, cfg.grid, compliance, cfg.penalty, solver)
-        rec.gap = relative_gap(rec.profile, prev.profile)
+        state, rec, _ = advance(state, net, cfg.grid, compliance, cfg.penalty, solver)
         _assert_same_record(rec, want)
-        prev = rec
-    assert np.array_equal(state.profile.rates, straight.final_state.profile.rates)
-    assert state.perception == straight.final_state.perception
+    end = straight.final_state
+    assert np.array_equal(state.profile.rates, end.profile.rates)
+    assert state.perception == end.perception
+    assert (state.day, state.gap, state.drift) == (end.day, end.gap, end.drift) and end.day == 21
+
+
+@pytest.mark.parametrize("model", ["I", "II", "III", "IV"])
+def test_one_more_day_from_a_converged_run_moves_neither_profile_nor_compliance(fig1, model):
+    # the joint fixed-point test: the day after a converged fig1 run is converged too
+    net, cfg = fig1
+    compliance = replace(cfg.compliance, model=model)
+    res = run_day_to_day(net, cfg.grid, build_profile(net, cfg), compliance, cfg.penalty, cfg.solver)
+    assert res.converged and res.final_state.day == len(res.days) + 1
+    nxt, rec, _ = advance(res.final_state, net, cfg.grid, compliance, cfg.penalty, cfg.solver)
+    tol = cfg.solver.gap_tolerance
+    assert rec.converged and rec.day == len(res.days) + 1 and nxt.day == rec.day + 1
+    assert nxt.gap < tol and nxt.drift < tol, (nxt.gap, nxt.drift)

@@ -129,7 +129,7 @@ def test_origin_queue_is_a_curve_pair_between_departures_and_first_link():
 
 def _residual_warned(net, grid, prof):
     """Whether the day step that loads ``prof`` warns of vehicles left in the network at tf."""
-    _, record, _ = advance(DayState(prof, {}), 1, net, grid, ComplianceParams(), PenaltyFunction(),
+    _, record, _ = advance(DayState(prof, {}), net, grid, ComplianceParams(), PenaltyFunction(),
                            SolverConfig())
     return len(record.warnings) == 1 and "still in the network at tf" in record.warnings[0]
 

@@ -1,8 +1,7 @@
 """What a run keeps of its days.
 
-``RunResult.days`` keeps each day's record without a per-bin array, except
-the newest day's departure profile, so a run's memory does not grow with its
-length by a paths x bins table a day.
+``RunResult.days`` keeps each day's record without a per-bin array, so a
+run's memory does not grow with its length by a paths x bins table a day.
 """
 
 import os
@@ -44,9 +43,9 @@ def _arrays(value):
     return []
 
 
-def test_a_run_grows_by_less_than_16_kib_a_day_and_keeps_one_profile(tmp_path):
+def test_a_run_grows_by_less_than_16_kib_a_day_and_keeps_no_profile(tmp_path):
     # the traced memory at the same point of days 5 and 15 (on_day, which the
-    # loop calls after each day's gap): it holds the same transients both times,
+    # loop calls as each day ends): it holds the same transients both times,
     # so the difference is what ten more kept days cost.  Tracing starts on
     # day 3, so every transient of day 5 was allocated under it.
     bundle = _grid(tmp_path, 15)
@@ -70,8 +69,4 @@ def test_a_run_grows_by_less_than_16_kib_a_day_and_keeps_one_profile(tmp_path):
 
     for rec in res.days:
         held = {f.name: _arrays(getattr(rec, f.name)) for f in fields(DayRecord)}
-        if rec is res.days[-1]:
-            assert held.pop("profile") == [rec.profile]
-        else:
-            assert rec.profile is None
         assert not any(held.values()), (rec.day, {name: len(a) for name, a in held.items() if a})

@@ -469,6 +469,44 @@ def test_a_dual_solve_on_values_beyond_float_precision_exits_two(tmp_path, capsy
     assert err["messages"][0].startswith(f"day {day}: dual solve: h - lambda*phi"), err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("demand, name, edit", [
+    (360.0, "network", lambda o: o["links"][0].update(length_m=1e308)),
+    (360.0, "config", lambda o: o["penalty"].update(early=1e308)),
+    (360.0, "config", lambda o: o["penalty"].update(late=1e308)),
+    (1e308, "config", lambda o: None),
+], ids=["length_m", "penalty.early", "penalty.late", "Q"])
+def test_a_float_overflow_in_a_day_exits_two_naming_the_day_and_stage(tmp_path, capsys, demand, name,
+                                                                       edit):
+    # each valid input overflows in the day's cost table: path times, penalties or their total
+    files = _write(tmp_path, demand=demand)
+    _edit_json(files[name], edit)
+    assert cli_run(["run"] + _flags(files) + ["--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "runtime" and len(err["messages"]) == 1, err
+    assert err["messages"][0].startswith("day 1: cost table: overflow encountered in "), err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["run", "--paths", "x"], "vmsdta run: the following arguments are required: "),
+    (["sweep", "--param", "nope"], "vmsdta sweep: argument --param: "),
+    (["sweep", "--workers", "x"], "vmsdta sweep: argument --workers: "),
+    (["fixtures", "fig1", "--demand", "abc"], "vmsdta fixtures: argument --demand: "),
+], ids=["missing flags", "param", "workers", "demand"])
+def test_a_usage_error_exits_one_with_json(capsys, argv, expected):
+    assert cli_run(argv) == 1
+    out = capsys.readouterr()
+    err = json.loads(out.err)
+    assert out.out == "" and err["error"] == "input" and len(err["messages"]) == 1, err
+    assert err["messages"][0].startswith(expected), err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_run(["run", "--help"])
+    assert exc.value.code == 0 and "--network" in capsys.readouterr().out
+
+
 def test_sweep_output_does_not_depend_on_workers(tmp_path, capsys):
     files = _write(tmp_path, demand=120.0, solver={"max_days": 3})
     runs = []
