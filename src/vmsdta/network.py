@@ -139,9 +139,9 @@ class Link:
 
     def check(self):
         errors = []
-        for name in ("length", "vf", "capacity", "kjam", "w"):
-            _require(0 < getattr(self, name) < math.inf, errors,
-                     f"link {self.id}: {name} must be strictly positive and finite")
+        for key, (name, read) in LINK_FIELDS.items():
+            _require(read is not number or 0 < getattr(self, name) < math.inf, errors,
+                     f"link {self.id}: {key} must be strictly positive and finite")
         if not errors:
             _require(
                 self.capacity <= self.qmax * (1 + 1e-9),
@@ -576,8 +576,8 @@ def read_paths_json(path):
     return _by_id(read_records(records, PATH_FIELDS, Path, "path"), "path id")
 
 
-def _read_csv(path, columns) -> list:
-    """The rows of a CSV file whose header names exactly ``columns``, in any order."""
+def _read_csv(path, columns, numbers) -> list:
+    """The rows of a CSV file whose header names exactly ``columns``, in any order; ``numbers`` as floats."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if sorted(reader.fieldnames or ()) != sorted(columns):
@@ -586,20 +586,24 @@ def _read_csv(path, columns) -> list:
         for row in reader:
             if None in row or None in row.values():
                 raise ValueError(f"line {reader.line_num}: expected {len(columns)} fields")
+            for col in numbers:
+                try:
+                    row[col] = float(row[col])
+                except ValueError:
+                    raise ValueError(f"line {reader.line_num}: {col} must be a number, got {row[col]!r}") from None
             rows.append(row)
     return rows
 
 
 def read_demand_csv(path):
-    return _by_id([ODPair(row["od_id"], row["origin"], row["destination"], float(row["Q"]),
-                          float(row["T_A"])) for row in _read_csv(path, DEMAND_COLUMNS)],
-                  "O-D id")
+    return _by_id([ODPair(row["od_id"], row["origin"], row["destination"], row["Q"], row["T_A"])
+                   for row in _read_csv(path, DEMAND_COLUMNS, ("Q", "T_A"))], "O-D id")
 
 
 def read_tolerances_csv(path):
     tol = {}
-    for row in _read_csv(path, TOLERANCE_COLUMNS):
-        _add_unique(tol.setdefault(row["od_id"], {}), row["path_id"], float(row["epsilon_s"]),
+    for row in _read_csv(path, TOLERANCE_COLUMNS, ("epsilon_s",)):
+        _add_unique(tol.setdefault(row["od_id"], {}), row["path_id"], row["epsilon_s"],
                     f"row for O-D {row['od_id']}, path")
     return tol
 

@@ -318,16 +318,18 @@ def _bins_template(n_bins, n_columns):
     return "".join(f"\0{k}{',%s' * n_columns}\r\n" for k in range(n_bins))
 
 
-def _write_bins(fh, text, fields, *columns):
-    """Write and flush, in one call, a CSV row per bin k: ``fields`` (quoted once,
-    as ``csv.writer`` quotes them), k, then each column's k-th float as the
-    ``_FloatText`` ``text`` formats it.  A failure is an ``OutputError`` naming
-    the file, which it closes: its unwritten rows would fail again on close."""
+def _csv(rows) -> str:
+    """``rows`` as ``csv.writer`` formats them."""
     buf = io.StringIO()
-    csv.writer(buf).writerow(fields + ("",))
-    values = tuple(map(text.__getitem__, np.column_stack(columns).ravel().view(np.int64).tolist()))
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _put(fh, text):
+    """Write and flush ``text``.  A failure is an ``OutputError`` naming the file,
+    which it closes: its unwritten rows would fail again on close."""
     try:
-        fh.write((_bins_template(len(columns[0]), len(columns)) % values).replace("\0", buf.getvalue()[:-2]))
+        fh.write(text)
         fh.flush()
     except OSError as exc:
         with contextlib.suppress(OSError):
@@ -335,16 +337,37 @@ def _write_bins(fh, text, fields, *columns):
         raise OutputError(f"writing {fh.name}: {exc.strerror or exc}") from exc
 
 
+def _write_bins(fh, text, fields, *columns):
+    """``_put`` a CSV row per bin k: ``fields`` (quoted once, as ``csv.writer`` quotes
+    them), k, then each column's k-th float as the ``_FloatText`` ``text`` formats it."""
+    values = tuple(map(text.__getitem__, np.column_stack(columns).ravel().view(np.int64).tolist()))
+    _put(fh, (_bins_template(len(columns[0]), len(columns)) % values).replace("\0", _csv([fields + ("",)])[:-2]))
+
+
+COMPLIANCE_COLUMNS = ("day", "od_id", "sign_id", "model", "s_bar", "mu_f", "mu_nf",
+                      "sigma_f", "sigma_nf", "x", "y_f", "y_nf", "cr", "fset_share")
+# each per-day table and its header
+DAY_TABLES = {
+    "days.csv": ("day", "relative_gap", "total_cost", "converged"),
+    "compliance.csv": COMPLIANCE_COLUMNS,
+    "flows.csv": ("day", "path", "bin", "rate"),
+    "costs.csv": ("day", "path", "bin", "psi", "phi"),
+}
+
+
 @contextlib.contextmanager
 def day_tables(network: Network, outdir):
-    """Open flows.csv and costs.csv in ``outdir`` and yield the ``on_day`` callback that
-    writes a day's rows as the day ends; the tables close when the block does."""
-    outdir = _FsPath(outdir)
-    with open(outdir / "flows.csv", "w", newline="") as flows, open(outdir / "costs.csv", "w", newline="") as costs:
-        csv.writer(flows).writerow(["day", "path", "bin", "rate"])
-        csv.writer(costs).writerow(["day", "path", "bin", "psi", "phi"])
+    """Open the per-day tables in ``outdir`` and yield the ``on_day`` callback that
+    writes a day's rows in each as the day ends; the tables close when the block does."""
+    with contextlib.ExitStack() as stack:
+        days, compliance, flows, costs = tables = [
+            stack.enter_context(open(_FsPath(outdir) / name, "w", newline="")) for name in DAY_TABLES]
+        for fh, header in zip(tables, DAY_TABLES.values()):
+            _put(fh, _csv([header]))
 
         def on_day(rec):
+            _put(days, _csv([[rec.day, rec.gap, rec.total_cost, str(rec.converged).lower()]]))
+            emit_plot_data(compliance, rec)
             text = _FloatText()  # one day's distinct values; the rows go out one path at a time
             for pid, psi, phi in zip(network.path_ids, rec.psi, rec.phi):
                 _write_bins(flows, text, (rec.day, pid), rec.profile.rate(pid))
@@ -353,23 +376,15 @@ def day_tables(network: Network, outdir):
         yield on_day
 
 
-def write_outputs(result: RunResult, outdir, config: RunConfig | None = None,
-                  warnings=None) -> dict:
-    """Write days.csv, compliance.csv and summary.json from the run's records;
-    flows.csv and costs.csv were written day by day by ``day_tables``."""
-    outdir = _FsPath(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    files = {}
+def emit_plot_data(fh, rec):
+    """Write one day's compliance.csv rows to ``fh``: each (O-D, sign) pair's trace, which
+    holds the saving ``s_bar``, the perception (``x``, or ``y_nf - y_f``) and ``cr``."""
+    _put(fh, _csv([rec.day, row["od"], row["sign"], row["model"]]
+                  + [row.get(col) for col in COMPLIANCE_COLUMNS[4:]] for row in rec.compliance_trace))
 
-    files["days"] = outdir / "days.csv"
-    with open(files["days"], "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["day", "relative_gap", "total_cost", "converged"])
-        for rec in result.days:
-            wr.writerow([rec.day, rec.gap, rec.total_cost, str(rec.converged).lower()])
 
-    files.update(emit_plot_data(result, outdir))
-
+def write_outputs(result: RunResult, outdir, config: RunConfig, warnings):
+    """Write summary.json from the run's last record; ``day_tables`` wrote the per-day tables."""
     last = result.days[-1]
     summary = {
         "days": len(result.days),
@@ -378,29 +393,10 @@ def write_outputs(result: RunResult, outdir, config: RunConfig | None = None,
         "final_total_cost": last.total_cost,
         "final_cr": {f"{od}|{sign}": cr for (od, sign), cr in last.cr_used.items()},
         "residual_final_day": last.residual,
-        "warnings": list(warnings or []) + [f"day {last.day}: {w}" for w in last.warnings],
+        "warnings": list(warnings) + [f"day {last.day}: {w}" for w in last.warnings],
+        "config": config_to_dict(config),
     }
-    if config is not None:
-        summary["config"] = config_to_dict(config)
-    files["summary"] = outdir / "summary.json"
-    files["summary"].write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return files
-
-
-def emit_plot_data(result: RunResult, outdir) -> dict:
-    """Write compliance.csv into ``outdir``: each (O-D, sign) pair's trace per day, which
-    holds the saving ``s_bar``, the perception (``x``, or ``y_nf - y_f``) and ``cr``."""
-    files = {"compliance": _FsPath(outdir) / "compliance.csv"}
-    comp_cols = ["day", "od_id", "sign_id", "model", "s_bar", "mu_f", "mu_nf",
-                 "sigma_f", "sigma_nf", "x", "y_f", "y_nf", "cr", "fset_share"]
-    with open(files["compliance"], "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(comp_cols)
-        for rec in result.days:
-            for row in rec.compliance_trace:
-                wr.writerow([rec.day, row["od"], row["sign"], row["model"]]
-                            + [row.get(col) for col in comp_cols[4:]])
-    return files
+    (_FsPath(outdir) / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
 def dump_curves(dnl_result, outdir) -> dict:
@@ -439,28 +435,24 @@ def make_outdir(outdir):
 
 
 # what a run writes after its last day; an earlier run's copies go before day 1
-# (day_tables truncates flows.csv and costs.csv), and no other file in --out is touched
-RUN_FILES = ("days.csv", "compliance.csv", "curves.csv", "turning_ratios.csv", "summary.json")
+# (day_tables truncates the per-day tables), and no other file in --out is touched
+RUN_FILES = ("curves.csv", "turning_ratios.csv", "summary.json")
 
 
-def run_bundle(bundle: ScenarioBundle, outdir=None) -> RunResult:
-    """Run the bundle; with ``outdir``, remove an earlier run's files, write flows.csv
-    and costs.csv as each day ends and the other outputs after the last day (none of
-    them, and no summary.json, if a day fails)."""
+def run_bundle(bundle: ScenarioBundle, outdir) -> RunResult:
+    """Run the bundle into ``outdir``, after removing an earlier run's files: each per-day table
+    gets its rows as the day ends, summary.json and the curve dump come after the last day."""
     cfg = bundle.config
-    if outdir is not None:
-        make_outdir(outdir)
+    make_outdir(outdir)
     try:
-        if outdir is not None:
-            for name in RUN_FILES:
-                (_FsPath(outdir) / name).unlink(missing_ok=True)
-        with contextlib.nullcontext() if outdir is None else day_tables(bundle.network, outdir) as on_day:
+        for name in RUN_FILES:
+            (_FsPath(outdir) / name).unlink(missing_ok=True)
+        with day_tables(bundle.network, outdir) as on_day:
             result = run_day_to_day(bundle.network, cfg.grid, bundle.profile,
                                     cfg.compliance, cfg.penalty, cfg.solver, on_day=on_day)
-        if outdir is not None:
-            write_outputs(result, outdir, config=cfg, warnings=bundle.warnings)
-            if cfg.dump_curves:
-                dump_curves(result.final_dnl, outdir)
+        write_outputs(result, outdir, cfg, bundle.warnings)
+        if cfg.dump_curves:
+            dump_curves(result.final_dnl, outdir)
     except OSError as exc:
         raise OutputError(f"writing outputs in {outdir}: {exc}") from exc
     return result
@@ -504,7 +496,7 @@ def _sweep_worker(args):
     }
 
 
-def run_sweep(files: dict, param: str, values, outdir=None, workers: int = 1) -> list:
+def run_sweep(files: dict, param: str, values, outdir, workers: int = 1) -> list:
     """Independent replicates over one parameter; returns one row per value.
 
     Every value is checked before any run starts.
@@ -519,10 +511,9 @@ def run_sweep(files: dict, param: str, values, outdir=None, workers: int = 1) ->
                for name, vs in runs.items() if len(vs) > 1]
     if clashes:
         raise ScenarioError(clashes)
-    jobs = [(files, _apply_sweep_value(base, param, v), param, v,
-             None if outdir is None else _FsPath(outdir) / name) for name, (v,) in runs.items()]
-    if outdir is not None:
-        make_outdir(outdir)
+    jobs = [(files, _apply_sweep_value(base, param, v), param, v, _FsPath(outdir) / name)
+            for name, (v,) in runs.items()]
+    make_outdir(outdir)
     workers = min(workers, len(jobs))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -531,17 +522,12 @@ def run_sweep(files: dict, param: str, values, outdir=None, workers: int = 1) ->
             rows = list(pool.map(_sweep_worker, jobs))
     else:
         rows = [_sweep_worker(job) for job in jobs]
-    if outdir is not None:
-        path = _FsPath(outdir) / "sweep.csv"
-        try:
-            with open(path, "w", newline="") as fh:
-                wr = csv.writer(fh)
-                wr.writerow(["param", "value", "days", "converged", "final_gap",
-                             "final_cr", "final_total_cost"])
-                for row in rows:
-                    wr.writerow([row["param"], row["value"], row["days"],
-                                 str(row["converged"]).lower(), row["final_gap"],
-                                 row["final_cr"], row["final_total_cost"]])
-        except OSError as exc:
-            raise OutputError(f"writing {path}: {exc.strerror or exc}") from exc
+    path = _FsPath(outdir) / "sweep.csv"
+    try:
+        with open(path, "w", newline="") as fh:
+            _put(fh, _csv([("param", "value", "days", "converged", "final_gap", "final_cr", "final_total_cost")]
+                          + [[row["param"], row["value"], row["days"], str(row["converged"]).lower(),
+                              row["final_gap"], row["final_cr"], row["final_total_cost"]] for row in rows]))
+    except OSError as exc:
+        raise OutputError(f"writing {path}: {exc.strerror or exc}") from exc
     return rows

@@ -329,9 +329,24 @@ def row_writer(outdir, network, records=None, dnl_result=None):
     This is the writer the block writer replaced, kept as its reference.  It
     writes flows.csv and costs.csv for a run's whole day records (as ``on_day``
     gets them) on ``network``, and curves.csv and turning_ratios.csv for a
-    ``DnlResult``, into ``outdir``.
+    ``DnlResult``, into ``outdir``.  From the same records it also writes days.csv
+    and compliance.csv, as the writer that ran after the last day did.
     """
     if records is not None:
+        with open(outdir / "days.csv", "w", newline="") as fh:
+            wr = csv.writer(fh)
+            wr.writerow(["day", "relative_gap", "total_cost", "converged"])
+            for rec in records:
+                wr.writerow([rec.day, rec.gap, rec.total_cost, str(rec.converged).lower()])
+        comp_cols = ["day", "od_id", "sign_id", "model", "s_bar", "mu_f", "mu_nf",
+                     "sigma_f", "sigma_nf", "x", "y_f", "y_nf", "cr", "fset_share"]
+        with open(outdir / "compliance.csv", "w", newline="") as fh:
+            wr = csv.writer(fh)
+            wr.writerow(comp_cols)
+            for rec in records:
+                for row in rec.compliance_trace:
+                    wr.writerow([rec.day, row["od"], row["sign"], row["model"]]
+                                + [row.get(col) for col in comp_cols[4:]])
         with open(outdir / "flows.csv", "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["day", "path", "bin", "rate"])

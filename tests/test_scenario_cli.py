@@ -117,8 +117,8 @@ def test_dump_curves_flag(tmp_path):
     n_up = [float(r["N_up"]) for r in rows if r["link_id"] == "1"]
     assert n_up == sorted(n_up)
     assert (out / "turning_ratios.csv").exists()
-    # RUN_FILES is every file a run writes after its last day
-    assert sorted(f.name for f in out.iterdir()) == sorted(scenario.RUN_FILES + ("flows.csv", "costs.csv"))
+    # RUN_FILES is every file a run writes after its last day, beside the per-day tables
+    assert sorted(f.name for f in out.iterdir()) == sorted(scenario.RUN_FILES + tuple(scenario.DAY_TABLES))
 
 
 def test_a_run_without_the_curve_dump_removes_an_earlier_runs_curves(tmp_path):
@@ -352,12 +352,25 @@ def test_duplicate_or_orphan_rows_exit_one(tmp_path, capsys, case, edit, expecte
     ("demand", lambda f: _append_row(f, "od2,a,f,10,2100,7"), "line 3: expected 5 fields"),
     ("tolerances", lambda f: _append_row(f, "od1,p1"), "line 5: expected 3 fields"),
     ("tolerances", lambda f: f.write_text(""), "header must name od_id, path_id, epsilon_s"),
+    ("demand", lambda f: f.write_text("od_id,origin,destination,Q,T_A\nod1,a,f,,2100\n"),
+     "line 2: Q must be a number, got ''"),
+    ("demand", lambda f: f.write_text("T_A,od_id,origin,destination,Q\nx,od1,a,f,360\n"),
+     "line 2: T_A must be a number, got 'x'"),
+    ("tolerances", lambda f: _append_row(f, "od1,p4,"), "line 5: epsilon_s must be a number, got ''"),
 ])
 def test_csv_field_outside_the_header_exits_one(tmp_path, capsys, name, edit, expected):
     files = _write(tmp_path)
     edit(files[name])
     messages = _validate_errors(files, capsys)
     assert any(expected in m and files[name].name in m for m in messages), messages
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-1"])
+def test_a_csv_number_out_of_range_is_left_to_the_range_check(tmp_path, capsys, cell):
+    files = _write(tmp_path)
+    files["demand"].write_text(f"od_id,origin,destination,Q,T_A\nod1,a,f,{cell},2100\n")
+    messages = _validate_errors(files, capsys)
+    assert messages == [f"O-D od1: demand {float(cell)} must be nonnegative and finite"]
 
 
 @pytest.mark.parametrize("name, edit, key", [
@@ -435,6 +448,15 @@ def test_malformed_json_record_exits_one(tmp_path, capsys, name, edit, expected)
     messages = _validate_errors(files, capsys)
     assert any(expected in m and (name == "config" or files[name].name in m)
                for m in messages), messages
+
+
+@pytest.mark.parametrize("key, value", [("length_m", 0), ("vf_mps", -1), ("cap_vps", math.inf),
+                                        ("kjam_vpm", 0.0), ("w_mps", -0.0)])
+def test_a_link_range_error_names_its_json_key(tmp_path, capsys, key, value):
+    files = _write(tmp_path)
+    _edit_json(files["network"], lambda o: o["links"][0].update({key: value}))
+    messages = _validate_errors(files, capsys)
+    assert messages == [f"link 1: {key} must be strictly positive and finite"]
 
 
 def test_a_path_without_links_exits_one_naming_it(tmp_path, capsys):
@@ -599,15 +621,16 @@ def test_failed_output_write_exits_two_naming_the_file(tmp_path, capsys):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the always-full device")
-def test_a_table_that_fills_the_disk_exits_two_naming_it(tmp_path, capsys):
+@pytest.mark.parametrize("name", list(scenario.DAY_TABLES))
+def test_a_table_that_fills_the_disk_exits_two_naming_it(tmp_path, capsys, name):
     files = _write(tmp_path, demand=120.0, solver={"max_days": 2})
     out = tmp_path / "out"
     out.mkdir()
-    (out / "costs.csv").symlink_to("/dev/full")  # opens, but every write fails with ENOSPC
+    (out / name).symlink_to("/dev/full")  # opens, but every write fails with ENOSPC
     assert cli_run(["run"] + _flags(files) + ["--out", str(out), "--quiet"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "runtime"
-    assert err["messages"] == [f"writing {out / 'costs.csv'}: {os.strerror(errno.ENOSPC)}"]
+    assert err["messages"] == [f"writing {out / name}: {os.strerror(errno.ENOSPC)}"]
     assert not (out / "summary.json").exists()
 
 
@@ -631,12 +654,13 @@ def test_a_run_that_fails_on_day_2_keeps_day_1_table_rows_and_leaves_no_summary(
     assert cli_run(["run"] + _flags(files) + ["--out", str(out), "--quiet"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "runtime", "messages": ["day 2: cost table: broken"]}
-    for name in ("flows.csv", "costs.csv"):
+    rows = {"days.csv": 1, "compliance.csv": 1, "flows.csv": 3 * 360, "costs.csv": 3 * 360}  # 3 paths x 360 bins
+    for name, count in rows.items():
         with open(out / name, newline="") as fh:
             days = [row["day"] for row in csv.DictReader(fh)]
-        assert days == ["1"] * (3 * 360), name  # 3 paths x 360 bins
+        assert days == ["1"] * count, name
     assert not any((out / name).exists() for name in earlier)
-    assert sorted(f.name for f in out.iterdir()) == ["costs.csv", "flows.csv"]
+    assert sorted(f.name for f in out.iterdir()) == sorted(rows)
 
 
 def test_sweep_csv_that_cannot_be_written_exits_two_naming_it(tmp_path, capsys):

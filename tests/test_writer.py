@@ -1,4 +1,5 @@
-"""The block writer of the large output tables against the per-row writer it replaced."""
+"""The day writer and the block writer of the large output tables against the
+per-row and after-run writers they replaced."""
 
 import dataclasses
 
@@ -12,7 +13,7 @@ from vmsdta.scenario import build_profile, day_tables, dump_curves, fig1_config,
 from .oracles import row_writer
 from .randnet import GRID, random_network
 
-TABLES = ("flows.csv", "costs.csv", "curves.csv", "turning_ratios.csv")
+TABLES = ("days.csv", "compliance.csv", "flows.csv", "costs.csv", "curves.csv", "turning_ratios.csv")
 SPECIAL = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e22]
 
 
