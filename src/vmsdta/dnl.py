@@ -445,7 +445,10 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
             take = None
             if np.count_nonzero(active):
                 level = dn_k + S
-                # first edge at or above the level, stepping from last bin's answer
+                # first edge at or above the level: a window of three edges from last bin's answer,
+                # and a full count for the legs it loses. A full count for every leg gives the same
+                # bits but is O(legs x bins) a bin: on grid layout 1 each loading was 1.15x slower
+                # at dt 10 s, 1.35x at 5 s and 1.85x at 2.5 s (fig1 unchanged)
                 below = UDf[before[:, None] + window] < level[:, None]
                 n_below = below.sum(axis=1)
                 at = before + n_below

@@ -7,7 +7,9 @@ safe to share read-only across threads.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -657,35 +659,65 @@ def load_scenario(network_file, paths_file, demand_file, tolerances_file=None,
     return network, warnings
 
 
-# -- writers (round-trip formats for fixtures and golden tests) --------------
+# -- writers: every output file is opened by ``open_output`` and written by ``_put``
 
 
-def _write_json(path, obj):
-    _FsPath(path).write_text(json.dumps(obj, indent=2) + "\n")
+class OutputError(Exception):
+    """An output file could not be written."""
 
 
-def _write_csv(path, columns, rows):
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(columns)
-        wr.writerows(rows)
+@contextlib.contextmanager
+def _writing(path, fh=None):
+    """An ``OSError`` in the block as an ``OutputError`` naming ``path``, after closing
+    ``fh``: its unwritten text would fail again on close."""
+    try:
+        yield
+    except OSError as exc:
+        if fh is not None:
+            with contextlib.suppress(OSError):
+                fh.close()
+        raise OutputError(f"writing {path}: {exc.strerror or exc}") from exc
+
+
+def _put(fh, text):
+    """Write and flush ``text``."""
+    with _writing(fh.name, fh):
+        fh.write(text)
+        fh.flush()
+
+
+def open_output(path, text):
+    """``path`` opened for writing with ``text`` (a CSV header, or the whole file) ``_put`` in it."""
+    with _writing(path):
+        fh = open(path, "w", newline="")
+    _put(fh, text)
+    return fh
+
+
+def _csv(rows) -> str:
+    """``rows`` as ``csv.writer`` formats them."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
 def save_scenario_files(network: Network, outdir):
     """Write network/paths/demand/tolerances/vms files; returns their paths."""
     outdir = _FsPath(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    files = {"network": outdir / "network.json", "paths": outdir / "paths.json",
-             "demand": outdir / "demand.csv", "tolerances": outdir / "tolerances.csv"}
-    _write_json(files["network"], {"links": write_records(network.links.values(), LINK_FIELDS)})
-    _write_json(files["paths"], write_records(network.paths.values(), PATH_FIELDS))
-    _write_csv(files["demand"], DEMAND_COLUMNS,
-               [(od.id, od.origin, od.destination, repr(od.demand), repr(od.t_arrival))
-                for od in network.ods.values()])
-    _write_csv(files["tolerances"], TOLERANCE_COLUMNS,
-               [(od.id, pid, repr(od.tolerances[pid]))
-                for od in network.ods.values() for pid in network.od_paths(od.id)])
+    contents = {
+        "network.json": {"links": write_records(network.links.values(), LINK_FIELDS)},
+        "paths.json": write_records(network.paths.values(), PATH_FIELDS),
+        "demand.csv": [DEMAND_COLUMNS] + [(od.id, od.origin, od.destination, repr(od.demand), repr(od.t_arrival))
+                                          for od in network.ods.values()],
+        "tolerances.csv": [TOLERANCE_COLUMNS] + [(od.id, pid, repr(od.tolerances[pid]))
+                                                 for od in network.ods.values() for pid in network.od_paths(od.id)],
+    }
     if network.signs:
-        files["vms"] = outdir / "vms.json"
-        _write_json(files["vms"], write_records(network.signs, SIGN_FIELDS))
+        contents["vms.json"] = write_records(network.signs, SIGN_FIELDS)
+    files = {}
+    for name, obj in contents.items():
+        stem, _, ext = name.partition(".")
+        files[stem] = outdir / name
+        open_output(files[stem], _csv(obj) if ext == "csv" else json.dumps(obj, indent=2) + "\n").close()
     return files

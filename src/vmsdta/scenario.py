@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import contextlib
-import csv
 import functools
-import io
 import json
 import math
 import struct
@@ -22,14 +20,20 @@ from .network import (
     Link,
     Network,
     ODPair,
+    OutputError,  # re-exported for cli
     Path,
     ScenarioError,
     TimeGrid,
     VmsSign,
+    _csv,
+    _put,
+    _read,
+    _writing,
     check_keys,
     load_scenario,
     normalize_intervals,
     number,
+    open_output,
     pair_of,
     save_scenario_files,
     string,
@@ -176,11 +180,7 @@ def parse_config(obj: dict) -> RunConfig:
 
 
 def read_config(path) -> RunConfig:
-    try:
-        obj = json.loads(_FsPath(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ScenarioError([f"config file {path}: {exc}"]) from exc
-    return parse_config(obj)
+    return parse_config(_read("config", path, lambda p: json.loads(_FsPath(p).read_text())))
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
@@ -290,12 +290,9 @@ def write_fig1_fixture(outdir, demand: float = 360.0) -> dict:
     if errors:  # before any file is written
         raise ScenarioError(errors)
     make_outdir(outdir)
-    try:
-        files = save_scenario_files(network, outdir)
-        files["config"] = outdir / "config.json"
-        files["config"].write_text(json.dumps(config_to_dict(cfg), indent=2) + "\n")
-    except OSError as exc:
-        raise OutputError(f"writing fixture files in {outdir}: {exc}") from exc
+    files = save_scenario_files(network, outdir)
+    files["config"] = outdir / "config.json"
+    open_output(files["config"], json.dumps(config_to_dict(cfg), indent=2) + "\n").close()
     return files
 
 
@@ -318,25 +315,6 @@ def _bins_template(n_bins, n_columns):
     return "".join(f"\0{k}{',%s' * n_columns}\r\n" for k in range(n_bins))
 
 
-def _csv(rows) -> str:
-    """``rows`` as ``csv.writer`` formats them."""
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
-    return buf.getvalue()
-
-
-def _put(fh, text):
-    """Write and flush ``text``.  A failure is an ``OutputError`` naming the file,
-    which it closes: its unwritten rows would fail again on close."""
-    try:
-        fh.write(text)
-        fh.flush()
-    except OSError as exc:
-        with contextlib.suppress(OSError):
-            fh.close()
-        raise OutputError(f"writing {fh.name}: {exc.strerror or exc}") from exc
-
-
 def _write_bins(fh, text, fields, *columns):
     """``_put`` a CSV row per bin k: ``fields`` (quoted once, as ``csv.writer`` quotes
     them), k, then each column's k-th float as the ``_FloatText`` ``text`` formats it."""
@@ -357,13 +335,11 @@ DAY_TABLES = {
 
 @contextlib.contextmanager
 def day_tables(network: Network, outdir):
-    """Open the per-day tables in ``outdir`` and yield the ``on_day`` callback that
-    writes a day's rows in each as the day ends; the tables close when the block does."""
+    """Open the per-day tables in ``outdir``, each with its header, and yield the ``on_day``
+    callback that writes a day's rows in each as the day ends; the tables close when the block does."""
     with contextlib.ExitStack() as stack:
-        days, compliance, flows, costs = tables = [
-            stack.enter_context(open(_FsPath(outdir) / name, "w", newline="")) for name in DAY_TABLES]
-        for fh, header in zip(tables, DAY_TABLES.values()):
-            _put(fh, _csv([header]))
+        days, compliance, flows, costs = [stack.enter_context(open_output(_FsPath(outdir) / name, _csv([header])))
+                                          for name, header in DAY_TABLES.items()]
 
         def on_day(rec):
             _put(days, _csv([[rec.day, rec.gap, rec.total_cost, str(rec.converged).lower()]]))
@@ -396,7 +372,7 @@ def write_outputs(result: RunResult, outdir, config: RunConfig, warnings):
         "warnings": list(warnings) + [f"day {last.day}: {w}" for w in last.warnings],
         "config": config_to_dict(config),
     }
-    (_FsPath(outdir) / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    open_output(_FsPath(outdir) / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n").close()
 
 
 def dump_curves(dnl_result, outdir) -> dict:
@@ -405,12 +381,10 @@ def dump_curves(dnl_result, outdir) -> dict:
     outdir = _FsPath(outdir)
     files = {"curves": outdir / "curves.csv", "turning_ratios": outdir / "turning_ratios.csv"}
     text = _FloatText()
-    with open(files["curves"], "w", newline="") as fh:
-        csv.writer(fh).writerow(["link_id", "bin", "N_up", "N_down"])
+    with open_output(files["curves"], _csv([("link_id", "bin", "N_up", "N_down")])) as fh:
         for a in network.links:
             _write_bins(fh, text, (a,), dnl_result.up[a], dnl_result.down[a])
-    with open(files["turning_ratios"], "w", newline="") as fh:
-        csv.writer(fh).writerow(["node", "in_link", "out", "bin", "ratio"])
+    with open_output(files["turning_ratios"], _csv([("node", "in_link", "out", "bin", "ratio")])) as fh:
         for node, per_in in dnl_result.turning_ratios.items():
             for a, per_out in per_in.items():
                 for out, ratios in per_out.items():
@@ -420,10 +394,6 @@ def dump_curves(dnl_result, outdir) -> dict:
 
 # ---------------------------------------------------------------------------
 # orchestration
-
-
-class OutputError(Exception):
-    """An output file could not be written."""
 
 
 def make_outdir(outdir):
@@ -444,17 +414,15 @@ def run_bundle(bundle: ScenarioBundle, outdir) -> RunResult:
     gets its rows as the day ends, summary.json and the curve dump come after the last day."""
     cfg = bundle.config
     make_outdir(outdir)
-    try:
-        for name in RUN_FILES:
-            (_FsPath(outdir) / name).unlink(missing_ok=True)
-        with day_tables(bundle.network, outdir) as on_day:
-            result = run_day_to_day(bundle.network, cfg.grid, bundle.profile,
-                                    cfg.compliance, cfg.penalty, cfg.solver, on_day=on_day)
-        write_outputs(result, outdir, cfg, bundle.warnings)
-        if cfg.dump_curves:
-            dump_curves(result.final_dnl, outdir)
-    except OSError as exc:
-        raise OutputError(f"writing outputs in {outdir}: {exc}") from exc
+    for path in (_FsPath(outdir) / name for name in RUN_FILES):
+        with _writing(path):
+            path.unlink(missing_ok=True)
+    with day_tables(bundle.network, outdir) as on_day:
+        result = run_day_to_day(bundle.network, cfg.grid, bundle.profile,
+                                cfg.compliance, cfg.penalty, cfg.solver, on_day=on_day)
+    write_outputs(result, outdir, cfg, bundle.warnings)
+    if cfg.dump_curves:
+        dump_curves(result.final_dnl, outdir)
     return result
 
 
@@ -522,12 +490,8 @@ def run_sweep(files: dict, param: str, values, outdir, workers: int = 1) -> list
             rows = list(pool.map(_sweep_worker, jobs))
     else:
         rows = [_sweep_worker(job) for job in jobs]
-    path = _FsPath(outdir) / "sweep.csv"
-    try:
-        with open(path, "w", newline="") as fh:
-            _put(fh, _csv([("param", "value", "days", "converged", "final_gap", "final_cr", "final_total_cost")]
-                          + [[row["param"], row["value"], row["days"], str(row["converged"]).lower(),
-                              row["final_gap"], row["final_cr"], row["final_total_cost"]] for row in rows]))
-    except OSError as exc:
-        raise OutputError(f"writing {path}: {exc.strerror or exc}") from exc
+    open_output(_FsPath(outdir) / "sweep.csv",
+                _csv([("param", "value", "days", "converged", "final_gap", "final_cr", "final_total_cost")]
+                     + [[row["param"], row["value"], row["days"], str(row["converged"]).lower(),
+                         row["final_gap"], row["final_cr"], row["final_total_cost"]] for row in rows])).close()
     return rows

@@ -121,3 +121,18 @@ def test_every_generated_bad_input_is_an_input_or_day_error(tmp_path, capsys):
         if not ok:
             faults.append(f"run {case}: {code!r} {err}")
     assert not faults, f"{len(faults)} of {n} cases:\n" + "\n".join(faults[:20])
+
+
+@pytest.mark.parametrize("state", ["not UTF-8", "empty", "a directory"])
+@pytest.mark.parametrize("name", JSON_FILES + CSV_FILES)
+def test_an_input_file_that_cannot_be_read_is_one_input_error_naming_it(tmp_path, capsys, name, state):
+    files = write_fig1_fixture(tmp_path / "base")
+    path = files[name]
+    if state == "a directory":
+        path.unlink()
+        path.mkdir()
+    else:
+        path.write_bytes(path.read_bytes() + b"\xff" if state == "not UTF-8" else b"")
+    code, err = _call(["validate", *[f"--{key}={file}" for key, file in files.items()]], capsys)
+    assert code == 1 and _input_error(err) and len(err["messages"]) == 1, (code, err)
+    assert err["messages"][0].startswith(f"{name} file {path}: "), err

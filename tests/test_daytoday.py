@@ -482,3 +482,17 @@ def test_one_more_day_from_a_converged_run_moves_neither_profile_nor_compliance(
     tol = cfg.solver.gap_tolerance
     assert rec.converged and rec.day == len(res.days) + 1 and nxt.day == rec.day + 1
     assert nxt.gap < tol and nxt.drift < tol, (nxt.gap, nxt.drift)
+
+
+def test_fig1_final_cost_and_cr_hold_at_finer_time_steps():
+    # the LTM converges as dt shrinks (Yperman 2007): fig1's final cost at dt 10, 5 and
+    # 2.5 s is 132,271.7, 132,238.6 and 132,256.1, and its final CR 0.5979 at each
+    net, finals = fig1_network(), []
+    for dt in (10.0, 5.0, 2.5):
+        cfg = fig1_config(grid={"t0": 0.0, "tf": 3600.0, "dt": dt})
+        res = run_day_to_day(net, cfg.grid, build_profile(net, cfg), cfg.compliance, cfg.penalty, cfg.solver)
+        assert res.converged, dt
+        finals.append((res.days[-1].total_cost, res.days[-1].cr_used[("od1", "vms1")]))
+    costs, crs = zip(*finals)
+    assert max(costs) - min(costs) <= 5e-4 * min(costs), finals
+    assert max(crs) - min(crs) <= 1e-3, finals

@@ -601,23 +601,34 @@ def test_unusable_out_exits_one_before_any_day(tmp_path, capsys, monkeypatch, co
         assert any("--out" in m and "afile" in m for m in err["messages"]), err["messages"]
 
 
+def _directory_in_place_of(out, name, capsys):
+    """Check that the command's stderr is the one runtime error naming ``out / name``,
+    which a directory fills."""
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "runtime", "messages": [f"writing {out / name}: {os.strerror(errno.EISDIR)}"]}
+
+
 def test_fixture_file_that_cannot_be_written_exits_two_naming_it(tmp_path, capsys):
-    out = tmp_path / "fx"
-    (out / "paths.json").mkdir(parents=True)
-    assert cli_run(["fixtures", "fig1", "--out", str(out)]) == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "runtime"
-    assert any("paths.json" in m for m in err["messages"]), err["messages"]
+    for path in write_fig1_fixture(tmp_path / "fx").values():
+        out = tmp_path / path.stem
+        (out / path.name).mkdir(parents=True)
+        assert cli_run(["fixtures", "fig1", "--out", str(out)]) == 2
+        _directory_in_place_of(out, path.name, capsys)
 
 
-def test_failed_output_write_exits_two_naming_the_file(tmp_path, capsys):
-    files = _write(tmp_path, demand=120.0, solver={"max_days": 2})
+@pytest.mark.parametrize("name", [*scenario.DAY_TABLES, *scenario.RUN_FILES])
+def test_failed_output_write_exits_two_naming_the_file(tmp_path, capsys, name):
+    files = _write(tmp_path, demand=120.0, solver={"max_days": 2}, output={"dump_curves": True})
     out = tmp_path / "out"
-    (out / "flows.csv").mkdir(parents=True)
+    (out / name).mkdir(parents=True)
     assert cli_run(["run"] + _flags(files) + ["--out", str(out), "--quiet"]) == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "runtime"
-    assert any("flows.csv" in m for m in err["messages"]), err["messages"]
+    _directory_in_place_of(out, name, capsys)
+    # the tables opened before it hold their header and nothing else; no later file is made
+    tables = list(scenario.DAY_TABLES)
+    earlier = tables[:tables.index(name)] if name in tables else []
+    for table in earlier:
+        assert (out / table).read_bytes() == (",".join(scenario.DAY_TABLES[table]) + "\r\n").encode(), table
+    assert sorted(f.name for f in out.iterdir()) == sorted(earlier + [name])
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the always-full device")
@@ -669,9 +680,7 @@ def test_sweep_csv_that_cannot_be_written_exits_two_naming_it(tmp_path, capsys):
     (out / "sweep.csv").mkdir(parents=True)
     code = cli_run(["sweep"] + _flags(files) + ["--param", "lambda", "--values", "0.0004", "--out", str(out)])
     assert code == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "runtime"
-    assert any("sweep.csv" in m for m in err["messages"]), err["messages"]
+    _directory_in_place_of(out, "sweep.csv", capsys)
     assert (out / "lambda_0.0004" / "summary.json").exists()
 
 
