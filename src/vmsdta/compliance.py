@@ -43,15 +43,15 @@ class ComplianceParams:
     def check(self):
         errors = []
         if self.model not in MODELS:
-            errors.append(f"compliance: unknown model {self.model!r}")
+            errors.append(f"config: unknown model {self.model!r}")
         if not 0.0 < self.w < 1.0:
-            errors.append(f"compliance: weight w={self.w} must lie in (0, 1)")
+            errors.append(f"config: compliance.w={self.w} must lie in (0, 1)")
         if self.beta <= 0:
-            errors.append(f"compliance: beta={self.beta} must be positive")
+            errors.append(f"config: compliance.beta={self.beta} must be positive")
         if self.gamma < 0:
-            errors.append(f"compliance: gamma={self.gamma} must be nonnegative")
+            errors.append(f"config: compliance.gamma={self.gamma} must be nonnegative")
         if self.beta_iv is not None and self.beta_iv <= 0:
-            errors.append(f"compliance: beta_iv={self.beta_iv} must be positive")
+            errors.append(f"config: compliance.beta_iv={self.beta_iv} must be positive")
         return errors
 
     @property

@@ -51,13 +51,13 @@ class SolverConfig:
     def check(self):
         errors = []
         if self.step_size <= 0:
-            errors.append(f"solver: lambda (step size) {self.step_size} must be positive")
+            errors.append(f"config: solver.lambda (step size) {self.step_size} must be positive")
         if self.gap_tolerance <= 0:
-            errors.append("solver: gap_tolerance must be positive")
+            errors.append("config: solver.gap_tolerance must be positive")
         if self.max_days < 1:
-            errors.append("solver: max_days must be at least 1")
+            errors.append("config: solver.max_days must be at least 1")
         if self.residual_warn_fraction < 0:
-            errors.append("solver.residual_warn_fraction must be nonnegative")
+            errors.append("config: solver.residual_warn_fraction must be nonnegative")
         return errors
 
 
@@ -290,7 +290,7 @@ def run_day_to_day(network: Network, grid: TimeGrid, profile: DepartureProfile,
     days = []
     result = None
     for _ in range(solver.max_days):
-        result = None  # one loading in memory: the last day's goes before the next is built
+        rec = result = None  # one day in memory: the last day's record and loading go before the next is built
         state, rec, result = advance(state, network, grid, compliance, penalty, solver)
         if on_day is not None:
             on_day(rec)

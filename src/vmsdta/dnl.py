@@ -158,8 +158,8 @@ class DnlResult:
     queue's ``up`` is the cumulative departures and its ``down`` the vehicles
     that have entered the first link.  Per path only a leg's inflow curve is
     kept; of its outflow only the total delivered, ``total_arrived``, remains.
-    ``demand[k, p]`` is the demand of (leg, slot) pair p in bin k before any
-    throttling, whence ``turning_ratios`` (links only).
+    Links no path uses share one read-only zero curve.  ``oriented`` maps each bin with flow to each
+    (leg, slot) pair's demand before any throttling; ``demand`` expands it, whence ``turning_ratios``.
 
     Traversal times compose the legs' exit-time functions ``mu`` along chains
     of legs (a path's legs for ``path_times``, its links downstream of a node
@@ -172,12 +172,17 @@ class DnlResult:
     up: dict  # leg -> np.ndarray of cumulative inflow at edges
     down: dict  # leg -> cumulative outflow at edges
     up_by_path: dict  # leg -> {path: np.ndarray}
-    demand: np.ndarray  # bins x (leg, slot) pairs
+    oriented: dict  # bin with flow -> demand per (leg, slot) pair
     total_arrived: float  # vehicles delivered to their destinations
     extrapolated_queries: int = 0
 
     def __post_init__(self):
         self._edges, self._tables = self.grid.edges(), self.network.loading
+
+    @cached_property
+    def demand(self) -> np.ndarray:
+        none = np.zeros(len(self._tables.leg_of_pair))  # a bin without flow
+        return np.array([self.oriented.get(k, none) for k in range(self.grid.n_bins)])
 
     @cached_property
     def turning_ratios(self) -> dict:
@@ -277,8 +282,8 @@ class DnlResult:
 class LoadingTables:
     """The loader's tables for one network, which depend on no grid, profile or CR
     (``network.loading`` builds them once), and per grid its ``_grid_tables``.  Legs are the links paths use, then one
-    origin queue ``(origin, first link)`` per first link, then the links no path uses;
-    a queue is a curve pair like a link whose inflow is the departures."""
+    origin queue ``(origin, first link)`` per first link; a queue is a curve pair like a link whose
+    inflow is the departures.  A link no path uses has no curves, and its slots receive without bound."""
 
     def __init__(self, network: Network):
         links = network.links
@@ -310,9 +315,9 @@ class LoadingTables:
                     slots.append((node, SINK))
         self.in_legs, self.q_legs, self.slots = in_legs, q_legs, slots
         legs = in_legs + q_legs
-        self.leg_ix = leg_ix = {leg: i for i, leg in enumerate(legs + [a for a in links if not paths_on[a]])}
+        self.leg_ix = leg_ix = {leg: i for i, leg in enumerate(legs)}
         self.slot_ix = slot_ix = {s: j for j, s in enumerate(slots)}
-        self.out_slots = [j for j, (_, out) in enumerate(slots) if out != SINK]
+        self.out_slots = [j for j, (_, out) in enumerate(slots) if out != SINK and paths_on[out]]
         self.outs = [links[slots[j][1]] for j in self.out_slots]
 
         # (leg, path) rows, the (leg, slot) pairs their flow takes, and the row
@@ -344,11 +349,11 @@ class LoadingTables:
 def _grid_tables(t, grid):
     """The loader's tables for one network (its ``LoadingTables`` t) on one grid, which no
     loading writes: per leg its capacity per bin; the flat offsets of the legs', the
-    (leg, path) rows' and the out-links' curves; per out-link its storage and capacity
-    per bin; per bin the lagged reads, each the flat index of the edge a before
-    ``(k+1) - lag`` and a weight, read with the next edge b as ``a + (b - a) * frac``
-    (positions outside (0, K) read edge 0 or K); and the quiet spell after which every
-    bin repeats the last."""
+    (leg, path) rows' and the used out-links' curves; per out-link its storage and capacity
+    per bin; the lagged reads, each the edge a before ``(k+1) - lag`` (per bin, in the
+    smallest unsigned type that holds K, added to the read's flat curve start) and a weight,
+    read with the next edge b as ``a + (b - a) * frac`` (positions outside (0, K) read
+    edge 0 or K); and the quiet spell after which every bin repeats the last."""
     K, dt = grid.n_bins, grid.dt
     W = K + 2  # run_dnl's curve row
     # lags are >= one bin by validation, the floor absorbs float spill
@@ -361,11 +366,11 @@ def _grid_tables(t, grid):
     pos = np.arange(1, K + 1, dtype=float)[:, None] - np.concatenate([lag, lag_w])[None, :]
     edge = np.clip(np.floor(pos), 0, K)
     frac = np.where((pos > 0) & (pos < K), pos - edge, 0.0)
-    idx = np.concatenate([base, len(t.leg_ix) * W + out_base])[None, :] + edge.astype(np.intp)
+    start = np.concatenate([base, len(t.leg_ix) * W + out_base])
     cap = np.array([t.fft_cap[a][1] * dt for a in t.in_legs] + [math.inf] * len(t.q_legs))
     settle = math.ceil(max(lag.max(initial=1.0), lag_w.max(initial=1.0))) + 1
-    return (cap, base, row_base, out_base, idx, frac, np.array([lk.storage for lk in t.outs]),
-            np.array([lk.capacity * dt for lk in t.outs]), settle)
+    return (cap, base, row_base, out_base, start, edge.astype(np.min_scalar_type(K)), frac,
+            np.array([lk.storage for lk in t.outs]), np.array([lk.capacity * dt for lk in t.outs]), settle)
 
 
 def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
@@ -375,8 +380,8 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
     ``compliance_rates`` maps keys of ``network.pairs`` to the day's CR in
     [0, 1]; missing pairs default to zero diversion, and any other key is a
     ``DnlError``.  Returns each leg's cumulative inflow and outflow curves and
-    its inflow curve per path, each (leg, slot) pair's demand per bin, the exit
-    times and the realized turning ratios.
+    its inflow curve per path, each (leg, slot) pair's demand per bin with flow,
+    the exit times and the realized turning ratios.
     """
     cr_map = dict(compliance_rates or {})
     for key, cr in cr_map.items():
@@ -391,12 +396,11 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
     paths_on, in_legs, q_legs, row_ix, leg_ix = t.paths_on, t.in_legs, t.q_legs, t.row_ix, t.leg_ix
     leg_of_row, pair_of_row, leg_of_pair = t.leg_of_row, t.pair_of_row, t.leg_of_pair
     junctions, src_of_row, into, to_link = t.junctions, t.src_of_row, t.into, t.to_link
-    n_in, n_in_rows, n_rows, n_pairs = len(in_legs), len(src_of_row), len(t.rows), len(leg_of_pair)
-    n_legs = n_in + len(q_legs)
+    n_in, n_legs, n_in_rows, n_rows, n_pairs = len(in_legs), len(leg_ix), len(src_of_row), len(t.rows), len(leg_of_pair)
 
     # cumulative curves, leg-major, U with D in one buffer, and per (leg, path) row
     # its inflow curve and the outflow so far; a queue's inflow is the departures
-    UD, UP, dp = np.zeros((2, len(leg_ix), W)), np.zeros((n_rows, W)), np.zeros(n_rows)
+    UD, UP, dp = np.zeros((2, n_legs, W)), np.zeros((n_rows, W)), np.zeros(n_rows)
     U, D = UD
     for q in q_legs:
         departed = {pid: np.concatenate(([0.0], np.cumsum(profile.rate(pid)) * dt))
@@ -404,10 +408,10 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
         U[leg_ix[q], :K + 1] = sum(departed.values())
         for pid, arr in departed.items():
             UP[row_ix[(q, pid)], :K + 1] = arr
-    UDf, UDf1, UPf = UD.ravel(), UD.ravel()[1:], UP.ravel()
+    UDf, UDf1, UPf, UPf1 = UD.ravel(), UD.ravel()[1:], UP.ravel(), UP.ravel()[1:]
     if grid not in t.on_grid:
         t.on_grid[grid] = _grid_tables(t, grid)
-    cap, base, row_base, out_base, lag_idx, lag_frac, storage, out_cap, settle = t.on_grid[grid]
+    cap, base, row_base, out_base, lag_start, lag_edge, lag_frac, storage, out_cap, settle = t.on_grid[grid]
     receiving, out_slots = np.full(len(t.slots), math.inf), t.out_slots
 
     # diversion, per sign with a positive CR: its host link's rows, the bins it is
@@ -427,17 +431,17 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
     first, last = (int(departing[0]), int(departing[-1])) if departing.size else (K, K)
     quiet, window = 0, np.array([0, 1, 2])
     before = base.copy()  # per leg, flat: the edge before last bin's answer to the level search
-    demand = np.zeros((K, n_pairs))  # per bin
+    by_bin = {}  # per bin with flow, each (leg, slot) pair's demand
 
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(first, K):
             hi = k + 1
             U[:n_in, hi] = U[:n_in, k]
             UP[:n_in_rows, hi] = UP[:n_in_rows, k]
-            dn_k = D[:n_legs, k]
+            dn_k = D[:, k]
 
             # the curves read a lag back: sending flows, and later receiving flows
-            ix = lag_idx[k]
+            ix = lag_start + lag_edge[k]
             g = UDf[ix]
             lagged = g + (UDf1[ix] - g) * lag_frac[k]
             S = np.minimum(cap, lagged[:n_legs] - dn_k)
@@ -454,7 +458,7 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
                 at = before + n_below
                 lost = active > (below[:, 0] & (n_below < 3))
                 if np.count_nonzero(lost):
-                    at[lost] = base[lost] + (U[:n_legs][lost, :hi + 1] < level[lost, None]).sum(axis=1)
+                    at[lost] = base[lost] + (U[lost, :hi + 1] < level[lost, None]).sum(axis=1)
                 at1 = at - 1
                 np.copyto(before, at1, where=active)
                 # the edge up to which each leg's batch entered
@@ -466,13 +470,13 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
                 edge = pr.astype(np.intp)
                 i = row_base + edge
                 b0 = UPf[i]
-                amt = (b0 + (UPf[i + 1] - b0) * (pr - edge)) - dp
+                amt = (b0 + (UPf1[i] - b0) * (pr - edge)) - dp
                 take = (amt > _TINY) & active[leg_of_row]
                 if not np.count_nonzero(take):
                     take = None
 
             if take is None:
-                D[:n_legs, hi] = dn_k
+                D[:, hi] = dn_k
                 quiet += 1
                 if k >= last and quiet >= settle:  # queues' curves are flat from here on too
                     UD[..., hi + 1:K + 1], UP[:, hi + 1:K + 1] = UD[..., hi, None], UP[:, hi, None]
@@ -500,7 +504,7 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
                 routed[rows] = vals
 
             # revised turning ratios (demand shares before any throttling)
-            demand[k] = oriented = np.bincount(pair_of_row, routed, minlength=n_pairs)
+            by_bin[k] = oriented = np.bincount(pair_of_row, routed, minlength=n_pairs)
             sending = np.bincount(leg_of_pair, oriented, minlength=n_legs)
 
             space = lagged[n_legs:] + storage - UDf[out_base + k]
@@ -510,20 +514,20 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
             th = theta[leg_of_row]
             mv = th * amt
             dp += mv
-            np.add(dn_k, np.bincount(leg_of_row, mv, minlength=n_legs), out=D[:n_legs, hi])
+            np.add(dn_k, np.bincount(leg_of_row, mv, minlength=n_legs), out=D[:, hi])
             to_mv = mv if routed is amt else th * routed
             UP[:n_in_rows, hi] += to_mv[src_of_row]
             total = np.bincount(pair_of_row, to_mv, minlength=n_pairs)
             # a link fed by several legs adds their flows in junction order
             np.add.at(U[:, hi], into, total[to_link])
 
+    zero = np.broadcast_to(0.0, K + 1)  # read-only: the curves of every link no path uses
     return DnlResult(
-        network=network,
-        grid=grid,
-        up={leg: U[leg_ix[leg], :K + 1] for leg in paths_on},
-        down={leg: D[leg_ix[leg], :K + 1] for leg in paths_on},
+        network=network, grid=grid,
+        up={leg: U[leg_ix[leg], :K + 1] if pids else zero for leg, pids in paths_on.items()},
+        down={leg: D[leg_ix[leg], :K + 1] if pids else zero for leg, pids in paths_on.items()},
         up_by_path={leg: {pid: UP[row_ix[(leg, pid)], :K + 1] for pid in pids}
                     for leg, pids in paths_on.items()},
-        demand=demand,
+        oriented=by_bin,
         total_arrived=float(sum(dp[row_ix[(p.links[-1], p.id)]] for p in network.paths.values())),
     )

@@ -56,14 +56,14 @@ class TimeGrid:
 
     def __post_init__(self):
         errors = []
-        _require(self.tf > self.t0, errors, f"time grid: tf ({self.tf}) must exceed t0 ({self.t0})")
-        _require(self.dt > 0, errors, f"time grid: dt ({self.dt}) must be positive")
+        _require(self.tf > self.t0, errors, f"config: grid.tf ({self.tf}) must exceed grid.t0 ({self.t0})")
+        _require(self.dt > 0, errors, f"config: grid.dt ({self.dt}) must be positive")
         if not errors:
             n = (self.tf - self.t0) / self.dt
             _require(
                 abs(n - round(n)) <= 1e-9 * max(1.0, abs(n)),
                 errors,
-                f"time grid: horizon {self.tf - self.t0} is not an integer multiple of dt={self.dt}",
+                f"config: grid.tf - grid.t0 = {self.tf - self.t0} is not an integer multiple of grid.dt={self.dt}",
             )
         if errors:
             raise ScenarioError(errors)
@@ -143,15 +143,15 @@ class Link:
         errors = []
         for key, (name, read) in LINK_FIELDS.items():
             _require(read is not number or 0 < getattr(self, name) < math.inf, errors,
-                     f"link {self.id}: {key} must be strictly positive and finite")
+                     f"network: link {self.id}: {key} must be strictly positive and finite")
         if not errors:
             _require(
                 self.capacity <= self.qmax * (1 + 1e-9),
                 errors,
-                f"link {self.id}: capacity {self.capacity:g} exceeds the triangular-diagram "
-                f"maximum {self.qmax:g}",
+                f"network: link {self.id}: cap_vps {self.capacity:g} exceeds the triangular-diagram "
+                f"maximum {self.qmax:g} of vf_mps, w_mps and kjam_vpm",
             )
-            _require(self.w <= self.vf, errors, f"link {self.id}: backward wave speed must not exceed vf")
+            _require(self.w <= self.vf, errors, f"network: link {self.id}: w_mps must not exceed vf_mps")
         return errors
 
 
@@ -281,67 +281,66 @@ class Network:
             errors += lk.check()
         for od in self.ods.values():
             _require(0 <= od.demand < math.inf, errors,
-                     f"O-D {od.id}: demand {od.demand} must be nonnegative and finite")
-            _require(math.isfinite(od.t_arrival), errors, f"O-D {od.id}: desired arrival must be finite")
-            _require(bool(self.od_paths(od.id)), errors, f"O-D {od.id} has no paths")
+                     f"demand: O-D {od.id}: Q {od.demand} must be nonnegative and finite")
+            _require(math.isfinite(od.t_arrival), errors, f"demand: O-D {od.id}: T_A must be finite")
+            _require(bool(self.od_paths(od.id)), errors, f"demand: O-D {od.id}: od_id is no path's od in paths")
             for pid, eps in od.tolerances.items():
-                _require(pid in self.paths, errors, f"O-D {od.id}: tolerance for unknown path {pid}")
+                _require(pid in self.paths, errors, f"tolerances: O-D {od.id}: path_id {pid} is no path id in paths")
                 _require(pid not in self.paths or self.paths[pid].od == od.id, errors,
-                         f"O-D {od.id}: tolerance for path {pid} of another O-D")
+                         f"tolerances: O-D {od.id}: path_id {pid} has another od in paths than this od_id")
                 _require(0 <= eps < math.inf, errors,
-                         f"O-D {od.id}: tolerance for path {pid} must be nonnegative and finite")
+                         f"tolerances: O-D {od.id}: epsilon_s for path {pid} must be nonnegative and finite")
             for pid in self.od_paths(od.id):
                 _require(pid in od.tolerances, errors,
-                         f"O-D {od.id}: path {pid} missing from the tolerance map")
+                         f"tolerances: O-D {od.id}: path {pid} has no epsilon_s")
             if grid is not None:
                 _require(od.t_arrival < grid.tf, errors,
-                         f"O-D {od.id}: desired arrival {od.t_arrival} must precede tf={grid.tf}")
+                         f"demand: O-D {od.id}: T_A {od.t_arrival} must precede config grid.tf={grid.tf}")
         for p in self.paths.values():
-            _require(p.od in self.ods, errors, f"path {p.id}: unknown O-D {p.od}")
-            _require(len(p.links) > 0, errors, f"path {p.id}: empty link sequence")
+            _require(p.od in self.ods, errors, f"paths: path {p.id}: od {p.od} is no od_id in demand")
+            _require(len(p.links) > 0, errors, f"paths: path {p.id}: links is empty")
             unknown = [a for a in p.links if a not in self.links]
             for a in unknown:
-                errors.append(f"path {p.id}: unknown link {a}")
+                errors.append(f"paths: path {p.id}: links names {a}, no link id in network")
             if unknown or not p.links:
                 continue
-            _require(len(set(p.links)) == len(p.links), errors, f"path {p.id}: repeated links")
+            _require(len(set(p.links)) == len(p.links), errors, f"paths: path {p.id}: links repeat a link")
             for a, b in zip(p.links, p.links[1:]):
                 _require(self.links[a].to_node == self.links[b].from_node, errors,
-                         f"path {p.id}: links {a} and {b} do not share a node")
+                         f"paths: path {p.id}: links {a} (network to) and {b} (from) do not share a node")
             if p.od in self.ods:
                 od = self.ods[p.od]
                 _require(self.links[p.links[0]].from_node == od.origin, errors,
-                         f"path {p.id}: first link does not depart origin {od.origin}")
+                         f"paths: path {p.id}: links[0]'s network from is not the demand origin {od.origin}")
                 _require(self.links[p.links[-1]].to_node == od.destination, errors,
-                         f"path {p.id}: last link does not enter destination {od.destination}")
+                         f"paths: path {p.id}: links[-1]'s network to is not the demand destination {od.destination}")
         sign_ids = [sg.id for sg in self.signs]
         for sid in sorted({sid for sid in sign_ids if sign_ids.count(sid) > 1}):
-            errors.append(f"sign {sid}: id used by more than one sign")
+            errors.append(f"vms: sign {sid}: id used by more than one sign")
         for sg in self.signs:
             for name in ("host_link", "from_link", "to_link"):
-                _require(getattr(sg, name) in self.links, errors, f"sign {sg.id}: unknown {name}")
+                _require(getattr(sg, name) in self.links, errors, f"vms: sign {sg.id}: {name} is no link id in network")
             _require(sg.from_link != sg.to_link, errors,
-                     f"sign {sg.id}: from_link and to_link must differ")
+                     f"vms: sign {sg.id}: from_link and to_link must differ")
             if sg.host_link in self.links:
                 _require(self.links[sg.host_link].to_node == sg.junction, errors,
-                         f"sign {sg.id}: host link {sg.host_link} does not end at junction {sg.junction}")
+                         f"vms: sign {sg.id}: host_link {sg.host_link}'s network to is not the junction {sg.junction}")
             for name in ("from_link", "to_link"):
                 a = getattr(sg, name)
                 if a in self.links:
                     _require(self.links[a].from_node == sg.junction, errors,
-                             f"sign {sg.id}: {name} {a} does not leave junction {sg.junction}")
-            _require(omega_length(sg.omega) > 0, errors, f"sign {sg.id}: active set is empty")
+                             f"vms: sign {sg.id}: {name} {a}'s network from is not the junction {sg.junction}")
+            _require(omega_length(sg.omega) > 0, errors, f"vms: sign {sg.id}: omega is empty")
             if grid is not None:
                 for s, e in sg.omega:
                     _require(grid.t0 <= s < e <= grid.tf, errors,
-                             f"sign {sg.id}: interval [{s}, {e}) outside the horizon")
+                             f"vms: sign {sg.id}: omega interval [{s}, {e}) outside config grid.t0 to grid.tf")
         if grid is not None:
             for lk in self.links.values():
                 if lk.vf > 0 and lk.w > 0 and lk.length > 0:
-                    _require(lk.fft >= grid.dt - 1e-12, errors,
-                             f"link {lk.id}: dt={grid.dt} exceeds free-flow traversal {lk.fft:g}s")
-                    _require(lk.length / lk.w >= grid.dt - 1e-12, errors,
-                             f"link {lk.id}: dt={grid.dt} exceeds backward wave traversal {lk.length / lk.w:g}s")
+                    for speed, t in (("vf_mps", lk.fft), ("w_mps", lk.length / lk.w)):
+                        _require(t >= grid.dt - 1e-12, errors,
+                                 f"network: link {lk.id}: config grid.dt={grid.dt} exceeds length_m / {speed} {t:g}s")
         # a path crossed by several signs is legal but worth flagging
         claimed = {}
         for sg in self.signs:
@@ -436,7 +435,7 @@ class DepartureProfile:
             w0 = max(w0, grid.t0)
             w1 = min(w1, grid.tf)
             if w1 <= w0:
-                raise ScenarioError([f"O-D {od.id}: empty departure window [{w0}, {w1})"])
+                raise ScenarioError([f"demand: O-D {od.id}: T_A or config init_profile.window: empty [{w0}, {w1})"])
             overlap = omega_bin_overlap(grid, ((w0, w1),))
             base = od.demand / (len(pids) * (w1 - w0)) * (overlap / grid.dt)
             for pid in pids:
@@ -638,7 +637,7 @@ def load_scenario(network_file, paths_file, demand_file, tolerances_file=None,
     tol = {}
     if tolerances_file is not None:
         tol = _read("tolerances", tolerances_file, read_tolerances_csv)
-        errors += [f"tolerances file {tolerances_file}: row for unknown O-D {od}"
+        errors += [f"tolerances file {tolerances_file}: od_id {od} is no od_id in demand"
                    for od in tol if od not in ods]
     signs = [] if vms_file is None else _read("vms", vms_file, read_vms_json)
 

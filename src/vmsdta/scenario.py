@@ -224,7 +224,22 @@ def load_bundle(network_file, paths_file, demand_file, config_file,
     )
     warnings = list(warnings) + cfg.range_warnings()
     profile = build_profile(network, cfg)
+    _check_products(network, cfg)
     return ScenarioBundle(network=network, config=cfg, profile=profile, warnings=warnings)
+
+
+def _check_products(network: Network, cfg: RunConfig, limit=1e100):
+    """Reject each factor of a day's products at or beyond ``limit``, whose square a float still holds."""
+    fft = max((sum(network.links[a].fft for a in p.links) for p in network.paths.values()), default=0.0)
+    pen = max(cfg.penalty.early, cfg.penalty.late) * (cfg.grid.tf - cfg.grid.t0 + fft)
+    costs = [(fft, "network: length_m / vf_mps summed over a path's links"),  # each includes the one before
+             (pen, "config: penalty.early or penalty.late times grid.tf - grid.t0 plus a free-flow path time"),
+             (cfg.solver.step_size * (fft + pen), "config: solver.lambda times a free-flow path cost")]
+    errors = [f"{what} is {x:g}" for x, what in costs if x >= limit][:1] + [
+        f"demand: O-D {od.id}: Q / dt is {od.demand / cfg.grid.dt:g}" for od in network.ods.values()
+        if od.demand / cfg.grid.dt >= limit]
+    if errors:
+        raise ScenarioError([f"{e}, at or beyond {limit:g}" for e in errors])
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Generated bad inputs: every leaf of fig1's JSON files is set to each of a
 fixed list of values, and deleted; every data cell of its CSVs is set to each
 of a shorter list.  Each case goes through ``cli_run(["validate", ...])`` and
-must exit 0, or exit 1 with one JSON input error.  The cases that validate
-accepts then run (two days) and must exit 0, 1 or 2, an exit 2 naming the day
-and the stage.  No exception may leave ``cli_run``.
+must exit 0, or exit 1 with one JSON input error whose every message names the
+file (its path, or the option that gives it) and the JSON key or CSV column the
+case set.  The cases that validate accepts then run (two days) and must exit 0
+or 1; only the cases in ``DAY_ERRORS``, which no static check can foresee, may
+exit 2, naming the day and the stage.  No exception may leave ``cli_run``.
 """
 
 import copy
@@ -24,6 +26,9 @@ CSV_VALUES = ("", "x", "-1", "nan", "inf", "0", "1e308")
 JSON_FILES = ("network", "paths", "vms", "config")
 CSV_FILES = ("demand", "tolerances")
 DAY_STAGE = re.compile(r"day \d+: (loading|cost table|BR cost|dual solve|compliance step): ")
+# (file, key, value) of the accepted cases a run may fail on: a link capacity of 1e-300 overflows
+# only where the day's flow queues on that link (on fig1, link 1, which every path takes, on day 2)
+DAY_ERRORS = [("network", "cap_vps", 1e-300)]  # a list: a case value may be unhashable
 
 
 def _leaves(obj, path=()):
@@ -50,13 +55,14 @@ def _set(obj, path, value):
 
 
 def _cases(files):
-    """(case name, file key, new text) for every case."""
+    """(case name, file key, the JSON key or CSV column set, the value, new text) for every case."""
     for name in JSON_FILES:
         obj = json.loads(files[name].read_text())
         for path in _leaves(obj):
+            key = [k for k in path if isinstance(k, str)][-1]
             for value in JSON_VALUES:
                 shown = "deleted" if value is DELETE else repr(value)
-                yield f"{name}{list(path)} {shown}", name, json.dumps(_set(obj, path, value))
+                yield f"{name}{list(path)} {shown}", name, key, value, json.dumps(_set(obj, path, value))
     for name in CSV_FILES:
         rows = list(csv.reader(io.StringIO(files[name].read_text())))
         for r in range(1, len(rows)):
@@ -66,7 +72,7 @@ def _cases(files):
                     edited[r][c] = value
                     text = io.StringIO()
                     csv.writer(text).writerows(edited)
-                    yield f"{name} row {r} {rows[0][c]} {value!r}", name, text.getvalue()
+                    yield f"{name} row {r} {rows[0][c]} {value!r}", name, rows[0][c], value, text.getvalue()
 
 
 def _call(argv, capsys):
@@ -81,6 +87,11 @@ def _call(argv, capsys):
         return code, json.loads(err) if err else None
     except ValueError:
         return code, err
+
+
+def _names(message, word):
+    """Whether ``message`` holds ``word`` as a whole word (``od`` in ``od p1``, not in ``od_id``)."""
+    return re.search(rf"\b{re.escape(word)}\b", message) is not None
 
 
 def _input_error(err):
@@ -100,27 +111,33 @@ def test_every_generated_bad_input_is_an_input_or_day_error(tmp_path, capsys):
     case_dir.mkdir()
 
     faults, accepted, n = [], [], 0
-    for n, (case, name, text) in enumerate(_cases(base), 1):
+    for n, (case, name, key, value, text) in enumerate(_cases(base), 1):
         files = dict(base)
         files[name] = case_dir / base[name].name
         files[name].write_text(text)
-        flags = [f"--{key}={path}" for key, path in files.items()]
+        flags = [f"--{flag}={path}" for flag, path in files.items()]
         code, err = _call(["validate", *flags], capsys)
         if code == 0:
-            accepted.append((case, files[name], text, flags))
+            accepted.append((case, files[name], text, flags, (name, key, value) in DAY_ERRORS))
         elif code != 1 or not _input_error(err):
             faults.append(f"validate {case}: {code!r} {err}")
+        else:
+            faults += [f"validate {case}: {m!r} names not both the {name} file and {key}" for m in err["messages"]
+                       if not (_names(m, name) or str(files[name]) in m) or not _names(m, key)]
     assert n == 1582 and len(accepted) > 100  # fig1's leaves and cells; a change to the fixture shows here
 
-    for case, path, text, flags in accepted:
+    day_errors = 0
+    for case, path, text, flags, day_error in accepted:
         path.write_text(text)
         code, err = _call(["run", *flags, f"--out={tmp_path / 'out'}", "--quiet"], capsys)
         ok = (code == 0 and err is None or code == 1 and _input_error(err)
-              or code == 2 and isinstance(err, dict) and err.get("error") == "runtime"
+              or day_error and code == 2 and isinstance(err, dict) and err.get("error") == "runtime"
               and len(err["messages"]) == 1 and DAY_STAGE.match(err["messages"][0]))
+        day_errors += code == 2
         if not ok:
             faults.append(f"run {case}: {code!r} {err}")
     assert not faults, f"{len(faults)} of {n} cases:\n" + "\n".join(faults[:20])
+    assert day_errors == 1  # link 1's cap_vps at 1e-300; a DAY_ERRORS entry that no longer fails shows here
 
 
 @pytest.mark.parametrize("state", ["not UTF-8", "empty", "a directory"])

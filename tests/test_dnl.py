@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,7 +14,8 @@ from vmsdta.dnl import (
     run_dnl,
 )
 from vmsdta.network import DepartureProfile, Link, Network, ODPair, Path, TimeGrid
-from vmsdta.scenario import fig1_config, fig1_network
+from vmsdta.cli import cli_run
+from vmsdta.scenario import fig1_config, fig1_network, write_fig1_fixture
 
 from .conftest import assert_dnl_invariants, link_inflow, make_corridor
 from .oracles import (compose_exit, list_loader, path_legs, point_queue_corridor, slotwise_waterfill,
@@ -367,6 +369,40 @@ def test_grid_tables_are_built_once_per_grid_and_load_as_fresh_copies(monkeypatc
         assert all(np.array_equal(times[p], t) for p, t in fresh.path_times().items())
         assert shared.total_arrived == fresh.total_arrived
     assert [grid for t, grid in builds if t is net.loading] == grids
+
+
+def test_a_link_no_path_uses_has_no_curves_and_changes_no_output(tmp_path):
+    # fig1 plus a link c -> a that no path uses: the loading keeps curves for fig1's 8 legs (7 links
+    # and the origin queue) only, the new link reads one shared read-only zero curve, every other
+    # curve is fig1's bit for bit, and a run writes fig1's per-day tables byte for byte
+    net = fig1_network()
+    extra = Link("8", "c", "a", 500.0, 12.5, 0.5, 0.15, 5.0)
+    wider = Network(dict(net.links, **{"8": extra}), net.paths, net.ods, net.signs)
+    grid = fig1_config().grid
+    assert wider.validate(grid)[0] == []
+    prof = DepartureProfile.uniform(net, grid, window=(900.0, 1800.0))
+    alone, res = (run_dnl(n, grid, prof, compliance_rates={("od1", "vms1"): 0.5}) for n in (net, wider))
+    assert len(wider.loading.leg_ix) == 8 and "8" not in wider.loading.leg_ix
+    assert res.up["8"] is res.down["8"] and not res.up["8"].flags.writeable
+    assert np.array_equal(res.up["8"], np.zeros(grid.n_bins + 1))
+    for leg in alone.up:
+        assert np.array_equal(res.up[leg], alone.up[leg]) and np.array_equal(res.down[leg], alone.down[leg])
+    assert np.array_equal(res.demand, alone.demand)
+    # the per-bin demand is kept for the bins with flow only
+    assert sorted(res.oriented) == np.flatnonzero(res.demand.any(axis=1)).tolist() != list(range(grid.n_bins))
+
+    written = {}
+    for name in ("fig1", "wider"):
+        files = write_fig1_fixture(tmp_path / name)
+        if name == "wider":
+            obj = json.loads(files["network"].read_text())
+            obj["links"].append(dict(obj["links"][0], id="8", **{"from": "c", "to": "a"}))
+            files["network"].write_text(json.dumps(obj))
+        flags = [f"--{key}={path}" for key, path in files.items()]
+        assert cli_run(["run", *flags, f"--out={tmp_path / name / 'out'}", "--quiet"]) == 0
+        written[name] = {table: (tmp_path / name / "out" / table).read_bytes()
+                         for table in ("flows.csv", "costs.csv", "days.csv", "compliance.csv")}
+    assert written["wider"] == written["fig1"]
 
 
 def test_bad_compliance_rate_is_a_dnl_error(fig1_loaded):

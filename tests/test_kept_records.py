@@ -8,14 +8,16 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
+from vmsdta import daytoday
 from vmsdta.daytoday import DayRecord, run_day_to_day
 from vmsdta.network import DepartureProfile
-from vmsdta.scenario import load_bundle
+from vmsdta.scenario import fig1_config, fig1_network, load_bundle
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -70,3 +72,22 @@ def test_a_run_grows_by_less_than_16_kib_a_day_and_keeps_no_profile(tmp_path):
     for rec in res.days:
         held = {f.name: _arrays(getattr(rec, f.name)) for f in fields(DayRecord)}
         assert not any(held.values()), (rec.day, {name: len(a) for name, a in held.items() if a})
+
+
+def test_yesterdays_record_is_gone_when_today_loads(monkeypatch):
+    # on_day keeps only weak references to each day's psi and phi: when the next day's loading
+    # starts, the day loop holds neither the last record nor the last loading, so both are gone
+    net, cfg = fig1_network(), fig1_config(solver={"lambda": 0.0002, "max_days": 4, "gap_tolerance": 1e-3})
+    refs, alive = [], []
+    load = daytoday.run_dnl
+
+    def checked(*args, **kwargs):
+        alive.append([ref() is not None for ref in refs])
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(daytoday, "run_dnl", checked)
+    res = run_day_to_day(net, cfg.grid, DepartureProfile.uniform(net, cfg.grid, window=(900.0, 1800.0)),
+                         cfg.compliance, cfg.penalty, cfg.solver,
+                         on_day=lambda rec: refs.extend([weakref.ref(rec.psi), weakref.ref(rec.phi)]))
+    assert len(res.days) == 4
+    assert alive == [[], [False] * 2, [False] * 4, [False] * 6]

@@ -97,7 +97,7 @@ def test_od_without_paths_is_an_error(tmp_path):
     with pytest.raises(ScenarioError) as err:
         load_scenario(files["network"], files["paths"], files["demand"],
                       tolerances_file=files["tolerances"], vms_file=files["vms"])
-    assert any("O-D od1 has no paths" in e for e in err.value.errors)
+    assert any("demand: O-D od1: od_id is no path's od in paths" in e for e in err.value.errors)
 
 
 def test_disconnected_path_is_rejected_by_name(tmp_path):
@@ -123,8 +123,8 @@ def test_non_finite_scenario_numbers_are_rejected_by_name(tmp_path):
     with pytest.raises(ScenarioError) as err:
         load_scenario(files["network"], files["paths"], files["demand"],
                       tolerances_file=files["tolerances"], vms_file=files["vms"])
-    for name in ("link 1: length", "O-D od1: demand", "O-D od1: desired arrival",
-                 "tolerance for path p1"):
+    for name in ("network: link 1: length_m", "demand: O-D od1: Q", "demand: O-D od1: T_A",
+                 "tolerances: O-D od1: epsilon_s for path p1"):
         assert any(name in e and "finite" in e for e in err.value.errors), name
 
 
@@ -132,13 +132,13 @@ def test_tolerance_for_another_ods_path_is_rejected(fig1):
     net, cfg = fig1
     ods = dict(net.ods, od2=ODPair("od2", "a", "f", 10.0, 2100.0, {"p1": 5.0}))
     errors, _ = Network(net.links, net.paths, ods, net.signs).validate(cfg.grid)
-    assert "O-D od2: tolerance for path p1 of another O-D" in errors
+    assert "tolerances: O-D od2: path_id p1 has another od in paths than this od_id" in errors
 
 
 def test_link_capacity_above_diagram_max_is_rejected():
     lk = Link("x", "a", "b", 500.0, 12.5, 0.6, 0.15, 5.0)  # qmax ~ 0.536
     errors = lk.check()
-    assert any("capacity" in e for e in errors)
+    assert any("cap_vps 0.6 exceeds the triangular-diagram maximum" in e for e in errors), errors
 
 
 def test_grid_vs_link_lag_check():

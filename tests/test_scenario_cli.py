@@ -335,7 +335,7 @@ def _validate_errors(files, capsys):
     ("tolerance", lambda f: _append_row(f["tolerances"], "od1,p1,5"),
      ("tolerances.csv", "duplicate row for O-D od1, path p1")),
     ("orphan tolerance", lambda f: _append_row(f["tolerances"], "od9,p1,5"),
-     ("tolerances.csv", "unknown O-D od9")),
+     ("tolerances.csv", "od_id od9 is no od_id in demand")),
     ("sign", lambda f: _edit_json(f["vms"], lambda o: o.append(dict(o[0]))),
      ("sign vms1", "more than one sign")),
 ])
@@ -370,7 +370,7 @@ def test_a_csv_number_out_of_range_is_left_to_the_range_check(tmp_path, capsys, 
     files = _write(tmp_path)
     files["demand"].write_text(f"od_id,origin,destination,Q,T_A\nod1,a,f,{cell},2100\n")
     messages = _validate_errors(files, capsys)
-    assert messages == [f"O-D od1: demand {float(cell)} must be nonnegative and finite"]
+    assert messages == [f"demand: O-D od1: Q {float(cell)} must be nonnegative and finite"]
 
 
 @pytest.mark.parametrize("name, edit, key", [
@@ -456,13 +456,13 @@ def test_a_link_range_error_names_its_json_key(tmp_path, capsys, key, value):
     files = _write(tmp_path)
     _edit_json(files["network"], lambda o: o["links"][0].update({key: value}))
     messages = _validate_errors(files, capsys)
-    assert messages == [f"link 1: {key} must be strictly positive and finite"]
+    assert messages == [f"network: link 1: {key} must be strictly positive and finite"]
 
 
 def test_a_path_without_links_exits_one_naming_it(tmp_path, capsys):
     files = _write(tmp_path)
     _edit_json(files["paths"], lambda o: o[0].update(links=[]))
-    assert _validate_errors(files, capsys) == ["path p1: empty link sequence"]
+    assert _validate_errors(files, capsys) == ["paths: path p1: links is empty"]
 
 
 @pytest.mark.filterwarnings("error")
@@ -477,8 +477,9 @@ def test_a_grid_whose_bins_numpy_cannot_allocate_exits_one_naming_it(tmp_path, c
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name, edit, day", [
-    # h - lambda*phi overflows to -inf on day 1
-    ("config", lambda o: o["solver"].update({"lambda": 1e308}), 1),
+    # h - lambda*phi is finite (validate bounds lambda times a free-flow cost by 1e100) but on
+    # day 1 at or below -1e33, where demand / dt rounds away
+    ("config", lambda o: o["solver"].update({"lambda": 1e30}), 1),
     # day 2's h - lambda*phi is finite but at or below -7e296, where demand / dt rounds away
     ("network", lambda o: o["links"][0].update(cap_vps=1e-300), 2),
 ])
@@ -491,22 +492,41 @@ def test_a_dual_solve_on_values_beyond_float_precision_exits_two(tmp_path, capsy
     assert err["messages"][0].startswith(f"day {day}: dual solve: h - lambda*phi"), err
 
 
+OVERFLOWS = pytest.mark.parametrize("demand, name, edit, field", [
+    (360.0, "network", lambda o: o["links"][0].update(length_m=1e308), "network: length_m"),
+    (360.0, "config", lambda o: o["penalty"].update(early=1e308), "config: penalty.early"),
+    (360.0, "config", lambda o: o["penalty"].update(late=1e308), "config: penalty.early or penalty.late"),
+    (1e308, "config", lambda o: None, "demand: O-D od1: Q"),
+    (360.0, "config", lambda o: o["solver"].update({"lambda": 1e308}), "config: solver.lambda"),
+], ids=["length_m", "penalty.early", "penalty.late", "Q", "lambda"])
+
+
+@OVERFLOWS
+def test_validate_rejects_a_factor_that_overflows_every_day(tmp_path, capsys, demand, name, edit, field):
+    # a day multiplies the free-flow path times by the penalties, and Q / dt and lambda by the
+    # costs those bound: each factor at or beyond 1e100 is an input error naming its field
+    files = _write(tmp_path, demand=demand)
+    _edit_json(files[name], edit)
+    messages = _validate_errors(files, capsys)
+    assert len(messages) == 1 and messages[0].startswith(field), messages
+    assert messages[0].endswith(", at or beyond 1e+100"), messages
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("demand, name, edit", [
-    (360.0, "network", lambda o: o["links"][0].update(length_m=1e308)),
-    (360.0, "config", lambda o: o["penalty"].update(early=1e308)),
-    (360.0, "config", lambda o: o["penalty"].update(late=1e308)),
-    (1e308, "config", lambda o: None),
-], ids=["length_m", "penalty.early", "penalty.late", "Q"])
-def test_a_float_overflow_in_a_day_exits_two_naming_the_day_and_stage(tmp_path, capsys, demand, name,
-                                                                       edit):
-    # each valid input overflows in the day's cost table: path times, penalties or their total
+@OVERFLOWS
+def test_a_float_overflow_in_a_day_exits_two_naming_the_day_and_stage(tmp_path, capsys, monkeypatch, demand,
+                                                                       name, edit, field):
+    # behind validate's product checks the day loop still reports a float overflow as the day and
+    # stage it happened in: without those checks, each input overflows in day 1's cost table
+    # (path times, penalties or their total) or, for lambda, its dual solve
+    monkeypatch.setattr(scenario, "_check_products", lambda network, cfg: None)
     files = _write(tmp_path, demand=demand)
     _edit_json(files[name], edit)
     assert cli_run(["run"] + _flags(files) + ["--out", str(tmp_path / "out"), "--quiet"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "runtime" and len(err["messages"]) == 1, err
-    assert err["messages"][0].startswith("day 1: cost table: overflow encountered in "), err
+    stage = "dual solve: h - lambda*phi, " if "lambda" in field else "cost table: overflow encountered in "
+    assert err["messages"][0].startswith(f"day 1: {stage}"), err
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -553,7 +573,7 @@ def test_validate_with_config_applies_its_default_tolerance(tmp_path, capsys):
     files = _write(tmp_path, default_epsilon_s=-5.0)
     files["tolerances"].write_text("od_id,path_id,epsilon_s\n")
     messages = _validate_errors(files, capsys)
-    assert any("tolerance for path p1 must be nonnegative" in m for m in messages), messages
+    assert any("epsilon_s for path p1 must be nonnegative" in m for m in messages), messages
     code = cli_run(["run"] + _flags(files) + ["--out", str(tmp_path / "o")])
     assert code == 1
 
@@ -754,5 +774,5 @@ def test_fixture_with_an_invalid_demand_exits_one(tmp_path, capsys, demand):
     assert cli_run(["fixtures", "fig1", "--out", str(out), "--demand", demand]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "input"
-    assert err["messages"] == [f"O-D od1: demand {float(demand)} must be nonnegative and finite"]
+    assert err["messages"] == [f"demand: O-D od1: Q {float(demand)} must be nonnegative and finite"]
     assert not out.exists()
