@@ -13,9 +13,8 @@ import sys
 
 from .daytoday import DayToDayError
 from .dnl import DnlError
-from .network import ScenarioError, load_scenario
+from .network import OutputError, ScenarioError, load_scenario
 from .scenario import (
-    OutputError,
     load_bundle,
     run_bundle,
     run_sweep,

@@ -20,7 +20,6 @@ from .network import (
     Link,
     Network,
     ODPair,
-    OutputError,  # re-exported for cli
     Path,
     ScenarioError,
     TimeGrid,
@@ -496,6 +495,10 @@ def run_sweep(files: dict, param: str, values, outdir, workers: int = 1) -> list
         raise ScenarioError(clashes)
     jobs = [(files, _apply_sweep_value(base, param, v), param, v, _FsPath(outdir) / name)
             for name, (v,) in runs.items()]
+    scenario = {key: path for key, path in files.items() if key != "config_file"}
+    network, _ = load_scenario(**scenario, grid=base.grid, default_epsilon=base.default_epsilon)
+    for job in jobs:  # a value's day products, checked before any run writes
+        _check_products(network, job[1])
     make_outdir(outdir)
     workers = min(workers, len(jobs))
     if workers > 1:

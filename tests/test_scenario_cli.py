@@ -155,6 +155,7 @@ def test_sweep_writes_one_row_per_value(tmp_path, capsys):
     ("beta", "a,b", "--values"),
     ("beta", "nan", "compliance.beta"),
     ("beta", "0.01,-0.01", "beta"),
+    ("lambda", "0.0002,1e308", "solver.lambda"),
 ])
 def test_bad_sweep_value_exits_one_before_any_run(tmp_path, capsys, param, values, field):
     files = _write(tmp_path, demand=120.0, solver={"max_days": 2})
@@ -567,6 +568,14 @@ def test_cli_import_leaves_the_process_pool_to_sweeps():
     # run and validate never start workers, so they need not import them
     code = "import sys, vmsdta.cli; sys.exit('concurrent.futures.process' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], timeout=60).returncode == 0
+
+
+def test_package_import_loads_no_module_and_no_numpy():
+    # names are imported from the module that defines them; the package root holds only __version__
+    code = ("import sys, vmsdta; loaded = [m for m in sys.modules if m.startswith(('vmsdta.', 'numpy'))]; "
+            "sys.exit(str(loaded) if loaded else 0)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_validate_with_config_applies_its_default_tolerance(tmp_path, capsys):
