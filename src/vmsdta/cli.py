@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .daytoday import DayToDayError
@@ -41,7 +40,7 @@ def _add_scenario_args(sub, runs=True):
     sub.add_argument("--tolerances", default=None)
     sub.add_argument("--vms", default=None)
     if runs:
-        sub.add_argument("--out", default=os.environ.get("VMSDTA_OUT", "out"))
+        sub.add_argument("--out", default="out")
 
 
 def _scenario_files(args):

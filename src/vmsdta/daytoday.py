@@ -18,7 +18,7 @@ import numpy as np
 
 from .compliance import ComplianceParams, initial_state, step_compliance
 from .dnl import DnlError, DnlResult, run_dnl
-from .network import DepartureProfile, Network, TimeGrid
+from .network import DepartureProfile, Network
 
 
 class DayToDayError(Exception):
@@ -94,8 +94,6 @@ class DayState:
 class RunResult:
     days: list
     converged: bool  # the last day's
-    network: Network
-    grid: TimeGrid
     final_dnl: DnlResult | None  # the last day's loading (None if no day ran)
     final_state: DayState  # what the next day would load; advance() continues the run
 
@@ -227,19 +225,19 @@ def relative_gap(now: DepartureProfile, prev: DepartureProfile) -> float:
 # the day loop
 
 
-def advance(state: DayState, network: Network, grid: TimeGrid, compliance: ComplianceParams,
+def advance(state: DayState, network: Network, compliance: ComplianceParams,
             penalty: PenaltyFunction, solver: SolverConfig):
-    """Load ``state`` as day ``state.day``; returns (next state, its record, loading).  The record
-    is converged when the state's gap and CR drift are below ``solver.gap_tolerance``, and warns
-    when the vehicles left at tf exceed ``solver.residual_warn_fraction`` of departures."""
+    """Load ``state`` as day ``state.day`` on its profile's grid; returns (next state, its record,
+    loading).  The record is converged when the state's gap and CR drift are below ``solver.gap_tolerance``,
+    and warns when the vehicles left at tf exceed ``solver.residual_warn_fraction`` of departures."""
     cr_used = {key: st.cr for key, st in state.perception.items()}
     stage = "loading"
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):  # a float error fails the day
-            result = run_dnl(network, grid, state.profile, compliance_rates=cr_used)
+            result = run_dnl(network, state.profile, compliance_rates=cr_used)
             stage = "cost table"
             psi = cost_table(result, penalty)
-            total_cost = float((state.profile.rates * psi).sum() * grid.dt)
+            total_cost = float((state.profile.rates * psi).sum() * state.profile.grid.dt)
             stage = "BR cost"
             phi, v = phi_table(psi, network)
             stage = "dual solve"
@@ -275,9 +273,8 @@ def advance(state: DayState, network: Network, grid: TimeGrid, compliance: Compl
     return DayState(next_profile, perception, state.day + 1, gap, drift), record, result
 
 
-def run_day_to_day(network: Network, grid: TimeGrid, profile: DepartureProfile,
-                   compliance: ComplianceParams, penalty: PenaltyFunction,
-                   solver: SolverConfig, on_day=None) -> RunResult:
+def run_day_to_day(network: Network, profile: DepartureProfile, compliance: ComplianceParams,
+                   penalty: PenaltyFunction, solver: SolverConfig, on_day=None) -> RunResult:
     """Couple loading, compliance learning and departure adjustment over days, up to the
     first converged day (see ``advance``) or ``max_days`` (a non-converged run is a valid
     outcome, not an error).  ``on_day`` gets each day's whole record as the day ends;
@@ -291,12 +288,11 @@ def run_day_to_day(network: Network, grid: TimeGrid, profile: DepartureProfile,
     result = None
     for _ in range(solver.max_days):
         rec = result = None  # one day in memory: the last day's record and loading go before the next is built
-        state, rec, result = advance(state, network, grid, compliance, penalty, solver)
+        state, rec, result = advance(state, network, compliance, penalty, solver)
         if on_day is not None:
             on_day(rec)
         days.append(replace(rec, profile=None, psi=None, phi=None))
         if rec.converged:
             break
 
-    return RunResult(days=days, converged=bool(days) and days[-1].converged, network=network,
-                     grid=grid, final_dnl=result, final_state=state)
+    return RunResult(days, bool(days) and days[-1].converged, final_dnl=result, final_state=state)

@@ -373,9 +373,8 @@ def _grid_tables(t, grid):
             np.array([lk.storage for lk in t.outs]), np.array([lk.capacity * dt for lk in t.outs]), settle)
 
 
-def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
-            compliance_rates=None) -> DnlResult:
-    """Propagate the departure profile through the network for one day.
+def run_dnl(network: Network, profile: DepartureProfile, compliance_rates=None) -> DnlResult:
+    """Propagate the departure profile through the network for one day, on the profile's grid.
 
     ``compliance_rates`` maps keys of ``network.pairs`` to the day's CR in
     [0, 1]; missing pairs default to zero diversion, and any other key is a
@@ -390,6 +389,7 @@ def run_dnl(network: Network, grid: TimeGrid, profile: DepartureProfile,
         if not 0.0 <= cr <= 1.0:
             raise DnlError(f"compliance rate {cr} for {key} outside [0, 1]")
 
+    grid = profile.grid
     K, dt = grid.n_bins, grid.dt
     W = K + 2  # a curve row: edges 0..K, then one pad edge read with weight 0
     t = network.loading

@@ -230,6 +230,9 @@ class Network:
                                for od, (fset, nfset) in sorted(paths_through_vms(self, sg).items())
                                if fset and nfset}
 
+    def __reduce__(self):  # the read-only views do not pickle: rebuild from the records
+        return Network, (dict(self.links), dict(self.paths), dict(self.ods), self.signs)
+
     @cached_property
     def loading(self):
         """The loader's tables for this network (``dnl.LoadingTables``), built on first use."""
@@ -304,10 +307,11 @@ class Network:
                 errors.append(f"paths: path {p.id}: links names {a}, no link id in network")
             if unknown or not p.links:
                 continue
-            _require(len(set(p.links)) == len(p.links), errors, f"paths: path {p.id}: links repeat a link")
             for a, b in zip(p.links, p.links[1:]):
                 _require(self.links[a].to_node == self.links[b].from_node, errors,
                          f"paths: path {p.id}: links {a} (network to) and {b} (from) do not share a node")
+            seq = self.node_sequence(p.id)
+            errors += [f"paths: path {p.id}: links pass node {n} twice" for n in dict.fromkeys(seq) if seq.count(n) > 1]
             if p.od in self.ods:
                 od = self.ods[p.od]
                 _require(self.links[p.links[0]].from_node == od.origin, errors,

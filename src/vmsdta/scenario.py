@@ -169,10 +169,17 @@ def parse_config(obj: dict) -> RunConfig:
                 missing.append(key)
         if missing:
             raise ValueError(f"missing key {', '.join(map(repr, missing))}")
-        cfg = RunConfig(**parts[""], **{part: cls(**parts[part]) for part, cls in _PARTS.items()})
+        records, errors = {}, []
+        for part, cls in _PARTS.items():  # TimeGrid and PenaltyFunction check their ranges as they are built
+            try:
+                records[part] = cls(**parts[part])
+            except (ScenarioError, OverflowError, ValueError) as exc:
+                records[part] = None
+                errors += getattr(exc, "errors", [f"config: {exc}"])
+        cfg = RunConfig(**parts[""], **records)
     except (OverflowError, TypeError, ValueError) as exc:
         raise ScenarioError([f"config: {exc}"]) from exc
-    errors = cfg.check()
+    errors += cfg.check()
     if errors:
         raise ScenarioError(errors)
     return cfg
@@ -213,18 +220,19 @@ def build_profile(network: Network, cfg: RunConfig) -> DepartureProfile:
 
 
 def load_bundle(network_file, paths_file, demand_file, config_file,
-                tolerances_file=None, vms_file=None, config=None) -> ScenarioBundle:
-    """Load all scenario files into a validated, runnable bundle; a ``config`` replaces the file's."""
-    cfg = read_config(config_file) if config is None else config
-    network, warnings = load_scenario(
-        network_file, paths_file, demand_file,
-        tolerances_file=tolerances_file, vms_file=vms_file,
-        grid=cfg.grid, default_epsilon=cfg.default_epsilon,
-    )
-    warnings = list(warnings) + cfg.range_warnings()
+                tolerances_file=None, vms_file=None) -> ScenarioBundle:
+    """Load all scenario files into a validated, runnable bundle."""
+    cfg = read_config(config_file)
+    network, warnings = load_scenario(network_file, paths_file, demand_file, tolerances_file, vms_file,
+                                      grid=cfg.grid, default_epsilon=cfg.default_epsilon)
+    return _bundle(network, warnings, cfg)
+
+
+def _bundle(network: Network, warnings, cfg: RunConfig) -> ScenarioBundle:
+    """The bundle that runs ``cfg`` on a loaded network, its day's products checked."""
     profile = build_profile(network, cfg)
     _check_products(network, cfg)
-    return ScenarioBundle(network=network, config=cfg, profile=profile, warnings=warnings)
+    return ScenarioBundle(network, cfg, profile, list(warnings) + cfg.range_warnings())
 
 
 def _check_products(network: Network, cfg: RunConfig, limit=1e100):
@@ -432,8 +440,8 @@ def run_bundle(bundle: ScenarioBundle, outdir) -> RunResult:
         with _writing(path):
             path.unlink(missing_ok=True)
     with day_tables(bundle.network, outdir) as on_day:
-        result = run_day_to_day(bundle.network, cfg.grid, bundle.profile,
-                                cfg.compliance, cfg.penalty, cfg.solver, on_day=on_day)
+        result = run_day_to_day(bundle.network, bundle.profile, cfg.compliance, cfg.penalty, cfg.solver,
+                                on_day=on_day)
     write_outputs(result, outdir, cfg, bundle.warnings)
     if cfg.dump_curves:
         dump_curves(result.final_dnl, outdir)
@@ -465,8 +473,7 @@ def _apply_sweep_value(cfg: RunConfig, param: str, value: float) -> RunConfig:
 
 
 def _sweep_worker(args):
-    files, cfg, param, value, run_dir = args
-    bundle = load_bundle(**files, config=cfg)
+    bundle, param, value, run_dir = args
     result = run_bundle(bundle, run_dir)
     last = result.days[-1]
     final_cr = max(last.cr_used.values()) if last.cr_used else math.nan
@@ -481,7 +488,7 @@ def _sweep_worker(args):
 def run_sweep(files: dict, param: str, values, outdir, workers: int = 1) -> list:
     """Independent replicates over one parameter; returns one row per value.
 
-    Every value is checked before any run starts.
+    The files are read once; every value's bundle is built and checked before any run starts.
     """
     if workers < 1:
         raise ScenarioError([f"sweep: --workers must be at least 1, got {workers}"])
@@ -493,12 +500,10 @@ def run_sweep(files: dict, param: str, values, outdir, workers: int = 1) -> list
                for name, vs in runs.items() if len(vs) > 1]
     if clashes:
         raise ScenarioError(clashes)
-    jobs = [(files, _apply_sweep_value(base, param, v), param, v, _FsPath(outdir) / name)
-            for name, (v,) in runs.items()]
+    configs = [(_apply_sweep_value(base, param, v), v, name) for name, (v,) in runs.items()]
     scenario = {key: path for key, path in files.items() if key != "config_file"}
-    network, _ = load_scenario(**scenario, grid=base.grid, default_epsilon=base.default_epsilon)
-    for job in jobs:  # a value's day products, checked before any run writes
-        _check_products(network, job[1])
+    network, warnings = load_scenario(**scenario, grid=base.grid, default_epsilon=base.default_epsilon)
+    jobs = [(_bundle(network, warnings, cfg), param, v, _FsPath(outdir) / name) for cfg, v, name in configs]
     make_outdir(outdir)
     workers = min(workers, len(jobs))
     if workers > 1:

@@ -22,7 +22,7 @@ from vmsdta.dnl import run_dnl
 from vmsdta.network import affected_ods
 from vmsdta.scenario import build_profile, fig1_config, fig1_network
 
-from ..randnet import GRID, random_network
+from ..randnet import random_network
 
 HERE = FsPath(__file__).parent
 CR = 0.5
@@ -32,14 +32,14 @@ GRID_DEMAND = 300.0  # veh per O-D, as the benchmark's grid-jam workload
 
 def fig1_case():
     network, cfg = fig1_network(), fig1_config()
-    return network, cfg.grid, build_profile(network, cfg)
+    return network, build_profile(network, cfg)
 
 
 def jammed_case():
     """The random network of ``test_jammed_random_network_throttles``."""
     network, profile, _ = random_network(np.random.default_rng(100), n_ods=4,
                                          demand=(400.0, 600.0), capacity=(0.1, 0.2))
-    return network, GRID, profile
+    return network, profile
 
 
 def grid_case():
@@ -49,16 +49,16 @@ def grid_case():
     gridgen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gridgen)
     network, cfg = gridgen.grid_network(GRID_LAYOUT, GRID_DEMAND), gridgen.grid_config(1)
-    return network, cfg.grid, build_profile(network, cfg)
+    return network, build_profile(network, cfg)
 
 
 CASES = {"fig1": fig1_case, "jammed": jammed_case, "grid": grid_case}
 
 
-def loading_arrays(network, grid, profile) -> dict:
+def loading_arrays(network, profile) -> dict:
     """Run one loading at CR 0.5 and flatten what it exposes to named arrays."""
     rates = {(od, sg.id): CR for sg in network.signs for od in affected_ods(network, sg)}
-    res = run_dnl(network, grid, profile, compliance_rates=rates)
+    res = run_dnl(network, profile, compliance_rates=rates)
     out = {}
     for a in network.links:
         out[f"up|{a}"] = res.up[a]
@@ -68,7 +68,7 @@ def loading_arrays(network, grid, profile) -> dict:
     for sg in network.signs:
         for fset, nfset in affected_ods(network, sg).values():
             for pid, times in res.partial_traversal_time(sg.junction, fset + nfset,
-                                                         grid.mids()).items():
+                                                         profile.grid.mids()).items():
                 out[f"partial|{sg.junction}|{pid}"] = times
     for node, per_in in res.turning_ratios.items():
         for a, per_out in per_in.items():

@@ -81,7 +81,7 @@ def test_criterion_2_dnl_point_queue_oracle():
         od = ODPair("od", net.ods["od"].origin, net.ods["od"].destination,
                     float(rates.sum() * grid.dt), grid.tf - grid.dt, {"p": 0.0})
         net = Network(net.links, net.paths, {"od": od})
-        res = run_dnl(net, grid, prof)
+        res = run_dnl(net, prof)
         assert_dnl_invariants(res)
         assert res.total_residual < 1e-9, "corridor did not drain inside the horizon"
         link_objs = [net.links[a] for a in net.paths["p"].links]
@@ -102,7 +102,7 @@ def test_criterion_3_conservation_fifo_spillback():
     grid = fig1_config().grid
     prof = DepartureProfile.uniform(net, grid, window=(600.0, 1200.0))
     for cr in (0.0, 0.3, 0.7, 1.0):
-        res = run_dnl(net, grid, prof, compliance_rates={("od1", "vms1"): cr})
+        res = run_dnl(net, prof, compliance_rates={("od1", "vms1"): cr})
         assert_dnl_invariants(res, conservation_tol=1e-9)
         runs += 1
     # a jam-full link must admit exactly zero while blocked
@@ -116,7 +116,7 @@ def test_criterion_3_conservation_fifo_spillback():
     ods = {"od": ODPair("od", "n0", "n3", 300.0, 1190.0, {"p": 0.0})}
     net2 = Network(links=links, paths=paths, ods=ods)
     prof2 = DepartureProfile.uniform(net2, grid2, window=(0.0, 600.0))
-    res2 = run_dnl(net2, grid2, prof2)
+    res2 = run_dnl(net2, prof2)
     assert_dnl_invariants(res2, conservation_tol=1e-9)
     runs += 1
     gap = res2.up["B"] - res2.down["B"]
@@ -169,7 +169,7 @@ def test_criterion_5_compliance_identities():
     for model, gamma in (("I", 0.0), ("III", 0.0)):
         params = replace(cfg.compliance, model=model, gamma=gamma)
         runs[model] = []
-        run_day_to_day(net, cfg.grid, prof.copy(), params, cfg.penalty, solver, on_day=runs[model].append)
+        run_day_to_day(net, prof.copy(), params, cfg.penalty, solver, on_day=runs[model].append)
     ok = len(runs["I"]) == len(runs["III"]) == 50
     for rec1, rec3 in zip(runs["I"], runs["III"]):
         ok &= rec1.cr_used == rec3.cr_used  # exact, not approximate
@@ -181,7 +181,7 @@ def test_criterion_5_compliance_identities():
 
     # three-day hand-computed smoothing/logit trace against the engine's step
     light = fig1_network(demand=30.0)
-    res = run_dnl(light, cfg.grid, DepartureProfile.uniform(light, cfg.grid, (900.0, 1800.0)),
+    res = run_dnl(light, DepartureProfile.uniform(light, cfg.grid, (900.0, 1800.0)),
                   compliance_rates={("od1", "vms1"): 0.5})
     ctx = list(light.pairs.values())[0]
     params = ComplianceParams(model="I", w=0.3, beta=0.01, x0=0.0)
@@ -209,7 +209,7 @@ def test_criterion_6_model1_qualitative_shape():
     cfg = fig1_config()
     solver = replace(cfg.solver, max_days=200, gap_tolerance=1e-15)  # force 200 days
     start = time.perf_counter()
-    res = run_day_to_day(net, cfg.grid, build_profile(net, cfg),
+    res = run_day_to_day(net, build_profile(net, cfg),
                          cfg.compliance, cfg.penalty, solver)
     elapsed = time.perf_counter() - start
     crs = [rec.cr_used[("od1", "vms1")] for rec in res.days]
@@ -229,7 +229,7 @@ def test_criterion_7_model3_convergence():
     net = fig1_network()
     cfg = fig1_config()
     params = replace(cfg.compliance, model="III", gamma=200.0)
-    res = run_day_to_day(net, cfg.grid, build_profile(net, cfg),
+    res = run_day_to_day(net, build_profile(net, cfg),
                          params, cfg.penalty, cfg.solver)
     gaps = [(rec.day, rec.gap) for rec in res.days[1:]]
     crossing = next((d for d, g in gaps if g < 1e-3), None)
@@ -244,7 +244,7 @@ def test_criterion_7b_nonconvergence_is_reported_not_raised():
     net = fig1_network()
     cfg = fig1_config()
     solver = replace(cfg.solver, max_days=12)
-    res = run_day_to_day(net, cfg.grid, build_profile(net, cfg),
+    res = run_day_to_day(net, build_profile(net, cfg),
                          cfg.compliance, cfg.penalty, solver)
     ok = (not res.converged) and len(res.days) == 12
     _report(7, "non-convergence ends at max_days with converged=false, no error",
@@ -258,7 +258,7 @@ def test_criterion_8_sensitivity_ranking():
 
     def final_cr(**overrides):
         params = replace(cfg.compliance, **overrides)
-        res = run_day_to_day(net, cfg.grid, build_profile(net, cfg),
+        res = run_day_to_day(net, build_profile(net, cfg),
                              params, cfg.penalty, solver)
         return res.days[-1].cr_used[("od1", "vms1")]
 

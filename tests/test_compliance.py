@@ -61,7 +61,7 @@ def two_tail_network():
 @pytest.fixture(scope="module")
 def two_tail_result():
     net, grid, prof = two_tail_network()
-    return net, grid, run_dnl(net, grid, prof)
+    return net, grid, run_dnl(net, prof)
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +69,7 @@ def fig1_freeflow_result():
     net = fig1_network(demand=30.0)  # light load: everything at free flow
     grid = fig1_config().grid
     prof = DepartureProfile.uniform(net, grid, window=(900.0, 1800.0))
-    return net, grid, run_dnl(net, grid, prof, compliance_rates={("od1", "vms1"): 0.5})
+    return net, grid, run_dnl(net, prof, compliance_rates={("od1", "vms1"): 0.5})
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +356,7 @@ def test_average_over_omega_averages_hand_composed_partial_times(model):
     net, cfg = fig1_network(), fig1_config()
     params = ComplianceParams(model=model, w=0.3, beta=0.01, beta_iv=1e-4,
                               average_over_omega=True)
-    run = run_day_to_day(net, cfg.grid, build_profile(net, cfg), params, cfg.penalty,
+    run = run_day_to_day(net, build_profile(net, cfg), params, cfg.penalty,
                          SolverConfig(step_size=2e-4, max_days=3, gap_tolerance=1e-12))
     ctx, res, mids = _pair_ctx(net), run.final_dnl, cfg.grid.mids()
     (trace,) = run.days[-1].compliance_trace

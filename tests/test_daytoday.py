@@ -195,7 +195,7 @@ def test_profile_in_another_path_order_is_rejected(fig1):
     with pytest.raises(ValueError, match=r"\('p3', 'p2', 'p1'\).*\('p1', 'p2', 'p3'\)"):
         update_departures(shuffled, phi, cfg.solver.step_size, net)
     with pytest.raises(DayToDayError, match=r"^day 1: dual solve: profile path order"):
-        run_day_to_day(net, cfg.grid, shuffled, cfg.compliance, cfg.penalty, cfg.solver)
+        run_day_to_day(net, shuffled, cfg.compliance, cfg.penalty, cfg.solver)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +246,7 @@ def test_zero_demand_run_converges_immediately():
     net = fig1_network(demand=0.0)
     cfg = fig1_config()
     prof = DepartureProfile.zeros(net, cfg.grid)
-    res = run_day_to_day(net, cfg.grid, prof, cfg.compliance, cfg.penalty, cfg.solver)
+    res = run_day_to_day(net, prof, cfg.compliance, cfg.penalty, cfg.solver)
     assert res.converged
     assert len(res.days) == 2
     assert res.days[1].gap == 0.0
@@ -262,7 +262,7 @@ def test_single_path_od_keeps_profile_and_compliance_idle():
         grid, demand=30.0, window=(0.0, grid.tf))
     solver = SolverConfig(step_size=1e-4, max_days=3, gap_tolerance=1e-15)
     whole = []  # the kept records have no profile but the last
-    res = run_day_to_day(net, grid, prof, fig1_config().compliance,
+    res = run_day_to_day(net, prof, fig1_config().compliance,
                          PenaltyFunction(0.0, 0.0), solver, on_day=whole.append)
     assert res.converged and len(res.days) == len(whole) == 2
     for rec in whole:
@@ -275,7 +275,7 @@ def test_feasibility_preserved_across_days(fig1):
     net, cfg = fig1
     prof = build_profile(net, cfg)
     whole = []
-    res = run_day_to_day(net, cfg.grid, prof, cfg.compliance, cfg.penalty, cfg.solver,
+    res = run_day_to_day(net, prof, cfg.compliance, cfg.penalty, cfg.solver,
                          on_day=whole.append)
     assert res.converged and len(res.days) == len(whole) == 83
     for rec in whole:
@@ -293,7 +293,7 @@ def test_br_equilibrium_is_a_fixed_point():
     net = Network(net.links, net.paths, {"od": ODPair("od", "o", "d", 12.0, grid.tf - grid.dt, tol)})
     prof = DepartureProfile.uniform(net, grid, window=(0.0, grid.tf))
     solver = SolverConfig(step_size=1e-3, max_days=4, gap_tolerance=1e-15)
-    res = run_day_to_day(net, grid, prof, fig1_config().compliance,
+    res = run_day_to_day(net, prof, fig1_config().compliance,
                          PenaltyFunction(0.0, 0.0), solver)
     assert np.allclose(res.final_state.profile.rates, prof.rates, atol=1e-10)
 
@@ -302,7 +302,7 @@ def test_thirty_day_smoke_cr_rises_with_positive_saving(fig1):
     net, cfg = fig1
     prof = build_profile(net, cfg)
     solver = SolverConfig(step_size=cfg.solver.step_size, max_days=30, gap_tolerance=1e-12)
-    res = run_day_to_day(net, cfg.grid, prof, cfg.compliance, cfg.penalty, solver)
+    res = run_day_to_day(net, prof, cfg.compliance, cfg.penalty, solver)
     crs = [rec.cr_used[("od1", "vms1")] for rec in res.days]
     assert crs[0] == 0.5
     assert crs[-1] > 0.55  # positive savings pull compliance above neutral
@@ -326,7 +326,7 @@ def test_dnl_failure_aborts_with_day_index(fig1, monkeypatch):
     monkeypatch.setattr(daytoday, "run_dnl", fail)
     solver = SolverConfig(step_size=2e-4, max_days=5)
     with pytest.raises(DayToDayError) as err:
-        run_day_to_day(net, cfg.grid, prof, cfg.compliance, cfg.penalty, solver)
+        run_day_to_day(net, prof, cfg.compliance, cfg.penalty, solver)
     assert str(err.value).startswith("day 1:")
 
 
@@ -345,7 +345,7 @@ def test_one_loading_is_alive_at_a_time(fig1, monkeypatch):
     net, cfg = fig1
     monkeypatch.setattr(daytoday, "run_dnl", run_dnl)
     solver = replace(cfg.solver, max_days=5, gap_tolerance=1e-15)
-    res = run_day_to_day(net, cfg.grid, build_profile(net, cfg), cfg.compliance, cfg.penalty, solver)
+    res = run_day_to_day(net, build_profile(net, cfg), cfg.compliance, cfg.penalty, solver)
     assert dead_on_entry == [[True] * day for day in range(5)]
     assert loadings[-1]() is res.final_dnl is not None
 
@@ -373,7 +373,7 @@ def test_day_loop_failure_names_day_and_stage(fig1, monkeypatch, name, stage):
     monkeypatch.setattr(daytoday, name, fail_on_day_2)
     solver = SolverConfig(step_size=2e-4, max_days=5)
     with pytest.raises(DayToDayError) as err:
-        run_day_to_day(net, cfg.grid, build_profile(net, cfg), cfg.compliance, cfg.penalty, solver)
+        run_day_to_day(net, build_profile(net, cfg), cfg.compliance, cfg.penalty, solver)
     assert str(err.value) == f"day 2: {stage}: broken"
 
 
@@ -381,7 +381,7 @@ def test_day_records_report_gap_series(fig1):
     net, cfg = fig1
     prof = build_profile(net, cfg)
     solver = SolverConfig(step_size=2e-4, max_days=10, gap_tolerance=1e-12)
-    res = run_day_to_day(net, cfg.grid, prof, cfg.compliance, cfg.penalty, solver)
+    res = run_day_to_day(net, prof, cfg.compliance, cfg.penalty, solver)
     assert math.isnan(res.days[0].gap)
     assert all(rec.gap >= 0.0 for rec in res.days[1:])
 
@@ -391,7 +391,7 @@ def test_on_day_gets_whole_records_and_the_run_keeps_them_without_cost_tables(fi
     net, cfg = fig1
     seen = []
     solver = SolverConfig(step_size=2e-4, max_days=4, gap_tolerance=1e-12)
-    res = run_day_to_day(net, cfg.grid, build_profile(net, cfg), cfg.compliance, cfg.penalty, solver,
+    res = run_day_to_day(net, build_profile(net, cfg), cfg.compliance, cfg.penalty, solver,
                          on_day=seen.append)
     assert [rec.day for rec in seen] == [rec.day for rec in res.days] == [1, 2, 3, 4]
     for whole, kept in zip(seen, res.days):
@@ -424,10 +424,10 @@ def test_a_day_leaves_its_input_profile_unchanged(fig1):
 
     state = DayState(prof, {ctx.key: initial_state(cfg.compliance, ctx, net)
                             for ctx in list(net.pairs.values())})
-    one = advance(state, net, cfg.grid, cfg.compliance, cfg.penalty, cfg.solver)
+    one = advance(state, net, cfg.compliance, cfg.penalty, cfg.solver)
     assert np.array_equal(prof.rates, before)
     assert one[1].profile is prof  # the record keeps the profile it loaded, not a copy
-    two = advance(state, net, cfg.grid, cfg.compliance, cfg.penalty, cfg.solver)
+    two = advance(state, net, cfg.compliance, cfg.penalty, cfg.solver)
     _assert_same_record(one[1], two[1])
     assert one[0].perception == two[0].perception
     assert np.array_equal(one[0].profile.rates, two[0].profile.rates)
@@ -440,7 +440,7 @@ def test_a_day_with_an_unknown_sign_pair_fails_in_loading(fig1):
     state = initial_state(cfg.compliance, ctx, net)
     day = DayState(build_profile(net, cfg), {ctx.key: state, ("od1", "vmsX"): state})
     with pytest.raises(DayToDayError, match=r"^day 1: loading: .*\('od1', 'vmsX'\)"):
-        advance(day, net, cfg.grid, cfg.compliance, cfg.penalty, cfg.solver)
+        advance(day, net, cfg.compliance, cfg.penalty, cfg.solver)
 
 
 @pytest.mark.parametrize("params", [
@@ -455,7 +455,7 @@ def test_a_run_continued_with_advance_matches_a_straight_run(fig1, params):
     solver = replace(cfg.solver, max_days=20, gap_tolerance=1e-15)
 
     def run(max_days, on_day=None):
-        return run_day_to_day(net, cfg.grid, build_profile(net, cfg), compliance, cfg.penalty,
+        return run_day_to_day(net, build_profile(net, cfg), compliance, cfg.penalty,
                               replace(solver, max_days=max_days), on_day=on_day)
 
     whole = []  # the straight run's records with their cost tables
@@ -463,7 +463,7 @@ def test_a_run_continued_with_advance_matches_a_straight_run(fig1, params):
     assert len(straight.days) == 20 and len(first.days) == 10 and not first.converged
     state = first.final_state
     for want in whole[10:]:
-        state, rec, _ = advance(state, net, cfg.grid, compliance, cfg.penalty, solver)
+        state, rec, _ = advance(state, net, compliance, cfg.penalty, solver)
         _assert_same_record(rec, want)
     end = straight.final_state
     assert np.array_equal(state.profile.rates, end.profile.rates)
@@ -476,9 +476,9 @@ def test_one_more_day_from_a_converged_run_moves_neither_profile_nor_compliance(
     # the joint fixed-point test: the day after a converged fig1 run is converged too
     net, cfg = fig1
     compliance = replace(cfg.compliance, model=model)
-    res = run_day_to_day(net, cfg.grid, build_profile(net, cfg), compliance, cfg.penalty, cfg.solver)
+    res = run_day_to_day(net, build_profile(net, cfg), compliance, cfg.penalty, cfg.solver)
     assert res.converged and res.final_state.day == len(res.days) + 1
-    nxt, rec, _ = advance(res.final_state, net, cfg.grid, compliance, cfg.penalty, cfg.solver)
+    nxt, rec, _ = advance(res.final_state, net, compliance, cfg.penalty, cfg.solver)
     tol = cfg.solver.gap_tolerance
     assert rec.converged and rec.day == len(res.days) + 1 and nxt.day == rec.day + 1
     assert nxt.gap < tol and nxt.drift < tol, (nxt.gap, nxt.drift)
@@ -490,7 +490,7 @@ def test_fig1_final_cost_and_cr_hold_at_finer_time_steps():
     net, finals = fig1_network(), []
     for dt in (10.0, 5.0, 2.5):
         cfg = fig1_config(grid={"t0": 0.0, "tf": 3600.0, "dt": dt})
-        res = run_day_to_day(net, cfg.grid, build_profile(net, cfg), cfg.compliance, cfg.penalty, cfg.solver)
+        res = run_day_to_day(net, build_profile(net, cfg), cfg.compliance, cfg.penalty, cfg.solver)
         assert res.converged, dt
         finals.append((res.days[-1].total_cost, res.days[-1].cr_used[("od1", "vms1")]))
     costs, crs = zip(*finals)

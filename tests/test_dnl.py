@@ -67,7 +67,7 @@ def test_single_link_free_flow_time():
     net, prof = make_corridor(
         [{"length": 1000.0, "vf": 20.0, "cap": 0.5, "kjam": 0.2, "w": 5.0}],
         grid, demand=60.0, window=(0.0, 300.0))
-    res = run_dnl(net, grid, prof)
+    res = run_dnl(net, prof)
     assert_dnl_invariants(res)
     times = res.path_times()["p"]
     assert np.allclose(times, 50.0, atol=1e-9)
@@ -80,7 +80,7 @@ def test_serial_links_add_free_flow_times():
         [{"length": 1000.0, "vf": 20.0, "cap": 0.5, "kjam": 0.2, "w": 5.0},
          {"length": 600.0, "vf": 20.0, "cap": 0.5, "kjam": 0.2, "w": 5.0}],
         grid, demand=50.0, window=(0.0, 250.0))
-    res = run_dnl(net, grid, prof)
+    res = run_dnl(net, prof)
     assert_dnl_invariants(res)
     assert np.allclose(res.path_times()["p"], 50.0 + 30.0, atol=1e-9)
     # composition of exit times equals addition under free flow
@@ -92,7 +92,7 @@ def test_half_capacity_bottleneck_stays_free_flow():
     net, prof = make_corridor(
         [{"length": 500.0, "vf": 10.0, "cap": 0.4, "kjam": 0.4, "w": 5.0}],
         grid, demand=60.0, window=(0.0, 300.0))  # 0.2 veh/s against 0.4 veh/s
-    res = run_dnl(net, grid, prof)
+    res = run_dnl(net, prof)
     assert np.allclose(res.path_times()["p"], 50.0, atol=1e-9)
 
 
@@ -101,7 +101,7 @@ def test_bottleneck_against_point_queue_oracle():
     grid = TimeGrid(0.0, 400.0, 1.0)
     specs = [{"length": 200.0, "vf": 20.0, "cap": 0.25, "kjam": 0.5, "w": 5.0}]
     net, prof = make_corridor(specs, grid, demand=5.0, window=(0.0, 10.0))  # 0.5 veh/s
-    res = run_dnl(net, grid, prof)
+    res = run_dnl(net, prof)
     assert_dnl_invariants(res)
     _, oracle = point_queue_corridor([net.links["L1"]], prof.rates[0], grid)
     mids = grid.mids()[:10]
@@ -118,7 +118,7 @@ def test_origin_queue_is_a_curve_pair_between_departures_and_first_link():
     net, prof = make_corridor(
         [{"length": 200.0, "vf": 20.0, "cap": 0.25, "kjam": 0.5, "w": 5.0}],
         grid, demand=25.0, window=(0.0, 50.0))
-    res = run_dnl(net, grid, prof)
+    res = run_dnl(net, prof)
     assert_dnl_invariants(res)
     queue = ("n0", "L1")
     departed = np.concatenate(([0.0], np.cumsum(prof.rate("p")) * grid.dt))
@@ -129,9 +129,9 @@ def test_origin_queue_is_a_curve_pair_between_departures_and_first_link():
     assert res.total_departed == pytest.approx(25.0, rel=1e-12)
 
 
-def _residual_warned(net, grid, prof):
+def _residual_warned(net, prof):
     """Whether the day step that loads ``prof`` warns of vehicles left in the network at tf."""
-    _, record, _ = advance(DayState(prof, {}), net, grid, ComplianceParams(), PenaltyFunction(),
+    _, record, _ = advance(DayState(prof, {}), net, ComplianceParams(), PenaltyFunction(),
                            SolverConfig())
     return len(record.warnings) == 1 and "still in the network at tf" in record.warnings[0]
 
@@ -143,10 +143,10 @@ def test_origin_queue_still_long_at_tf_loads_the_last_bin():
     net, prof = make_corridor(
         [{"length": 20.0, "vf": 10.0, "cap": 0.3, "kjam": 0.5, "w": 5.0}],
         grid, demand=47.0, window=(0.0, 50.0), t_arrival=49.0)
-    res = run_dnl(net, grid, prof)
+    res = run_dnl(net, prof)
     assert_dnl_invariants(res)
     assert res.down[("n0", "L1")][-1] == pytest.approx(0.3 * 50.0, rel=1e-12)
-    assert _residual_warned(net, grid, prof)
+    assert _residual_warned(net, prof)
 
 
 def test_quiet_spell_between_departure_waves_does_not_end_the_day():
@@ -157,7 +157,7 @@ def test_quiet_spell_between_departure_waves_does_not_end_the_day():
     net, prof = make_corridor([spec, spec], grid, demand=100.0, window=(0.0, 100.0))
     prof.rates[0] = 0.0
     prof.rates[0, 10:15] = prof.rates[0, 200:205] = 1.0
-    res = run_dnl(net, grid, prof)
+    res = run_dnl(net, prof)
     assert_dnl_invariants(res)
     assert res.total_arrived == pytest.approx(100.0, rel=1e-12)
     up, down, *_ = list_loader(net, grid, prof, {})
@@ -174,7 +174,7 @@ def test_three_link_corridor_against_oracle():
         {"length": 200.0, "vf": 10.0, "cap": 0.4, "kjam": 0.5, "w": 5.0},
     ]
     net, prof = make_corridor(specs, grid, demand=60.0, window=(0.0, 200.0))  # 0.3 veh/s
-    res = run_dnl(net, grid, prof)
+    res = run_dnl(net, prof)
     assert_dnl_invariants(res)
     _, oracle = point_queue_corridor([net.links[a] for a in ("L1", "L2", "L3")],
                                      prof.rates[0], grid)
@@ -205,8 +205,8 @@ def _spillback_net(tail_cap):
 
 def test_spillback_jam_full_link_admits_exactly_zero():
     # a dead tail link freezes B's outflow, so B fills to exactly its storage
-    net, grid, prof = _spillback_net(tail_cap=1e-18)
-    res = run_dnl(net, grid, prof)
+    net, _, prof = _spillback_net(tail_cap=1e-18)
+    res = run_dnl(net, prof)
     assert_dnl_invariants(res)
     gap = res.up["B"] - res.down["B"]
     storage = net.links["B"].storage
@@ -214,7 +214,7 @@ def test_spillback_jam_full_link_admits_exactly_zero():
     assert full.size > 0, "link B never reached jam storage exactly"
     inflow = link_inflow(res, "B")
     assert np.all(inflow[full] == 0.0)
-    assert _residual_warned(net, grid, prof), "residual vehicles should be reported"
+    assert _residual_warned(net, prof), "residual vehicles should be reported"
 
 
 def test_spillback_blocked_inflow_causal_with_drainage():
@@ -222,7 +222,7 @@ def test_spillback_blocked_inflow_causal_with_drainage():
     # the backward wave releases over its travel time, and inflow never
     # exceeds that release
     net, grid, prof = _spillback_net(tail_cap=0.05)
-    res = run_dnl(net, grid, prof)
+    res = run_dnl(net, prof)
     assert_dnl_invariants(res)
     lk = net.links["B"]
     gap = res.up["B"] - res.down["B"]
@@ -291,7 +291,7 @@ def fig1_loaded(fig1):
 
 def test_full_compliance_blocks_discouraged_link_during_omega(fig1_loaded):
     net, grid, prof = fig1_loaded
-    res = run_dnl(net, grid, prof, compliance_rates={("od1", "vms1"): 1.0})
+    res = run_dnl(net, prof, compliance_rates={("od1", "vms1"): 1.0})
     assert_dnl_invariants(res)
     inflow2 = link_inflow(res, "2")
     omega = net.signs[0].omega[0]
@@ -303,10 +303,10 @@ def test_full_compliance_blocks_discouraged_link_during_omega(fig1_loaded):
 
 
 def test_compliance_monotonically_fills_recommended_link(fig1_loaded):
-    net, grid, prof = fig1_loaded
+    net, _, prof = fig1_loaded
     totals = []
     for cr in (0.0, 0.25, 0.5, 0.75, 1.0):
-        res = run_dnl(net, grid, prof, compliance_rates={("od1", "vms1"): cr})
+        res = run_dnl(net, prof, compliance_rates={("od1", "vms1"): cr})
         assert_dnl_invariants(res)
         totals.append(res.up["3"][-1])
     assert all(b >= a - 1e-9 for a, b in zip(totals, totals[1:]))
@@ -316,7 +316,7 @@ def test_compliance_monotonically_fills_recommended_link(fig1_loaded):
 
 def test_revised_ratios_reflect_diversion(fig1_loaded):
     net, grid, prof = fig1_loaded
-    res = run_dnl(net, grid, prof, compliance_rates={("od1", "vms1"): 0.5})
+    res = run_dnl(net, prof, compliance_rates={("od1", "vms1"): 0.5})
     ratios = res.turning_ratios["b"]["1"]
     mids = grid.mids()
     active = np.any([(s <= mids) & (mids < e) for s, e in net.signs[0].omega], axis=0)
@@ -334,7 +334,7 @@ def test_outside_omega_the_host_link_loads_as_without_the_sign():
     net = fig1_network(demand=120.0, omega=((1200.0, 1500.0),))
     grid = fig1_config().grid
     prof = DepartureProfile.uniform(net, grid, window=(900.0, 1800.0))
-    loads = [run_dnl(net, grid, prof, compliance_rates={("od1", "vms1"): cr}) for cr in (0.0, 0.5)]
+    loads = [run_dnl(net, prof, compliance_rates={("od1", "vms1"): cr}) for cr in (0.0, 0.5)]
     host = net.loading.leg_of_pair == net.loading.leg_ix["1"]
     off, on = (res.demand[:, host] for res in loads)
     mids = grid.mids()
@@ -356,7 +356,7 @@ def test_grid_tables_are_built_once_per_grid_and_load_as_fresh_copies(monkeypatc
 
     def load(network, grid):
         prof = DepartureProfile.uniform(network, grid, window=(900.0, 1800.0))
-        return run_dnl(network, grid, prof, compliance_rates={("od1", "vms1"): 0.5})
+        return run_dnl(network, prof, compliance_rates={("od1", "vms1"): 0.5})
 
     net, grids = fig1_network(), [TimeGrid(0.0, 3600.0, 10.0), TimeGrid(0.0, 3000.0, 5.0)]
     for grid in grids + grids:
@@ -381,7 +381,7 @@ def test_a_link_no_path_uses_has_no_curves_and_changes_no_output(tmp_path):
     grid = fig1_config().grid
     assert wider.validate(grid)[0] == []
     prof = DepartureProfile.uniform(net, grid, window=(900.0, 1800.0))
-    alone, res = (run_dnl(n, grid, prof, compliance_rates={("od1", "vms1"): 0.5}) for n in (net, wider))
+    alone, res = (run_dnl(n, prof, compliance_rates={("od1", "vms1"): 0.5}) for n in (net, wider))
     assert len(wider.loading.leg_ix) == 8 and "8" not in wider.loading.leg_ix
     assert res.up["8"] is res.down["8"] and not res.up["8"].flags.writeable
     assert np.array_equal(res.up["8"], np.zeros(grid.n_bins + 1))
@@ -406,15 +406,15 @@ def test_a_link_no_path_uses_has_no_curves_and_changes_no_output(tmp_path):
 
 
 def test_bad_compliance_rate_is_a_dnl_error(fig1_loaded):
-    net, grid, prof = fig1_loaded
+    net, _, prof = fig1_loaded
     with pytest.raises(DnlError):
-        run_dnl(net, grid, prof, compliance_rates={("od1", "vms1"): 1.2})
+        run_dnl(net, prof, compliance_rates={("od1", "vms1"): 1.2})
 
 
 def test_unknown_sign_pair_is_a_dnl_error(fig1_loaded):
-    net, grid, prof = fig1_loaded
+    net, _, prof = fig1_loaded
     with pytest.raises(DnlError, match=r"\('od1', 'vmsX'\): not an affected \(O-D, sign\) pair"):
-        run_dnl(net, grid, prof, compliance_rates={("od1", "vms1"): 0.5, ("od1", "vmsX"): 0.5})
+        run_dnl(net, prof, compliance_rates={("od1", "vms1"): 0.5, ("od1", "vmsX"): 0.5})
 
 
 def _random_junction(rng, split):
@@ -546,7 +546,7 @@ def test_partial_from_origin_equals_full_time_under_free_flow():
         [{"length": 1000.0, "vf": 20.0, "cap": 0.5, "kjam": 0.2, "w": 5.0},
          {"length": 600.0, "vf": 20.0, "cap": 0.5, "kjam": 0.2, "w": 5.0}],
         grid, demand=30.0, window=(0.0, 300.0))
-    res = run_dnl(net, grid, prof)
+    res = run_dnl(net, prof)
     t = 120.0
     assert res.partial_traversal_time("n0", ["p"], [t])["p"] == pytest.approx(
         compose_exit(res, path_legs(net, "p"), t) - t, abs=1e-9)
@@ -554,15 +554,15 @@ def test_partial_from_origin_equals_full_time_under_free_flow():
 
 
 def test_partial_traversal_matches_explicit_composition(fig1_loaded):
-    net, grid, prof = fig1_loaded
-    res = run_dnl(net, grid, prof, compliance_rates={("od1", "vms1"): 0.5})
+    net, _, prof = fig1_loaded
+    res = run_dnl(net, prof, compliance_rates={("od1", "vms1"): 0.5})
     t = np.linspace(600.0, 2400.0, 7)
     explicit = compose_exit(res, ("3", "6", "7"), t) - t
     assert np.allclose(res.partial_traversal_time("b", ["p3"], t)["p3"], explicit, atol=1e-12)
 
 
 def test_partial_requires_node_on_path(fig1_loaded):
-    net, grid, prof = fig1_loaded
-    res = run_dnl(net, grid, prof)
+    net, _, prof = fig1_loaded
+    res = run_dnl(net, prof)
     with pytest.raises(ValueError):
         res.partial_traversal_time("c", ["p3"], [100.0])

@@ -61,7 +61,7 @@ def test_a_run_grows_by_less_than_16_kib_a_day_and_keeps_no_profile(tmp_path):
             traced[rec.day] = tracemalloc.get_traced_memory()[0]
 
     try:
-        res = run_day_to_day(bundle.network, cfg.grid, bundle.profile, cfg.compliance, cfg.penalty,
+        res = run_day_to_day(bundle.network, bundle.profile, cfg.compliance, cfg.penalty,
                              cfg.solver, on_day=on_day)
     finally:
         tracemalloc.stop()
@@ -86,7 +86,7 @@ def test_yesterdays_record_is_gone_when_today_loads(monkeypatch):
         return load(*args, **kwargs)
 
     monkeypatch.setattr(daytoday, "run_dnl", checked)
-    res = run_day_to_day(net, cfg.grid, DepartureProfile.uniform(net, cfg.grid, window=(900.0, 1800.0)),
+    res = run_day_to_day(net, DepartureProfile.uniform(net, cfg.grid, window=(900.0, 1800.0)),
                          cfg.compliance, cfg.penalty, cfg.solver,
                          on_day=lambda rec: refs.extend([weakref.ref(rec.psi), weakref.ref(rec.phi)]))
     assert len(res.days) == 4

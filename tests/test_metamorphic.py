@@ -106,7 +106,7 @@ def _collected(run, *args, **kwargs):
 def _fig1_run(network, model, scale=1.0, max_days=10):
     cfg = fig1_config(model=model)
     solver = replace(cfg.solver, max_days=max_days, step_size=scale * cfg.solver.step_size)
-    return _collected(run_day_to_day, network, cfg.grid, build_profile(network, cfg), cfg.compliance,
+    return _collected(run_day_to_day, network, build_profile(network, cfg), cfg.compliance,
                       cfg.penalty, solver)
 
 
@@ -118,8 +118,8 @@ def _fig1_run(network, model, scale=1.0, max_days=10):
 def test_reversing_the_node_order_moves_no_bit_of_a_random_loading(seed, jammed):
     network, profile, rates = _randnet(seed, jammed)
     names = _reversed_names(network)
-    ref = run_dnl(network, GRID, profile, compliance_rates=rates)
-    res = run_dnl(_rebuilt(network, node=names), GRID, profile, compliance_rates=rates)
+    ref = run_dnl(network, profile, compliance_rates=rates)
+    res = run_dnl(_rebuilt(network, node=names), profile, compliance_rates=rates)
     _assert_loads_alike(res, ref, node=names)
 
 
@@ -159,7 +159,7 @@ def test_power_of_two_scaling_is_exact_over_a_generated_grid_run(layout, tmp_pat
     def run(network, scale):
         profile = DepartureProfile(cfg.grid, network.path_ids, scale * bundle.profile.rates)
         solver = replace(cfg.solver, step_size=scale * cfg.solver.step_size)
-        return _collected(run_day_to_day, network, cfg.grid, profile, cfg.compliance, cfg.penalty, solver)
+        return _collected(run_day_to_day, network, profile, cfg.compliance, cfg.penalty, solver)
 
     ref = run(bundle.network, 1.0)
     assert len(ref[1]) == 5
@@ -170,10 +170,10 @@ def test_power_of_two_scaling_is_exact_over_a_generated_grid_run(layout, tmp_pat
 @pytest.mark.parametrize("seed, jammed", RANDNET)
 def test_power_of_two_scaling_is_exact_on_a_random_loading(seed, jammed):
     network, profile, rates = _randnet(seed, jammed)
-    ref = run_dnl(network, GRID, profile, compliance_rates=rates)
+    ref = run_dnl(network, profile, compliance_rates=rates)
     for c in (2.0, 0.5):
         scaled = DepartureProfile(GRID, profile.path_ids, c * profile.rates)
-        res = run_dnl(_rebuilt(network, scale=c), GRID, scaled, compliance_rates=rates)
+        res = run_dnl(_rebuilt(network, scale=c), scaled, compliance_rates=rates)
         _assert_loads_alike(res, ref, scale=c)
         assert res.total_arrived == c * ref.total_arrived
 
@@ -194,14 +194,14 @@ def test_each_component_of_a_disjoint_union_loads_as_alone():
     alone, rows, crs, pieces = {}, [], {}, []
     for sfx, (net, cr) in parts.items():
         profile = DepartureProfile.random(net, grid, rng, window=(600.0, 2400.0))
-        alone[sfx] = run_dnl(net, grid, profile, compliance_rates={("od1", "vms1"): cr})
+        alone[sfx] = run_dnl(net, profile, compliance_rates={("od1", "vms1"): cr})
         rows.append(profile.rates)
         crs[("od1" + sfx, "vms1" + sfx)] = cr
         pieces.append(_rebuilt(net, sfx=sfx))
     union = Network(**{field: {k: v for piece in pieces for k, v in getattr(piece, field).items()}
                        for field in ("links", "paths", "ods")},
                     signs=[sg for piece in pieces for sg in piece.signs])
-    res = run_dnl(union, grid, DepartureProfile(grid, union.path_ids, np.vstack(rows)), compliance_rates=crs)
+    res = run_dnl(union, DepartureProfile(grid, union.path_ids, np.vstack(rows)), compliance_rates=crs)
     assert alone["_b"].demand.any() and not alone["_c"].demand.any()
     for sfx, ref in alone.items():
         _assert_loads_alike(res, ref, sfx=sfx)
@@ -215,8 +215,8 @@ def test_each_component_of_a_disjoint_union_loads_as_alone():
 def test_shuffled_link_records_move_path_times_only_by_rounding(seed, jammed):
     network, profile, rates = _randnet(seed, jammed)
     order = list(np.random.default_rng(seed).permutation(list(network.links)))
-    ref = run_dnl(network, GRID, profile, compliance_rates=rates)
-    res = run_dnl(_rebuilt(network, link_order=order), GRID, profile, compliance_rates=rates)
+    ref = run_dnl(network, profile, compliance_rates=rates)
+    res = run_dnl(_rebuilt(network, link_order=order), profile, compliance_rates=rates)
     times = res.path_times()
     for pid, t in ref.path_times().items():
         np.testing.assert_allclose(times[pid], t, rtol=0.0, atol=1e-6, err_msg=pid)

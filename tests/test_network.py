@@ -112,6 +112,27 @@ def test_disconnected_path_is_rejected_by_name(tmp_path):
     assert any("p2" in e and "share a node" in e for e in err.value.errors)
 
 
+@pytest.mark.parametrize("route, nodes", [(("1", "2", "3", "4", "6"), ["b"]),
+                                          (("1", "2", "3", "2", "3", "4", "6"), ["b", "c"])])
+def test_a_path_that_passes_a_node_twice_is_rejected(route, nodes):
+    # o -> b -> c -> b -> d -> f: learning measures a path's tail from the first visit of
+    # the sign's junction b, 160 s of free flow where the sign's own tail takes 80 s; a
+    # path that repeats a link passes its nodes twice too
+    def link(lid, a, b):
+        return Link(lid, a, b, 500.0, 12.5, 0.5, 0.15, 5.0)
+
+    links = {lk.id: lk for lk in (link("1", "o", "b"), link("2", "b", "c"), link("3", "c", "b"),
+                                  link("4", "b", "d"), link("5", "b", "e"), link("6", "d", "f"),
+                                  link("7", "e", "f"))}
+    paths = {"p1": Path("p1", "od", route), "p2": Path("p2", "od", ("1", "4", "6")),
+             "p3": Path("p3", "od", ("1", "5", "7"))}
+    net = Network(links, paths, {"od": ODPair("od", "o", "f", 100.0, 2100.0, dict.fromkeys(paths, 0.0))},
+                  [VmsSign("vms1", "3", "b", "5", "4", ((600.0, 3000.0),))])
+    assert net.freeflow_partial("p1", "b") == 40.0 * (len(route) - 1)
+    errors, _ = net.validate(TimeGrid(0.0, 3600.0, 10.0))
+    assert errors == [f"paths: path p1: links pass node {n} twice" for n in nodes]
+
+
 def test_non_finite_scenario_numbers_are_rejected_by_name(tmp_path):
     net = fig1_network()
     files = save_scenario_files(net, tmp_path)

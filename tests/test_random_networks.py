@@ -24,7 +24,7 @@ def _load(network, profile, rates, monkeypatch):
         return theta
 
     monkeypatch.setattr(dnl, "solve_junction", counting)
-    return run_dnl(network, GRID, profile, compliance_rates=rates), sum(throttled)
+    return run_dnl(network, profile, compliance_rates=rates), sum(throttled)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -57,7 +57,7 @@ def test_array_loader_matches_the_list_loader(seed, jammed):
     # same arithmetic in the same order, so the curves agree to the bit
     kw = dict(n_ods=4, demand=(400.0, 600.0), capacity=(0.1, 0.2)) if jammed else {}
     network, profile, rates = random_network(np.random.default_rng(seed), **kw)
-    res = run_dnl(network, GRID, profile, compliance_rates=rates)
+    res = run_dnl(network, profile, compliance_rates=rates)
     up, down, up_by_path, ratios, arrived = list_loader(network, GRID, profile, rates)
     assert list(res.up) == list(up)
     for leg in up:
@@ -107,8 +107,8 @@ def test_path_times_match_path_travel_time(seed, jammed):
     # bit with each path's legs composed on their own
     kw = dict(n_ods=4, demand=(400.0, 600.0), capacity=(0.1, 0.2)) if jammed else {}
     network, profile, rates = random_network(np.random.default_rng(seed), **kw)
-    stacked = run_dnl(network, GRID, profile, compliance_rates=rates)
-    single = run_dnl(network, GRID, profile, compliance_rates=rates)
+    stacked = run_dnl(network, profile, compliance_rates=rates)
+    single = run_dnl(network, profile, compliance_rates=rates)
     times, mids = stacked.path_times(), GRID.mids()
     assert list(times) == list(network.paths)
     for pid in network.paths:
@@ -123,7 +123,7 @@ def test_a_query_late_in_time_and_level_counts_once():
     # horizon both in time and in its exit level: one extrapolated query
     network, profile, rates = random_network(np.random.default_rng(100), n_ods=4,
                                              demand=(400.0, 600.0), capacity=(0.1, 0.2))
-    res = run_dnl(network, GRID, profile, compliance_rates=rates)
+    res = run_dnl(network, profile, compliance_rates=rates)
     leg = "n0_1-n1_2"
     assert res.up[leg][-1] - res.down[leg][-1] > 100.0
     before = res.extrapolated_queries
@@ -136,8 +136,8 @@ def test_partial_traversal_times_match_the_per_leg_chain(seed, jammed):
     # every sign's junction, with every path through it in one call
     kw = dict(n_ods=4, demand=(400.0, 600.0), capacity=(0.1, 0.2)) if jammed else {}
     network, profile, rates = random_network(np.random.default_rng(seed), **kw)
-    stacked = run_dnl(network, GRID, profile, compliance_rates=rates)
-    single = run_dnl(network, GRID, profile, compliance_rates=rates)
+    stacked = run_dnl(network, profile, compliance_rates=rates)
+    single = run_dnl(network, profile, compliance_rates=rates)
     mids = GRID.mids()
     assert network.signs
     for sg in network.signs:
@@ -157,7 +157,7 @@ def test_day_loop_on_random_networks(seed):
     params = ComplianceParams(model=MODELS[seed % len(MODELS)])
     solver = SolverConfig(step_size=2e-4, max_days=3, gap_tolerance=1e-12)
     whole = []  # the kept records have no profile but the last
-    run = run_day_to_day(network, GRID, profile, params, PenaltyFunction(), solver, on_day=whole.append)
+    run = run_day_to_day(network, profile, params, PenaltyFunction(), solver, on_day=whole.append)
     assert len(run.days) == len(whole) == 3 and not run.converged
     for rec in whole:
         for od, total in rec.profile.od_totals(network).items():

@@ -3,13 +3,15 @@ import errno
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from operator import attrgetter
 
+import numpy as np
 import pytest
 
-from vmsdta import daytoday, scenario
+from vmsdta import daytoday, network, scenario
 from vmsdta.cli import cli_run
 from vmsdta.network import ScenarioError
 from vmsdta.scenario import (
@@ -263,6 +265,20 @@ def test_negative_config_weight_exits_one_naming_its_key(tmp_path, capsys, secti
     assert err["error"] == "input"
     assert any(expected in m for m in err["messages"]), err["messages"]
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("section, key, value, expected", [
+    ("grid", "dt", -1.0, "config: grid.dt (-1.0) must be positive"),
+    ("penalty", "early", -1.0, "config: penalty.early must be nonnegative, got -1.0"),
+])
+def test_a_config_reports_all_its_range_errors_at_once(section, key, value, expected):
+    # TimeGrid and PenaltyFunction check their ranges as they are built, the other records after
+    obj = config_to_dict(fig1_config())
+    obj[section][key] = value
+    obj["compliance"]["w"] = 5.0
+    with pytest.raises(ScenarioError) as err:
+        parse_config(obj)
+    assert err.value.errors == [expected, "config: compliance.w=5.0 must lie in (0, 1)"]
 
 
 def test_config_with_every_field_set_round_trips():
@@ -562,6 +578,56 @@ def test_sweep_output_does_not_depend_on_workers(tmp_path, capsys):
         runs.append((capsys.readouterr().out, written))
     assert runs[0] == runs[1]
     assert {p.parent.name for p in runs[0][1]} == {"", "lambda_0.0002", "lambda_0.0004"}
+
+
+def test_a_sweep_runs_on_the_files_it_checked(tmp_path, capsys, monkeypatch):
+    # an edit to demand.csv after the first run reaches no run: every run has the bundle built at the start
+    files = _write(tmp_path, solver={"max_days": 3})
+    out = tmp_path / "sweep_out"
+    run_bundle = scenario.run_bundle
+
+    def then_edit(bundle, run_dir):
+        result = run_bundle(bundle, run_dir)
+        files["demand"].write_text(files["demand"].read_text().replace("360.0", "1e308"))
+        return result
+
+    monkeypatch.setattr(scenario, "run_bundle", then_edit)
+    code = cli_run(["sweep"] + _flags(files) + ["--param", "lambda", "--values", "0.0002,0.0004",
+                                                "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert "1e308" in files["demand"].read_text()
+    for run in ("lambda_0.0002", "lambda_0.0004"):
+        assert (out / run / "summary.json").exists()
+        with open(out / run / "flows.csv") as fh:
+            day_1 = [float(r["rate"]) for r in csv.DictReader(fh) if r["day"] == "1"]
+        assert sum(day_1) * 10.0 == pytest.approx(360.0)
+    with open(out / "sweep.csv") as fh:
+        assert len(list(csv.DictReader(fh))) == 2
+
+
+def test_a_sweep_reads_each_scenario_file_once(tmp_path, capsys, monkeypatch):
+    files = _write(tmp_path, demand=120.0, solver={"max_days": 2})
+    reads, read = [], network._read
+
+    def counted(what, path, reader):
+        reads.append(what)
+        return read(what, path, reader)
+
+    monkeypatch.setattr(network, "_read", counted)
+    monkeypatch.setattr(scenario, "_read", counted)
+    assert cli_run(["sweep"] + _flags(files) + ["--param", "beta", "--values", "0.001,0.01,0.1",
+                                                "--out", str(tmp_path / "sweep_out")]) == 0
+    assert sorted(reads) == sorted(["config", "network", "paths", "demand", "tolerances", "vms"])
+
+
+def test_a_bundle_round_trips_through_pickle(tmp_path):
+    # a sweep with workers sends each run its bundle through pickle
+    files = _write(tmp_path)
+    bundle = load_bundle(*(files[key] for key in ("network", "paths", "demand", "config", "tolerances", "vms")))
+    clone = pickle.loads(pickle.dumps(bundle))
+    assert clone.network.pairs == bundle.network.pairs and clone.network.path_ids == bundle.network.path_ids
+    assert np.array_equal(clone.profile.rates, bundle.profile.rates)
+    assert clone.config == bundle.config and clone.warnings == bundle.warnings
 
 
 def test_cli_import_leaves_the_process_pool_to_sweeps():

@@ -93,7 +93,7 @@ def test_fig1_solves_each_bin_with_flow_once_and_keeps_its_turning_ratios(tmp_pa
     monkeypatch.setattr(dnl, "solve_junction", counting)
     monkeypatch.setattr(daytoday, "run_dnl", loading)
     net, cfg = fig1_network(), fig1_config()
-    run = daytoday.run_day_to_day(net, cfg.grid, build_profile(net, cfg), cfg.compliance,
+    run = daytoday.run_day_to_day(net, build_profile(net, cfg), cfg.compliance,
                                   cfg.penalty, replace(cfg.solver, max_days=3))
     assert (len(throttled), sum(throttled)) == (386, 25)
     assert sum(with_flow) == len(throttled)
