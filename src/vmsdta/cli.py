@@ -15,6 +15,7 @@ from .dnl import DnlError
 from .network import OutputError, ScenarioError, load_scenario
 from .scenario import (
     load_bundle,
+    load_checked,
     run_bundle,
     run_sweep,
     write_fig1_fixture,
@@ -94,8 +95,7 @@ def cli_run(argv=None) -> int:
         if args.command == "validate":
             files = _scenario_files(args)
             if args.config is not None:
-                bundle = load_bundle(**files)
-                network, warnings = bundle.network, bundle.warnings
+                network, _, warnings = load_checked(**files)
             else:
                 del files["config_file"]
                 network, warnings = load_scenario(**files)

@@ -14,14 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .network import Network, PairContext, TimeGrid, omega_bin_overlap
+from .network import Network, PairContext, TimeGrid, np, omega_bin_overlap
 
 MODELS = ("I", "II", "III", "IV")
 
 _CR_FLOOR = 5e-324  # smallest positive double; keeps CR strictly inside (0, 1)
-_CR_CEIL = float(np.nextafter(1.0, 0.0))
+_CR_CEIL = math.nextafter(1.0, 0.0)
 
 
 def _clamp_open01(v: float) -> float:

@@ -14,11 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .compliance import ComplianceParams, initial_state, step_compliance
 from .dnl import DnlError, DnlResult, run_dnl
-from .network import DepartureProfile, Network
+from .network import DepartureProfile, Network, np
 
 
 class DayToDayError(Exception):

@@ -34,9 +34,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
-from .network import SINK, Network, TimeGrid, DepartureProfile
+from .network import SINK, Network, TimeGrid, DepartureProfile, np
 
 _TINY = 1e-15
 

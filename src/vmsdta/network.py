@@ -9,15 +9,26 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path as _FsPath
 from types import MappingProxyType
 
-import numpy as np
+
+def lazy_numpy():
+    """numpy, loaded on its first attribute read: reading and checking the inputs never loads it."""
+    if "numpy" not in sys.modules and (spec := importlib.util.find_spec("numpy")) is not None:
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        spec.loader.exec_module(sys.modules.setdefault("numpy", importlib.util.module_from_spec(spec)))
+    return sys.modules.get("numpy") or importlib.import_module("numpy")  # not installed: the error names numpy
+
+
+np = lazy_numpy()  # the other modules take np from here
 
 SINK = "__sink__"
 
@@ -389,6 +400,21 @@ def affected_ods(network: Network, sign: VmsSign):
 # departure profiles
 
 
+def departure_windows(network: Network, grid: TimeGrid, window=None) -> dict:
+    """Each O-D with paths and demand -> its departure window: ``window``, or [t0, T_A] if None, clipped
+    to the grid.  An empty window is an input error."""
+    windows = {}
+    for od in network.ods.values():
+        if not network.od_paths(od.id) or od.demand == 0:
+            continue
+        w0, w1 = window if window is not None else (grid.t0, min(od.t_arrival, grid.tf))
+        w0, w1 = max(w0, grid.t0), min(w1, grid.tf)
+        if w1 <= w0:
+            raise ScenarioError([f"demand: O-D {od.id}: T_A or config init_profile.window: empty [{w0}, {w1})"])
+        windows[od.id] = (w0, w1)
+    return windows
+
+
 @dataclass
 class DepartureProfile:
     """Per-path piecewise-constant departure rates (veh/s) on the grid bins."""
@@ -428,18 +454,10 @@ class DepartureProfile:
 
     @classmethod
     def uniform(cls, network: Network, grid: TimeGrid, window=None):
-        """Split each O-D's demand equally across its paths over a departure
-        window (default: [t0, T_A] per O-D)."""
+        """Split each O-D's demand equally across its paths over its ``departure_windows`` entry."""
         prof = cls.zeros(network, grid)
-        for od in network.ods.values():
-            pids = network.od_paths(od.id)
-            if not pids or od.demand == 0:
-                continue
-            w0, w1 = window if window is not None else (grid.t0, min(od.t_arrival, grid.tf))
-            w0 = max(w0, grid.t0)
-            w1 = min(w1, grid.tf)
-            if w1 <= w0:
-                raise ScenarioError([f"demand: O-D {od.id}: T_A or config init_profile.window: empty [{w0}, {w1})"])
+        for od_id, (w0, w1) in departure_windows(network, grid, window).items():
+            od, pids = network.ods[od_id], network.od_paths(od_id)
             overlap = omega_bin_overlap(grid, ((w0, w1),))
             base = od.demand / (len(pids) * (w1 - w0)) * (overlap / grid.dt)
             for pid in pids:
@@ -450,18 +468,14 @@ class DepartureProfile:
     def random(cls, network: Network, grid: TimeGrid, rng, window=None):
         """Random nonnegative rates inside the window, scaled to meet demand."""
         prof = cls.uniform(network, grid, window)
-        for od in network.ods.values():
-            pids = network.od_paths(od.id)
-            if not pids or od.demand == 0:
-                continue
-            for pid in pids:
-                i = prof.index(pid)
+        for od_id in departure_windows(network, grid, window):
+            rows = [prof.index(pid) for pid in network.od_paths(od_id)]
+            for i in rows:
                 mask = prof.rates[i] > 0
                 prof.rates[i, mask] *= rng.random(mask.sum())
-            rows = [prof.index(pid) for pid in pids]
             total = prof.rates[rows].sum() * grid.dt
             if total > 0:
-                prof.rates[rows] *= od.demand / total
+                prof.rates[rows] *= network.ods[od_id].demand / total
         return prof
 
 

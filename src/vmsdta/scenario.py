@@ -7,11 +7,10 @@ import functools
 import json
 import math
 import struct
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path as _FsPath
-
-import numpy as np
 
 from .compliance import ComplianceParams
 from .daytoday import PenaltyFunction, RunResult, SolverConfig, run_day_to_day
@@ -29,8 +28,10 @@ from .network import (
     _read,
     _writing,
     check_keys,
+    departure_windows,
     load_scenario,
     normalize_intervals,
+    np,
     number,
     open_output,
     pair_of,
@@ -215,24 +216,37 @@ def build_profile(network: Network, cfg: RunConfig) -> DepartureProfile:
         if init.mode == "random":
             return DepartureProfile.random(network, g, np.random.default_rng(init.seed), init.window)
         return DepartureProfile.uniform(network, g, init.window)
-    except ValueError as exc:  # numpy cannot allocate paths x bins
-        raise ScenarioError([f"config: grid.tf {g.tf:g} and grid.dt {g.dt:g} give {g.n_bins:.3g} bins: {exc}"]) from exc
+    except MemoryError as exc:
+        raise _grid_error(network, g, "do not fit in memory") from exc
+
+
+def _grid_error(network: Network, g, reason) -> ScenarioError:
+    return ScenarioError([f"config: grid.tf {g.tf:g} and grid.dt {g.dt:g} give {g.n_bins:.3g} bins: "
+                          f"{len(network.paths)} paths x bins of float64 {reason}"])
+
+
+def load_checked(network_file, paths_file, demand_file, config_file, tolerances_file=None, vms_file=None):
+    """``(network, config, warnings)`` of the bundle ``load_bundle`` builds, checked as it is, without its profile."""
+    cfg = read_config(config_file)
+    network, warnings = load_scenario(network_file, paths_file, demand_file, tolerances_file, vms_file,
+                                      grid=cfg.grid, default_epsilon=cfg.default_epsilon)
+    return network, cfg, _check_bundle(network, warnings, cfg)
 
 
 def load_bundle(network_file, paths_file, demand_file, config_file,
                 tolerances_file=None, vms_file=None) -> ScenarioBundle:
     """Load all scenario files into a validated, runnable bundle."""
-    cfg = read_config(config_file)
-    network, warnings = load_scenario(network_file, paths_file, demand_file, tolerances_file, vms_file,
-                                      grid=cfg.grid, default_epsilon=cfg.default_epsilon)
-    return _bundle(network, warnings, cfg)
+    network, cfg, warnings = load_checked(network_file, paths_file, demand_file, config_file, tolerances_file, vms_file)
+    return ScenarioBundle(network, cfg, build_profile(network, cfg), warnings)
 
 
-def _bundle(network: Network, warnings, cfg: RunConfig) -> ScenarioBundle:
-    """The bundle that runs ``cfg`` on a loaded network, its day's products checked."""
-    profile = build_profile(network, cfg)
+def _check_bundle(network: Network, warnings, cfg: RunConfig) -> list:
+    """Make ``build_profile``'s checks, in its order, then the day's products'; returns the bundle's warnings."""
+    if 8 * max(len(network.paths), 1) * cfg.grid.n_bins > sys.maxsize:  # numpy's limit on an array's bytes
+        raise _grid_error(network, cfg.grid, f"exceed numpy's largest array, {sys.maxsize:.3g} bytes")
+    departure_windows(network, cfg.grid, cfg.init.window)
     _check_products(network, cfg)
-    return ScenarioBundle(network, cfg, profile, list(warnings) + cfg.range_warnings())
+    return list(warnings) + cfg.range_warnings()
 
 
 def _check_products(network: Network, cfg: RunConfig, limit=1e100):
@@ -488,7 +502,7 @@ def _sweep_worker(args):
 def run_sweep(files: dict, param: str, values, outdir, workers: int = 1) -> list:
     """Independent replicates over one parameter; returns one row per value.
 
-    The files are read once; every value's bundle is built and checked before any run starts.
+    The files are read once; every value's bundle is checked, then every one built, before any run starts.
     """
     if workers < 1:
         raise ScenarioError([f"sweep: --workers must be at least 1, got {workers}"])
@@ -503,7 +517,9 @@ def run_sweep(files: dict, param: str, values, outdir, workers: int = 1) -> list
     configs = [(_apply_sweep_value(base, param, v), v, name) for name, (v,) in runs.items()]
     scenario = {key: path for key, path in files.items() if key != "config_file"}
     network, warnings = load_scenario(**scenario, grid=base.grid, default_epsilon=base.default_epsilon)
-    jobs = [(_bundle(network, warnings, cfg), param, v, _FsPath(outdir) / name) for cfg, v, name in configs]
+    checked = [(cfg, _check_bundle(network, warnings, cfg), v, name) for cfg, v, name in configs]
+    jobs = [(ScenarioBundle(network, cfg, build_profile(network, cfg), w), param, v, _FsPath(outdir) / name)
+            for cfg, w, v, name in checked]
     make_outdir(outdir)
     workers = min(workers, len(jobs))
     if workers > 1:

@@ -11,7 +11,7 @@ from operator import attrgetter
 import numpy as np
 import pytest
 
-from vmsdta import daytoday, network, scenario
+from vmsdta import compliance, daytoday, network, scenario
 from vmsdta.cli import cli_run
 from vmsdta.network import ScenarioError
 from vmsdta.scenario import (
@@ -492,6 +492,48 @@ def test_a_grid_whose_bins_numpy_cannot_allocate_exits_one_naming_it(tmp_path, c
     assert len(messages) == 1 and f"grid.{key} {value:g}" in messages[0], messages
 
 
+@pytest.mark.parametrize("tf, rejected", [(2.0 ** 58, False), (2.0 ** 59, True)])
+def test_validate_rejects_a_grid_where_numpy_would(tmp_path, capsys, tf, rejected):
+    # 3 paths x 2**58 bins of float64 is within numpy's largest array and 2**59 is not;
+    # validate builds no profile, so neither case allocates
+    files = _write(tmp_path)
+    _edit_json(files["config"], lambda o: o["grid"].update(tf=tf, dt=1.0))
+    assert cli_run(["validate"] + _flags(files)) == rejected
+    if rejected:
+        assert json.loads(capsys.readouterr().err)["messages"] == [
+            f"config: grid.tf {tf:g} and grid.dt 1 give {tf:.3g} bins: "
+            f"3 paths x bins of float64 exceed numpy's largest array, {sys.maxsize:.3g} bytes"]
+        with pytest.raises(ValueError, match="array is too big"):
+            np.empty((3, int(tf)))
+
+
+def test_a_grid_that_does_not_fit_in_memory_exits_one_naming_it(tmp_path, capsys, monkeypatch):
+    # numpy can shape 3 x 1e13 float64 (218 TiB); the allocation fails here without being tried
+    def no_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(network.DepartureProfile, "zeros", no_memory)
+    files = _write(tmp_path)
+    _edit_json(files["config"], lambda o: o["grid"].update(tf=1e13, dt=1.0))
+    assert cli_run(["validate"] + _flags(files)) == 0  # validate checks the shape, not the memory
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert cli_run(["run"] + _flags(files) + ["--out", str(out), "--quiet"]) == 1
+    assert json.loads(capsys.readouterr().err)["messages"] == [
+        "config: grid.tf 1e+13 and grid.dt 1 give 1e+13 bins: 3 paths x bins of float64 do not fit in memory"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_an_empty_departure_window_is_one_input_error(tmp_path, capsys, command):
+    files = _write(tmp_path)
+    _edit_json(files["config"], lambda o: o["init_profile"].update(window=[8000, 9000]))
+    argv = [command] + _flags(files) + (["--out", str(tmp_path / "out")] if command == "run" else [])
+    assert cli_run(argv) == 1
+    assert json.loads(capsys.readouterr().err)["messages"] == [
+        "demand: O-D od1: T_A or config init_profile.window: empty [8000.0, 3600.0)"]
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name, edit, day", [
     # h - lambda*phi is finite (validate bounds lambda times a free-flow cost by 1e100) but on
@@ -642,6 +684,49 @@ def test_package_import_loads_no_module_and_no_numpy():
             "sys.exit(str(loaded) if loaded else 0)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+# runs the CLI as ``python -m vmsdta.cli`` would, then prints whether numpy's core was loaded
+_CLI_THEN_NUMPY = ("import atexit, runpy, sys; "
+                   "atexit.register(lambda: print('numpy._core' in sys.modules, file=sys.stderr)); "
+                   "sys.argv[0] = 'vmsdta'; runpy.run_module('vmsdta.cli', run_name='__main__')")
+
+
+def test_input_checks_load_no_numpy_and_a_run_loads_it(tmp_path):
+    files = _write(tmp_path / "fig1", solver={"max_days": 1})
+    bad_demand = dict(files, demand=tmp_path / "demand.csv")
+    bad_demand["demand"].write_text(files["demand"].read_text().replace("360.0", "x"))
+    scenario_flags = _flags(files)[:-2]
+    cases = {  # argv: exit code, whether numpy's core is loaded
+        ("validate", *scenario_flags): (0, False),
+        ("validate", *_flags(files)): (0, False),
+        ("fixtures", "fig1", "--out", str(tmp_path / "fixture")): (0, False),
+        ("run", "--help"): (0, False),
+        ("run", *_flags(bad_demand), "--out", str(tmp_path / "bad")): (1, False),
+        ("sweep", *_flags(files), "--param", "lambda", "--values", "0.0002,1e308",
+         "--out", str(tmp_path / "sweep")): (1, False),
+        ("run", *_flags(files), "--out", str(tmp_path / "out"), "--quiet"): (0, True),
+    }
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for argv, expected in cases.items():
+        proc = subprocess.run([sys.executable, "-c", _CLI_THEN_NUMPY, *argv], capture_output=True, text=True,
+                              timeout=120, env=env)
+        assert (proc.returncode, proc.stderr.splitlines()[-1]) == (expected[0], str(expected[1])), (argv, proc.stderr)
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_without_numpy_the_import_error_names_it():
+    # -S leaves site-packages, where numpy is installed, off the path
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(network.__file__)))
+    if subprocess.run([sys.executable, "-S", "-c", "import numpy"], env=env, capture_output=True).returncode == 0:
+        pytest.skip("numpy is importable without site-packages")
+    proc = subprocess.run([sys.executable, "-S", "-m", "vmsdta.cli", "--help"], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 1 and proc.stderr.splitlines()[-1] == "ModuleNotFoundError: No module named 'numpy'"
+
+
+def test_the_compliance_ceiling_is_the_double_below_one():
+    assert compliance._CR_CEIL == np.nextafter(1.0, 0.0) and compliance._CR_CEIL < 1.0
 
 
 def test_validate_with_config_applies_its_default_tolerance(tmp_path, capsys):
